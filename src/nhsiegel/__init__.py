@@ -66,6 +66,7 @@ from .reps import (
 )
 from .samples import SAMPLE_BUILDERS, build_sample
 from .symplectic import (
+    PointBatch,
     SiegelPoint,
     SymplecticMatrix,
     act,
@@ -75,6 +76,7 @@ from .symplectic import (
     group_norm,
     is_in_principal_congruence,
     is_symplectic,
+    reduce_batch,
     reduce_to_fundamental,
 )
 

@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +24,14 @@ from .errors import FormDataError, NhsiegelError
 from .formio import load_form_package, save_form_package
 from .forms import FormPackage, check_invariance, evaluate, phi
 from .growth import (
+    GrowthReport,
     SweepConfig,
-    adversarial_points,
     estimate_constant,
-    group_samples,
-    lift,
-    sturm_rhs,
-    corollary_rhs,
     verify_growth_bound,
     verify_moderate_growth,
 )
 from .linalg import eigenvalues_sym, in_V_delta
-from .reps import basis_vector, inner, vector
+from .reps import basis_vector, vector
 from .samples import SAMPLE_BUILDERS, build_sample
 from .sampling import random_siegel_point
 from .symplectic import SiegelPoint, act, delta_for_degree, reduce_to_fundamental
@@ -44,29 +39,6 @@ from .symplectic import SiegelPoint, act, delta_for_degree, reduce_to_fundamenta
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    form: str | None = None
-    samples: int = 1000
-    seed: int = 0
-    delta: float | None = None
-    tmax: float | None = None
-    tol: float = 1e-9
-    out: str | None = None
-    fmt: str = "json"
-
-    def validate(self) -> None:
-        if self.samples < 1:
-            raise FormDataError("--samples must be >= 1")
-        if self.delta is not None and self.delta <= 0:
-            raise FormDataError("--delta must be positive")
-        if self.tol <= 0:
-            raise FormDataError("--tol must be positive")
-        if self.fmt not in ("json", "csv"):
-            raise FormDataError("--format must be json or csv")
 
 
 def _triangle_to_sym(values: list[float]) -> np.ndarray:
@@ -129,8 +101,8 @@ def _load_points(args) -> list[SiegelPoint]:
     return points
 
 
-def _emit(payload, config: RunConfig, csv_rows=None, csv_header=None) -> None:
-    if config.fmt == "csv" and csv_rows is not None:
+def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
+    if args.fmt == "csv" and csv_rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
@@ -138,19 +110,19 @@ def _emit(payload, config: RunConfig, csv_rows=None, csv_header=None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _load_package(config: RunConfig) -> FormPackage:
-    if not config.form:
+def _load_package(args) -> FormPackage:
+    if not args.form:
         raise FormDataError("--form is required for this command")
-    package = load_form_package(config.form)
-    if config.tmax is not None:
+    package = load_form_package(args.form)
+    if args.tmax is not None:
         package = FormPackage(
-            package.expansion.with_t_max(config.tmax),
+            package.expansion.with_t_max(args.tmax),
             package.gamma_test_set,
             growth_a=package.growth_a,
             growth_kappa=package.growth_kappa,
@@ -159,8 +131,8 @@ def _load_package(config: RunConfig) -> FormPackage:
     return package
 
 
-def cmd_eval(config: RunConfig, args) -> int:
-    package = _load_package(config)
+def cmd_eval(args) -> int:
+    package = _load_package(args)
     points = _load_points(args)
     records = []
     rows = []
@@ -175,7 +147,7 @@ def cmd_eval(config: RunConfig, args) -> int:
             }
         )
         rows.append(
-            _flatten_point(z)
+            _flatten_point(z.X, z.Y)
             + [f"{float(c.real)!r}" for c in val.coords]
             + [f"{float(c.imag)!r}" for c in val.coords]
             + [repr(magnitude)]
@@ -187,11 +159,11 @@ def cmd_eval(config: RunConfig, args) -> int:
         + [f"im_{i}" for i in range(dim)]
         + ["phi"]
     )
-    _emit({"results": records}, config, rows, header)
+    _emit({"results": records}, args, rows, header)
     return EXIT_OK
 
 
-def cmd_reduce(config: RunConfig, args) -> int:
+def cmd_reduce(args) -> int:
     points = _load_points(args)
     records = []
     rows = []
@@ -200,20 +172,20 @@ def cmd_reduce(config: RunConfig, args) -> int:
         gamma, z_red = reduce_to_fundamental(z)
         dev = float(np.max(np.abs(act(gamma, z).mat - z_red.mat)))
         worst_consistency = max(worst_consistency, dev)
-        delta = config.delta if config.delta is not None else delta_for_degree(z.n)
+        delta = args.delta if args.delta is not None else delta_for_degree(z.n)
         records.append(
             {
                 "gamma": [[int(v) for v in row] for row in gamma.mat],
                 "z_red": {"X": z_red.X.tolist(), "Y": z_red.Y.tolist()},
                 "min_im_eigenvalue": float(eigenvalues_sym(z_red.Y)[-1]),
-                "in_V_delta": bool(in_V_delta(z_red.Y, delta, tol=config.tol)),
+                "in_V_delta": bool(in_V_delta(z_red.Y, delta, tol=args.tol)),
                 "delta": delta,
                 "consistency": dev,
             }
         )
         rows.append(
-            _flatten_point(z)
-            + _flatten_point(z_red)
+            _flatten_point(z.X, z.Y)
+            + _flatten_point(z_red.X, z_red.Y)
             + [repr(float(eigenvalues_sym(z_red.Y)[-1]))]
         )
     if worst_consistency > 1e-9:
@@ -222,18 +194,18 @@ def cmd_reduce(config: RunConfig, args) -> int:
     header = _point_header(points[0].n) + [
         h + "_red" for h in _point_header(points[0].n)
     ] + ["min_im_eigenvalue"]
-    _emit({"results": records}, config, rows, header)
+    _emit({"results": records}, args, rows, header)
     return EXIT_OK
 
 
-def cmd_check(config: RunConfig, args) -> int:
-    if config.fmt == "csv":
+def cmd_check(args) -> int:
+    if args.fmt == "csv":
         raise FormDataError("check reports are JSON only; drop --format csv")
-    package = _load_package(config)
-    rng = np.random.default_rng(config.seed)
+    package = _load_package(args)
+    rng = np.random.default_rng(args.seed)
     samples = [
         random_siegel_point(package.n, rng, eig_low=0.75, eig_high=10.0, x_scale=2.0)
-        for _ in range(config.samples)
+        for _ in range(args.samples)
     ]
     report = check_invariance(package, samples)
     payload = {
@@ -243,38 +215,34 @@ def cmd_check(config: RunConfig, args) -> int:
         "threshold": report.threshold,
         "violations": report.violations,
     }
-    _emit(payload, config)
+    _emit(payload, args)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _sweep_config(config: RunConfig, seed_offset: int = 0) -> SweepConfig:
-    return SweepConfig(
-        samples=config.samples,
-        seed=config.seed + seed_offset,
-        ratio_tol=config.tol,
-    )
+def _sweep_config(args, seed_offset: int = 0) -> SweepConfig:
+    return SweepConfig(samples=args.samples, seed=args.seed + seed_offset, ratio_tol=args.tol)
 
 
-def cmd_bound(config: RunConfig, args) -> int:
-    package = _load_package(config)
-    if args.constant is not None:
-        if args.constant <= 0:
-            raise FormDataError("--constant must be positive")
-        constant = args.constant
-    else:
-        constant = estimate_constant(package, _sweep_config(config))
+def _constant(args, package: FormPackage) -> float:
+    if args.constant is None:
+        return estimate_constant(package, _sweep_config(args))
+    if args.constant <= 0:
+        raise FormDataError("--constant must be positive")
+    return args.constant
+
+
+def cmd_bound(args) -> int:
+    package = _load_package(args)
     report = verify_growth_bound(
-        package, constant, kind=args.kind, config=_sweep_config(config, seed_offset=1)
+        package, _constant(args, package), kind=args.kind, config=_sweep_config(args, seed_offset=1)
     )
-    rows = header = None
-    if config.fmt == "csv":
-        rows, header = _sweep_csv(package, report, args.kind, constant)
-    _emit(report.to_dict(), config, rows, header)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return _emit_sweep(
+        report, args, lambda z: _flatten_point(z.real, z.imag), _point_header(package.n)
+    )
 
 
-def cmd_moderate(config: RunConfig, args) -> int:
-    package = _load_package(config)
+def cmd_moderate(args) -> int:
+    package = _load_package(args)
     rep = package.rep
     if args.w0:
         try:
@@ -287,37 +255,29 @@ def cmd_moderate(config: RunConfig, args) -> int:
     else:
         w0 = basis_vector(rep, 0)
     r = args.r if args.r is not None else package.n * package.lambda1 / 2.0
-    if args.constant is not None:
-        if args.constant <= 0:
-            raise FormDataError("--constant must be positive")
-        constant = args.constant
-    else:
-        constant = estimate_constant(package, _sweep_config(config))
-    sweep = _sweep_config(config, seed_offset=1)
-    report = verify_moderate_growth(package, w0, r, constant, config=sweep)
+    report = verify_moderate_growth(
+        package, w0, r, _constant(args, package), config=_sweep_config(args, seed_offset=1)
+    )
+    m = 2 * package.n
+    header = [f"g_{i+1}{j+1}" for i in range(m) for j in range(m)]
+    return _emit_sweep(report, args, lambda g: [repr(float(v)) for v in g.ravel()], header)
+
+
+def _emit_sweep(report: GrowthReport, args, coords, coord_header: list[str]) -> int:
+    # One record stream feeds both outputs: the JSON summary and the CSV
+    # rows, whose first cells ``coords`` makes from the sample's location.
     rows = None
-    header = None
-    if config.fmt == "csv":
-        rows = []
-        c_mod = report.constant
-        for g in group_samples(package.n, sweep):
-            val = abs(inner(lift(package, g), w0))
-            rhs = c_mod * float(np.sum(g.mat * g.mat)) ** r
-            ratio = val / rhs if rhs else math.inf
-            rows.append(
-                [repr(float(v)) for v in g.mat.ravel()] + [repr(val), repr(rhs), repr(ratio)]
-            )
-        m = 2 * package.n
-        header = [f"g_{i+1}{j+1}" for i in range(m) for j in range(m)] + ["phi", "rhs", "ratio"]
-    _emit(report.to_dict(), config, rows, header)
+    if args.fmt == "csv":
+        rows = [coords(w) + [repr(float(v)) for v in rest] for w, *rest in zip(*report.records)]
+    _emit(report.to_dict(), args, rows, coord_header + ["phi", "rhs", "ratio"])
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def cmd_sample(config: RunConfig, args) -> int:
-    package = build_sample(args.name, t_max=config.tmax)
-    if not config.out:
+def cmd_sample(args) -> int:
+    package = build_sample(args.name, t_max=args.tmax)
+    if not args.out:
         raise FormDataError("--out is required for sample")
-    save_form_package(package, config.out)
+    save_form_package(package, args.out)
     return EXIT_OK
 
 
@@ -326,29 +286,9 @@ def _point_header(n: int) -> list[str]:
     return [f"x{lab}" for lab in labels] + [f"y{lab}" for lab in labels]
 
 
-def _flatten_point(z: SiegelPoint) -> list[str]:
-    n = z.n
-    xs = [repr(float(z.X[i, j])) for i in range(n) for j in range(i, n)]
-    ys = [repr(float(z.Y[i, j])) for i in range(n) for j in range(i, n)]
-    return xs + ys
-
-
-def _sweep_csv(package: FormPackage, report, kind: str, constant: float):
-    # Regenerate the sweep deterministically for per-sample CSV rows.
-    cfg = SweepConfig(
-        samples=report.samples,
-        seed=report.config["seed"],
-        ratio_tol=report.config["ratio_tol"],
-    )
-    rhs_fn = sturm_rhs if kind == "theorem" else corollary_rhs
-    rows = []
-    for z in adversarial_points(package.n, cfg):
-        val = phi(package, z)
-        rhs = constant * rhs_fn(z.Y, package.lambda1)
-        ratio = val / rhs if rhs else math.inf
-        rows.append(_flatten_point(z) + [repr(val), repr(rhs), repr(ratio)])
-    header = _point_header(package.n) + ["phi", "rhs", "ratio"]
-    return rows, header
+def _flatten_point(x: np.ndarray, y: np.ndarray) -> list[str]:
+    upper = np.triu_indices(x.shape[0])  # row major, as _point_header
+    return [repr(float(v)) for v in (*x[upper], *y[upper])]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,20 +357,14 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        form=getattr(args, "form", None),
-        samples=args.samples,
-        seed=args.seed,
-        delta=args.delta,
-        tmax=args.tmax,
-        tol=args.tol,
-        out=args.out,
-        fmt=args.fmt,
-    )
     try:
-        config.validate()
-        return COMMANDS[args.command](config, args)
+        if args.samples < 1:
+            raise FormDataError("--samples must be >= 1")
+        if args.delta is not None and args.delta <= 0:
+            raise FormDataError("--delta must be positive")
+        if args.tol <= 0:
+            raise FormDataError("--tol must be positive")
+        return COMMANDS[args.command](args)
     except FormDataError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

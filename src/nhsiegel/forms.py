@@ -20,22 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import FormDataError, TailDivergenceError
-from .linalg import (
-    MultiIndex,
-    eigenvalues_sym,
-    inverse,
-    monomial,
-    multi_index_count,
-    sqrt_posdef,
+from .linalg import MultiIndex, eigenvalues_sym, inv_stack, monomial, multi_index_count
+from .reps import Rep, RepVector, norms, rep_matrix
+from .symplectic import (
+    PointBatch,
+    SiegelPoint,
+    SymplecticMatrix,
+    act_batch,
+    automorphy_factor_batch,
 )
-from .reps import Rep, RepVector, apply, norm, rep_matrix, zero_vector
-from .symplectic import SiegelPoint, SymplecticMatrix, act, automorphy_factor
 
 _TWO_PI = 2.0 * math.pi
 
@@ -200,6 +199,7 @@ class FourierExpansion:
 
     @cached_property
     def _stacks(self) -> list[tuple[MultiIndex, np.ndarray, np.ndarray]]:
+        # Per beta: the S matrices flattened to (K, n*n) and the (K, dim) values.
         by_beta: dict[MultiIndex, list] = {}
         for (beta, skey), vec in self.coefficients.items():
             by_beta.setdefault(beta, []).append((skey, vec))
@@ -208,23 +208,22 @@ class FourierExpansion:
             items.sort(key=lambda kv: kv[0])
             s_stack = np.array([k for k, _ in items], dtype=float) / float(self.level)
             v_stack = np.array([v for _, v in items], dtype=complex)
-            out.append((beta, s_stack, v_stack))
+            out.append((beta, s_stack.reshape(len(items), -1), v_stack))
         return out
 
 
-def evaluate(f: FourierExpansion, z: SiegelPoint) -> RepVector:
-    """Sum the stored expansion at Z."""
-    if z.n != f.n:
-        raise ValueError(f"point degree {z.n} does not match form degree {f.n}")
-    if not f.coefficients:
-        return zero_vector(f.rep)
-    zc = z.mat
-    y_inv = inverse(z.Y)
-    total = np.zeros(f.rep.dim, dtype=complex)
-    for beta, s_stack, v_stack in f._stacks:
-        phases = np.exp(2j * math.pi * np.einsum("kij,ij->k", s_stack, zc))
-        total += monomial(y_inv, beta) * (phases @ v_stack)
-    return RepVector(f.rep, total)
+def evaluate(f: FourierExpansion, z: SiegelPoint | PointBatch):
+    """Sum the stored expansion at Z, as a RepVector; at every point of a
+    PointBatch, as the (N, dim) array of coordinates."""
+    points = z.batch if isinstance(z, SiegelPoint) else z
+    if points.n != f.n:
+        raise ValueError(f"point degree {points.n} does not match form degree {f.n}")
+    total = np.zeros((len(points), f.rep.dim), dtype=complex)
+    zc, y_inv = points.mat.reshape(len(points), -1), points.y_inv
+    for beta, s_flat, v_stack in f._stacks:
+        phases = np.exp(2j * math.pi * (zc @ s_flat.T))  # exp(2 pi i Tr(S Z))
+        total += monomial(y_inv, beta)[:, None] * (phases @ v_stack)
+    return total if points is z else RepVector(f.rep, total[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,14 +279,16 @@ class FormPackage:
 
 @dataclass(frozen=True)
 class PointEvaluator:
-    """A V-valued function on the upper half space, with its representation."""
+    """A V-valued function on the upper half space, with its representation.
+    ``func`` maps a PointBatch to its (N, dim) values; a call on one
+    SiegelPoint is the N = 1 case."""
 
     rep: Rep
     n: int
-    func: Callable[[SiegelPoint], RepVector]
+    func: Callable[[PointBatch], np.ndarray]
 
     def __call__(self, z: SiegelPoint) -> RepVector:
-        return self.func(z)
+        return RepVector(self.rep, self.func(z.batch)[0])
 
 
 FormLike = FourierExpansion | FormPackage | PointEvaluator
@@ -298,8 +299,17 @@ def as_evaluator(f: FormLike) -> PointEvaluator:
         return f
     if isinstance(f, FormPackage):
         f = f.expansion
-    expansion = f
-    return PointEvaluator(expansion.rep, expansion.n, lambda z: evaluate(expansion, z))
+    return PointEvaluator(f.rep, f.n, partial(evaluate, f))
+
+
+def slash_values(f: FormLike, g, points: PointBatch) -> np.ndarray:
+    """rho(C Z + D)^{-1} F(gZ) as an (N, dim) array, for g one 2n x 2n
+    matrix or an (N, 2n, 2n) stack and a batch of points (either side may
+    have one element)."""
+    ev = as_evaluator(f)
+    j_inv = inv_stack(automorphy_factor_batch(g, points))
+    values = ev.func(act_batch(g, points))
+    return (rep_matrix(ev.rep, j_inv) @ values[..., None])[..., 0]
 
 
 def slash(f: FormLike, g: SymplecticMatrix) -> PointEvaluator:
@@ -309,18 +319,17 @@ def slash(f: FormLike, g: SymplecticMatrix) -> PointEvaluator:
     performed.
     """
     ev = as_evaluator(f)
-
-    def transformed(z: SiegelPoint) -> RepVector:
-        j = automorphy_factor(g, z)
-        return apply(ev.rep, inverse(j), ev(act(g, z)))
-
-    return PointEvaluator(ev.rep, ev.n, transformed)
+    return PointEvaluator(ev.rep, ev.n, partial(slash_values, ev, g.mat))
 
 
-def phi(f: FormLike, z: SiegelPoint) -> float:
-    """The invariant magnitude ||rho(Y^{1/2}) F(Z)||."""
+def phi(f: FormLike, z: SiegelPoint | PointBatch):
+    """The invariant magnitude ||rho(Y^{1/2}) F(Z)||, or the array of it at
+    every point of a PointBatch."""
+    points = z.batch if isinstance(z, SiegelPoint) else z
     ev = as_evaluator(f)
-    return norm(apply(ev.rep, sqrt_posdef(z.Y), ev(z)))
+    moved = (rep_matrix(ev.rep, points.y_sqrt) @ ev.func(points)[..., None])[..., 0]
+    out = norms(ev.rep, moved)
+    return out if points is z else float(out[0])
 
 
 def tail_bound(package: FormPackage, y) -> float:
@@ -418,35 +427,24 @@ def check_invariance(
     gamma Z (scaled through the automorphy factor) plus a fixed
     floating-point allowance.
     """
-    exp_ = package.expansion
-    for z in samples:
-        if float(eigenvalues_sym(z.Y)[-1]) < 0.5 - 1e-9:
-            raise ValueError("invariance samples must have Im(Z) >= identity/2")
-    max_dev = 0.0
-    max_thr = 0.0
-    violations = 0
+    points = PointBatch.from_points(samples)
+    if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
+        raise ValueError("invariance samples must have Im(Z) >= identity/2")
+    rep = package.rep
+    base = evaluate(package.expansion, points)
+    base_tail = np.array([tail_bound(package, y) for y in points.Y])
+    devs, thrs = [], []
     for g in package.gamma_test_set:
-        transformed = slash(package, g)
-        for z in samples:
-            base = evaluate(exp_, z)
-            dev = norm(transformed(z) - base) / (1.0 + norm(base))
-            jinv = inverse(automorphy_factor(g, z))
-            amp = _rep_matrix_frobenius(exp_.rep, jinv)
-            zg = act(g, z)
-            thr = tail_bound(package, z.Y) + amp * tail_bound(package, zg.Y) + FLOAT_FLOOR
-            max_dev = max(max_dev, dev)
-            max_thr = max(max_thr, thr)
-            if dev > thr:
-                violations += 1
+        devs.append(norms(rep, slash(package, g).func(points) - base) / (1.0 + norms(rep, base)))
+        jinv = rep_matrix(rep, inv_stack(automorphy_factor_batch(g.mat, points)))
+        amp = np.sqrt(np.sum(np.abs(jinv) ** 2, axis=(1, 2)))
+        moved_tail = np.array([tail_bound(package, y) for y in act_batch(g.mat, points).Y])
+        thrs.append(base_tail + amp * moved_tail + FLOAT_FLOOR)
+    devs, thrs = np.array(devs), np.array(thrs)
     return InvarianceReport(
         gammas=len(package.gamma_test_set),
         samples=len(samples),
-        max_deviation=max_dev,
-        threshold=max_thr,
-        violations=violations,
+        max_deviation=float(devs.max(initial=0.0)),
+        threshold=float(thrs.max(initial=0.0)),
+        violations=int(np.sum(devs > thrs)),
     )
-
-
-def _rep_matrix_frobenius(rep: Rep, m) -> float:
-    rm = rep_matrix(rep, m)
-    return float(np.sqrt(np.sum(np.abs(rm) ** 2)))

@@ -1,9 +1,11 @@
-"""Small dense matrix kernel: symmetric eigenproblems, SPD square roots,
-inverses, and monomials in matrix entries.
+"""Small dense matrix kernel on numpy.linalg: symmetric eigenproblems, SPD
+square roots and inverses, solves, determinants, and monomials in matrix
+entries.
 
-Everything here operates on plain numpy arrays at desk scale (n <= 8).
-The symmetric eigensolver is a cyclic Jacobi iteration, which is simple,
-deterministic, and accurate to machine precision for such sizes.
+Everything here operates on plain numpy arrays at desk scale (n <= 8).  The
+eigensolver and ``monomial`` also take (N, n, n) stacks: the batched point
+path runs one ``numpy.linalg.eigh`` per batch, and a single matrix is the
+N = 1 case of the same call.
 """
 
 from __future__ import annotations
@@ -23,33 +25,31 @@ from .errors import (
 
 MAX_DIM = 8
 
-_JACOBI_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 64
 _PIVOT_TOL = 1e-13
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
+def _as_square(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """a as a square matrix, or with ``stacked`` as an (N, n, n) stack."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != (3 if stacked else 2) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[0] > MAX_DIM:
-        raise ValueError(f"{name} dimension {a.shape[0]} outside supported range 1..{MAX_DIM}")
+    if a.shape[-1] < 1 or a.shape[-1] > MAX_DIM:
+        raise ValueError(f"{name} dimension {a.shape[-1]} outside supported range 1..{MAX_DIM}")
     return a
 
 
-def symmetrize(a) -> np.ndarray:
-    """The exactly symmetric part (a + a^T)/2, as a new array."""
-    a = _as_square(np.asarray(a, dtype=float))
-    return (a + a.T) / 2.0
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack (or of one matrix)."""
+    return a.swapaxes(-1, -2)
 
 
-def _require_symmetric(a, name: str = "matrix") -> np.ndarray:
-    a = _as_square(a, name)
-    a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+def _require_symmetric(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    a = _as_square(np.asarray(a, dtype=float), name, stacked)
+    at = _t(a)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
+    if (np.abs(a - at) > 1e-12 * scale).any():
         raise ValueError(f"{name} is not symmetric")
-    return (a + a.T) / 2.0
+    return (a + at) / 2.0
 
 
 def max_abs_entry(y) -> float:
@@ -58,99 +58,55 @@ def max_abs_entry(y) -> float:
     return float(np.max(np.abs(y)))
 
 
-def eigh_sym(y, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def eigh_sym(y) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a real
-    symmetric matrix, via cyclic Jacobi rotations.
+    symmetric matrix, or of each matrix of an (N, n, n) stack.
 
-    Returns (w, q) with y = q @ diag(w) @ q.T and w[0] >= ... >= w[n-1].
-    Raises EigenIterationError if the off-diagonal norm does not fall below
-    the convergence threshold within ``max_sweeps`` sweeps (this signals
-    pathological input such as non-finite entries).
+    Returns (w, q) with y = q @ diag(w) @ q.T and w[..., 0] >= ... >= w[..., n-1].
+    Raises EigenIterationError on non-finite entries.
     """
-    a = _require_symmetric(y, "eigh_sym input").copy()
-    if not np.all(np.isfinite(a)):
+    return _eigh(_require_symmetric(y, "eigh_sym input", stacked=np.ndim(y) == 3))
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # eigh_sym on input already checked to be symmetric.
+    if not np.isfinite(a).all():
         raise EigenIterationError("eigensolver given non-finite entries")
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), q
-
-    scale = float(np.sqrt(np.sum(a * a)))
-    thr = _JACOBI_TOL * max(1.0, scale)
-    eps_rot = thr / (2.0 * n * n)
-
-    def off_norm() -> float:
-        s = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                s += a[i, j] * a[i, j]
-        return math.sqrt(2.0 * s)
-
-    converged = False
-    for _ in range(max_sweeps):
-        if off_norm() <= thr:
-            converged = True
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = a[p, r]
-                if abs(apq) <= eps_rot:
-                    continue
-                tau = (a[r, r] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                qp = q[:, p].copy()
-                qr = q[:, r].copy()
-                q[:, p] = c * qp - s * qr
-                q[:, r] = s * qp + c * qr
-    if not converged and off_norm() > thr:
-        raise EigenIterationError(
-            f"Jacobi iteration did not converge in {max_sweeps} sweeps "
-            "(non-finite or pathological input?)"
-        )
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], q[:, order]
+    if a.shape[-1] == 1:  # the 1x1 problem needs no solver
+        return a[..., 0].copy(), np.ones(a.shape)
+    w, q = np.linalg.eigh(a)
+    return w[..., ::-1], q[..., ::-1]
 
 
 def eigenvalues_sym(y) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix, in decreasing order."""
+    """Eigenvalues of a real symmetric matrix (or stack), in decreasing order."""
     return eigh_sym(y)[0]
 
 
-def _posdef_tolerance(w: np.ndarray) -> float:
+def _posdef_floor(w: np.ndarray) -> np.ndarray:
     # Relative rule: positive definite means min eig > 1e-12 * (1 + max eig).
-    return 1e-12 * (1.0 + float(w[0]))
+    return 1e-12 * (1.0 + w[..., 0])
+
+
+def spectral(w: np.ndarray, q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The symmetric matrix q diag(values) q^T (per matrix of a stack)."""
+    r = (q * values[..., None, :]) @ _t(q)
+    return (r + _t(r)) / 2.0
 
 
 def is_positive_definite(y) -> bool:
     w = eigenvalues_sym(y)
-    return float(w[-1]) > _posdef_tolerance(w)
+    return bool(w[-1] > _posdef_floor(w))
 
 
 def sqrt_posdef(y) -> np.ndarray:
     """Unique symmetric positive-definite square root of an SPD matrix."""
     w, q = eigh_sym(y)
-    if float(w[-1]) <= _posdef_tolerance(w):
+    if w[-1] <= _posdef_floor(w):
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (min eigenvalue {w[-1]:.3e})"
         )
-    r = (q * np.sqrt(w)) @ q.T
-    return (r + r.T) / 2.0
+    return spectral(w, q, np.sqrt(w))
 
 
 def in_V_delta(y, delta: float, tol: float = 1e-12) -> bool:
@@ -162,58 +118,43 @@ def in_V_delta(y, delta: float, tol: float = 1e-12) -> bool:
 
 
 def solve_gauss(a, b) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
+    """Solve a @ x = b (LU with partial pivoting, numpy.linalg.solve).
 
-    Works for real or complex a; b may be a vector or a matrix.
+    Works for real or complex a; b may be a vector or a matrix.  Raises
+    SingularMatrixError when the least singular value of a is at most
+    1e-13 times max(1, the largest).
     """
     a = _as_square(a, "coefficient matrix")
-    n = a.shape[0]
-    b = np.asarray(b)
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
-    m = np.array(a, dtype=complex if np.iscomplexobj(a) or np.iscomplexobj(b) else float)
-    rhs = np.array(b, dtype=m.dtype)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[piv, col]) <= _PIVOT_TOL * scale:
-            raise SingularMatrixError(f"pivot {abs(m[piv, col]):.3e} below threshold")
-        if piv != col:
-            m[[col, piv], :] = m[[piv, col], :]
-            rhs[[col, piv], :] = rhs[[piv, col], :]
-        inv_piv = 1.0 / m[col, col]
-        for row in range(col + 1, n):
-            f = m[row, col] * inv_piv
-            if f != 0.0:
-                m[row, col:] -= f * m[col, col:]
-                rhs[row, :] -= f * rhs[col, :]
-    x = np.zeros_like(rhs)
-    for row in range(n - 1, -1, -1):
-        x[row, :] = (rhs[row, :] - m[row, row + 1:] @ x[row + 1:, :]) / m[row, row]
-    return x[:, 0] if vector else x
+    s = np.linalg.svd(a, compute_uv=False)
+    if not s[-1] > _PIVOT_TOL * max(1.0, float(s[0])):
+        raise SingularMatrixError(f"least singular value {s[-1]:.3e} below threshold")
+    return np.linalg.solve(a, np.asarray(b))
+
+
+def inv_stack(m) -> np.ndarray:
+    """Inverses of a stack of matrices (numpy.linalg.inv); SingularMatrixError
+    if one is singular."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular matrix in stack ({exc})") from None
+
+
+def det_stack(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of matrices; closed form for n <= 2."""
+    n = m.shape[-1]
+    if n == 1:
+        return m[..., 0, 0]
+    if n == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.linalg.det(m)
 
 
 def det(a) -> complex | float:
-    """Determinant via partial-pivot elimination (real or complex)."""
+    """Determinant (real or complex)."""
     a = _as_square(a, "matrix")
-    n = a.shape[0]
-    is_complex = np.iscomplexobj(a)
-    m = np.array(a, dtype=complex if is_complex else float)
-    sign = 1.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if m[piv, col] == 0.0:
-            return 0.0j if is_complex else 0.0
-        if piv != col:
-            m[[col, piv], :] = m[[piv, col], :]
-            sign = -sign
-        for row in range(col + 1, n):
-            f = m[row, col] / m[col, col]
-            if f != 0.0:
-                m[row, col:] -= f * m[col, col:]
-    d = sign * np.prod(np.diag(m))
-    return complex(d) if is_complex else float(d.real)
+    d = np.linalg.det(a)
+    return complex(d) if np.iscomplexobj(a) else float(d)
 
 
 def inverse(a) -> np.ndarray:
@@ -221,16 +162,15 @@ def inverse(a) -> np.ndarray:
 
     Real symmetric positive-definite inputs go through the eigensolver so
     the result is symmetric by construction; everything else goes through
-    Gaussian elimination with partial pivoting.
+    ``solve_gauss``.
     """
     a = _as_square(a, "matrix")
     if not np.iscomplexobj(a):
         af = np.asarray(a, dtype=float)
         if np.array_equal(af, af.T):
             w, q = eigh_sym(af)
-            if float(w[-1]) > _posdef_tolerance(w):
-                inv = (q / w) @ q.T
-                return (inv + inv.T) / 2.0
+            if w[-1] > _posdef_floor(w):
+                return spectral(w, q, 1.0 / w)
     return solve_gauss(a, np.eye(a.shape[0]))
 
 
@@ -273,18 +213,19 @@ class MultiIndex:
         return {(i, j): b for i, j, b in self.powers}
 
 
-def monomial(v, beta: MultiIndex) -> float:
+def monomial(v, beta: MultiIndex):
     """Product of powers of upper-triangular entries of v prescribed by beta.
 
-    The empty product (all powers zero) is 1, which also covers 0^0.
+    For an (N, n, n) stack the result is the array of the N products.  The
+    empty product (all powers zero) is 1, which also covers 0^0.
     """
-    v = _as_square(v, "matrix")
-    if v.shape[0] != beta.n:
-        raise ValueError(f"matrix dimension {v.shape[0]} != multi-index dimension {beta.n}")
-    out = 1.0
+    v = _as_square(v, "matrix", stacked=np.ndim(v) == 3)
+    if v.shape[-1] != beta.n:
+        raise ValueError(f"matrix dimension {v.shape[-1]} != multi-index dimension {beta.n}")
+    out = np.ones(v.shape[:-2])
     for i, j, b in beta.powers:
-        out *= float(v[i - 1, j - 1]) ** b
-    return out
+        out = out * v[..., i - 1, j - 1] ** b
+    return float(out) if out.ndim == 0 else out
 
 
 def multi_index_count(n: int, p: int) -> int:

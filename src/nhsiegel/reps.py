@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RepMismatchError, SingularMatrixError, UnsupportedWeightError
-from .linalg import MAX_DIM, _as_square, det
+from .linalg import MAX_DIM, _as_square, det_stack
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,32 @@ class Rep:
     def _index(self) -> dict[tuple[int, ...], int]:
         return {a: idx for idx, a in enumerate(self.exponents)}
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index table of ``rep_matrix``.  Column a of rho(M) / det^k
+        expands prod_i (sum_r M[r, i] e_r)^{a_i}; each term splits every a_i
+        over the rows r.  ``powers[t]`` holds the split as exponents of the
+        flattened M, ``weights[t]`` its multinomial coefficient at the
+        flattened (row, column) entry it adds to."""
+        n, dim = self.n, self.dim
+        powers, weights = [], []
+        for col, a in enumerate(self.exponents):
+            for split in itertools.product(*(_compositions(ai, n) for ai in a)):
+                k = np.array(split, dtype=np.int64).T  # k[r, i]: power of M[r, i]
+                row = self._index[tuple(int(s) for s in k.sum(axis=1))]
+                w = np.zeros(dim * dim, dtype=complex)
+                w[row * dim + col] = math.prod(math.factorial(ai) for ai in a) / math.prod(
+                    math.factorial(int(x)) for x in k.flat
+                )
+                powers.append(k.ravel())
+                weights.append(w)
+        return np.array(powers), np.array(weights)
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """All tuples of ``parts`` non-negative integers summing to ``total``."""
+    return [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+
 
 @dataclass(frozen=True, eq=False)
 class RepVector:
@@ -122,10 +148,6 @@ def vector(rep: Rep, coords) -> RepVector:
     return RepVector(rep, np.asarray(coords, dtype=complex))
 
 
-def zero_vector(rep: Rep) -> RepVector:
-    return RepVector(rep, np.zeros(rep.dim, dtype=complex))
-
-
 def basis_vector(rep: Rep, idx: int) -> RepVector:
     coords = np.zeros(rep.dim, dtype=complex)
     coords[idx] = 1.0
@@ -138,38 +160,23 @@ def _check_same_rep(v: RepVector, w: RepVector) -> None:
 
 
 def rep_matrix(rep: Rep, m) -> np.ndarray:
-    """The matrix of the representation at m, in the monomial basis."""
+    """The matrix of the representation at m, in the monomial basis; for an
+    (N, n, n) stack of matrices, the (N, dim, dim) stack of theirs."""
     m = np.asarray(m, dtype=complex)
-    m = _as_square(m, "representation argument")
-    if m.shape[0] != rep.n:
-        raise ValueError(f"matrix rank {m.shape[0]} does not match representation rank {rep.n}")
-    d = det(m)
+    m = _as_square(m, "representation argument", stacked=m.ndim == 3)
+    if m.shape[-1] != rep.n:
+        raise ValueError(f"matrix rank {m.shape[-1]} does not match representation rank {rep.n}")
+    stack, n = m.reshape((-1,) + m.shape[-2:]), rep.n
+    d = det_stack(stack)
     if rep.k > 0:
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if abs(d) <= 1e-13 * scale**rep.n:
-            raise SingularMatrixError(
-                "determinant twist requires an invertible matrix"
-            )
-    if rep.n == 1:
-        return np.array([[m[0, 0] ** rep.j * d**rep.k]])
-    factor = d**rep.k
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    zero = (0,) * rep.n
-    for col, a in enumerate(rep.exponents):
-        poly: dict[tuple[int, ...], complex] = {zero: 1.0 + 0.0j}
-        for i, ai in enumerate(a):
-            for _ in range(ai):
-                nxt: dict[tuple[int, ...], complex] = {}
-                for expo, cval in poly.items():
-                    for r in range(rep.n):
-                        mri = m[r, i]
-                        if mri == 0.0:
-                            continue
-                        key = expo[:r] + (expo[r] + 1,) + expo[r + 1:]
-                        nxt[key] = nxt.get(key, 0.0) + cval * mri
-                poly = nxt
-        for expo, cval in poly.items():
-            out[rep._index[expo], col] = cval * factor
+        scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+        if np.any(np.abs(d) <= 1e-13 * scale**n):
+            raise SingularMatrixError("determinant twist requires an invertible matrix")
+    powers, weights = rep._table
+    terms = np.prod(stack.reshape(len(stack), 1, n * n) ** powers, axis=-1)
+    out = (terms @ weights).reshape(m.shape[:-2] + (rep.dim, rep.dim))
+    if rep.k > 0:
+        out *= (d**rep.k).reshape(m.shape[:-2] + (1, 1))
     return out
 
 
@@ -186,5 +193,11 @@ def inner(v: RepVector, w: RepVector) -> complex:
     return complex(np.sum(v.coords * np.conj(w.coords) * v.rep.basis_sq_norms))
 
 
+def norms(rep: Rep, coords: np.ndarray) -> np.ndarray:
+    """Invariant norms of a stack of coordinate vectors (..., dim)."""
+    sq = np.sum(coords * np.conj(coords) * rep.basis_sq_norms, axis=-1).real
+    return np.sqrt(np.maximum(0.0, sq))
+
+
 def norm(v: RepVector) -> float:
-    return math.sqrt(max(0.0, inner(v, v).real))
+    return float(norms(v.rep, v.coords))

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import det, symmetrize
+from .linalg import det
 from .symplectic import (
+    PointBatch,
     SiegelPoint,
     SymplecticMatrix,
     compact_from_unitary,
@@ -60,7 +61,25 @@ def random_spd(
 
 
 def random_symmetric(n: int, rng: np.random.Generator, scale: float = 5.0) -> np.ndarray:
-    return symmetrize(rng.uniform(-scale, scale, size=(n, n)))
+    a = rng.uniform(-scale, scale, size=(n, n))
+    return (a + a.T) / 2.0
+
+
+def random_siegel_points(
+    n: int,
+    rng: np.random.Generator,
+    count: int,
+    eig_low: float = 1e-2,
+    eig_high: float = 1e2,
+    x_scale: float = 5.0,
+) -> PointBatch:
+    """``count`` adversarial points, drawn one after another and stacked:
+    Y eigenvalues log-uniform, X entries uniform."""
+    draws = [
+        (random_symmetric(n, rng, x_scale), random_spd(n, rng, eig_low, eig_high))
+        for _ in range(count)
+    ]
+    return PointBatch(*map(np.stack, zip(*draws)))
 
 
 def random_siegel_point(
@@ -71,7 +90,7 @@ def random_siegel_point(
     x_scale: float = 5.0,
 ) -> SiegelPoint:
     """Adversarial point: Y eigenvalues log-uniform, X entries uniform."""
-    return SiegelPoint(random_symmetric(n, rng, x_scale), random_spd(n, rng, eig_low, eig_high))
+    return random_siegel_points(n, rng, 1, eig_low, eig_high, x_scale).point(0)
 
 
 def random_compact(n: int, rng: np.random.Generator) -> SymplecticMatrix:

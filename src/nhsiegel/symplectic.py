@@ -2,17 +2,20 @@
 space H_n, automorphy factors, a matrix norm on the group, and reduction of
 points of H_n into an approximate fundamental domain for the integral group.
 
-Points Z = X + iY are kept as a pair of real symmetric matrices with Y
-positive definite.  Group elements are stored as full 2n x 2n real arrays;
-the block decomposition g = (A B; C D) is derived on access, so integral
+Points Z = X + iY are kept as pairs of real symmetric matrices with Y
+positive definite, stacked N at a time in a ``PointBatch``; the kernels
+work on batches, and a ``SiegelPoint`` with the scalar functions is their
+N = 1 case.  Group elements are stored as full 2n x 2n real arrays; the
+block decomposition g = (A B; C D) is derived on access, so integral
 elements round-trip exactly through the reduction bookkeeping.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +27,13 @@ from .errors import (
 )
 from .linalg import (
     _as_square,
+    _posdef_floor,
     _require_symmetric,
-    eigenvalues_sym,
+    _eigh,
+    _t,
+    det_stack,
     inverse,
-    solve_gauss,
-    sqrt_posdef,
+    spectral,
 )
 
 log = logging.getLogger(__name__)
@@ -69,36 +74,120 @@ def is_symplectic(m, tol: float = SYMPLECTIC_TOL) -> bool:
     return float(np.max(np.abs(m.T @ j @ m - j))) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class SiegelPoint:
-    """A point Z = X + iY of the degree-n Siegel upper half space."""
+@dataclass(frozen=True, eq=False, slots=True)
+class PointBatch:
+    """N points Z = X + iY of the degree-n Siegel upper half space, stacked
+    as (N, n, n) arrays.  Construction validates every point once (X and Y
+    symmetric, Y positive definite) with one eigensolve for the stack, kept
+    as ``eigvals`` (decreasing) and ``eigvecs`` for Y^{-1}, Y^{1/2} and the
+    growth right-hand sides."""
 
     X: np.ndarray
     Y: np.ndarray
+    eigvals: np.ndarray = field(init=False, repr=False)
+    eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = _require_symmetric(self.X, "X")
-        y = _require_symmetric(self.Y, "Y")
+        x = _require_symmetric(self.X, "X", stacked=True)
+        y = _require_symmetric(self.Y, "Y", stacked=True)
         if x.shape != y.shape:
             raise ValueError("X and Y must have the same shape")
-        w = eigenvalues_sym(y)
-        if float(w[-1]) <= 1e-12 * (1.0 + float(w[0])):
-            raise NotPositiveDefiniteError(
-                f"imaginary part is not positive definite (min eigenvalue {w[-1]:.3e})"
-            )
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "Y", y)
+        self._fill(x, y)
+
+    @classmethod
+    def _made(cls, x, y, eig=None) -> "PointBatch":
+        """A batch of exactly symmetric x and y made here: no symmetry check,
+        and no Y > 0 check either when its eigendecomposition is given."""
+        batch = object.__new__(cls)
+        batch._fill(x, y, eig)
+        return batch
+
+    def _fill(self, x, y, eig=None) -> None:
+        if eig is None:
+            w, q = _eigh(y)
+            low = w[:, -1] <= _posdef_floor(w)
+            if low.any():
+                raise NotPositiveDefiniteError(
+                    f"imaginary part is not positive definite (min eigenvalue {w[low, -1][0]:.3e})"
+                )
+            eig = w, q
+        for name, value in zip(("X", "Y", "eigvals", "eigvecs"), (x, y, *eig)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_points(cls, points) -> "PointBatch":
+        """Stack SiegelPoints of one degree (ValueError if there are none)."""
+        points = list(points)
+        return cls(np.stack([z.X for z in points]), np.stack([z.Y for z in points]))
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-1]
+
+    # Derived arrays are recomputed on use, not kept: a point that outlives
+    # its computation holds only X, Y and the eigendecomposition.
+    @property
+    def mat(self) -> np.ndarray:
+        """Z as a complex (N, n, n) array."""
+        return self.X + 1j * self.Y
+
+    @property
+    def y_inv(self) -> np.ndarray:
+        return spectral(self.eigvals, self.eigvecs, 1.0 / self.eigvals)
+
+    @property
+    def y_sqrt(self) -> np.ndarray:
+        return spectral(self.eigvals, self.eigvecs, np.sqrt(self.eigvals))
+
+    def point(self, i: int) -> "SiegelPoint":
+        """The i-th point, sharing this batch's validated data."""
+        if len(self) == 1 and i in (0, -1):
+            return SiegelPoint._of(self)
+        i = range(len(self))[i]
+        s = slice(i, i + 1)
+        return SiegelPoint._of(
+            PointBatch._made(self.X[s], self.Y[s], (self.eigvals[s], self.eigvecs[s]))
+        )
+
+
+class SiegelPoint:
+    """A point Z = X + iY of the degree-n Siegel upper half space: the
+    N = 1 case of a PointBatch, kept as ``batch``."""
+
+    __slots__ = ("batch",)
+
+    def __init__(self, X, Y):
+        self.batch = PointBatch(np.asarray(X)[None], np.asarray(Y)[None])
+
+    @classmethod
+    def _of(cls, batch: PointBatch) -> "SiegelPoint":
+        z = object.__new__(cls)
+        z.batch = batch
+        return z
+
+    def __repr__(self) -> str:
+        return f"SiegelPoint(X={self.X!r}, Y={self.Y!r})"
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.batch.X[0]
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self.batch.Y[0]
+
+    @property
+    def n(self) -> int:
+        return self.batch.n
 
     @property
     def mat(self) -> np.ndarray:
         """Z as a complex n x n array."""
-        return self.X + 1j * self.Y
+        return self.batch.mat[0]
 
     @classmethod
     def from_complex(cls, z) -> "SiegelPoint":
@@ -131,23 +220,19 @@ class SymplecticMatrix:
 
     @property
     def A(self) -> np.ndarray:
-        n = self.n
-        return self.mat[:n, :n]
+        return _blocks(self.mat, self.n)[0]
 
     @property
     def B(self) -> np.ndarray:
-        n = self.n
-        return self.mat[:n, n:]
+        return _blocks(self.mat, self.n)[1]
 
     @property
     def C(self) -> np.ndarray:
-        n = self.n
-        return self.mat[n:, :n]
+        return _blocks(self.mat, self.n)[2]
 
     @property
     def D(self) -> np.ndarray:
-        n = self.n
-        return self.mat[n:, n:]
+        return _blocks(self.mat, self.n)[3]
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         return SymplecticMatrix(self.mat @ other.mat)
@@ -211,37 +296,58 @@ def compact_from_unitary(u) -> SymplecticMatrix:
     return SymplecticMatrix(m)
 
 
+def _blocks(g: np.ndarray, n: int):
+    return g[..., :n, :n], g[..., :n, n:], g[..., n:, :n], g[..., n:, n:]
+
+
+def automorphy_factor_batch(g, points: PointBatch) -> np.ndarray:
+    """C Z + D for one 2n x 2n matrix g or an (N, 2n, 2n) stack, against a
+    batch (either side may have one element); complex (N, n, n)."""
+    _, _, c, d = _blocks(np.asarray(g, dtype=float), points.n)
+    return c @ points.mat + d
+
+
+def act_batch(g, points: PointBatch) -> PointBatch:
+    """The fractional-linear action (A Z + B)(C Z + D)^{-1}, broadcast as in
+    ``automorphy_factor_batch``."""
+    a, b, c, d = _blocks(np.asarray(g, dtype=float), points.n)
+    zc = points.mat
+    num = a @ zc + b
+    den = c @ zc + d
+    try:
+        w = _t(np.linalg.solve(_t(den), _t(num)))  # num @ den^{-1}
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"automorphy factor C Z + D is singular ({exc})")
+    w = (w + _t(w)) / 2.0
+    return PointBatch._made(w.real.copy(), w.imag.copy())
+
+
+def from_point_batch(points: PointBatch) -> np.ndarray:
+    """The upper-triangular elements (Y^{1/2}  X Y^{-1/2}; 0  Y^{-1/2})
+    sending i*identity to each point, as an (N, 2n, 2n) array."""
+    n = points.n
+    rinv = spectral(points.eigvals, points.eigvecs, 1.0 / np.sqrt(points.eigvals))
+    m = np.zeros((len(points), 2 * n, 2 * n))
+    m[:, :n, :n] = points.y_sqrt
+    m[:, :n, n:] = points.X @ rinv
+    m[:, n:, n:] = rinv
+    return m
+
+
 def automorphy_factor(g: SymplecticMatrix, z: SiegelPoint) -> np.ndarray:
     """The complex n x n factor C Z + D."""
-    return g.C @ z.mat + g.D
+    return automorphy_factor_batch(g.mat, z.batch)[0]
 
 
 def act(g: SymplecticMatrix, z: SiegelPoint) -> SiegelPoint:
     """The fractional-linear action (A Z + B)(C Z + D)^{-1}."""
-    zc = z.mat
-    num = g.A @ zc + g.B
-    den = g.C @ zc + g.D
-    try:
-        w = solve_gauss(den.T, num.T).T  # num @ den^{-1}
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"automorphy factor C Z + D is numerically singular ({exc})"
-        )
-    w = (w + w.T) / 2.0
-    return SiegelPoint(w.real.copy(), w.imag.copy())
+    return act_batch(g.mat, z.batch).point(0)
 
 
 def from_point(z: SiegelPoint) -> SymplecticMatrix:
     """The upper-triangular element sending i*identity to Z = X + iY,
     namely (Y^{1/2}  X Y^{-1/2}; 0  Y^{-1/2})."""
-    r = sqrt_posdef(z.Y)
-    rinv = inverse(r)
-    n = z.n
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = r
-    m[:n, n:] = z.X @ rinv
-    m[n:, n:] = rinv
-    return SymplecticMatrix(m)
+    return SymplecticMatrix(from_point_batch(z.batch)[0])
 
 
 def group_norm(g: SymplecticMatrix) -> float:
@@ -266,162 +372,131 @@ def is_in_principal_congruence(g: SymplecticMatrix, level: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_ADJ_ORDER = np.array([3, 1, 2, 0])
+_ADJ_SIGN = np.array([[1, -1], [-1, 1]])
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    # Of each matrix of a stack of 2x2 matrices.
+    return m.reshape(m.shape[:-2] + (4,))[..., _ADJ_ORDER].reshape(m.shape) * _ADJ_SIGN
+
+
 def _inv_small(m: np.ndarray) -> np.ndarray:
-    # Closed-form inverse for 1x1 / 2x2 complex matrices (hot path).
-    if m.shape[0] == 1:
-        return np.array([[1.0 / m[0, 0]]])
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / d
+    # Closed-form inverses of stacked 1x1 / 2x2 complex matrices (hot path).
+    if m.shape[-1] == 1:
+        return 1.0 / m
+    return _adjugate(m) / det_stack(m)[..., None, None]
 
 
-def _det_im(zc: np.ndarray) -> float:
-    y = zc.imag
-    if y.shape[0] == 1:
-        return float(y[0, 0])
-    return float(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0])
+_E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 
-def _act_blocks(a, b, c, d, zc: np.ndarray) -> np.ndarray:
-    w = (a @ zc + b) @ _inv_small(c @ zc + d)
-    return (w + w.T) / 2.0
-
-
-def _act_int(g: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    n = zc.shape[0]
-    return _act_blocks(g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:], zc)
-
-
-def _minkowski_2x2(y: np.ndarray) -> np.ndarray:
-    """Integer u with det +-1 such that u y u^T is Lagrange-reduced:
-    2|y12| <= y11 <= y22."""
-    u = np.eye(2, dtype=np.int64)
+def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
+    """Integer u with det +-1 per matrix of an (N, 2, 2) stack such that
+    u y u^T is Lagrange-reduced: 2|y12| <= y11 <= y22."""
+    u = np.zeros((len(y), 2, 2), dtype=np.int64) + np.eye(2, dtype=np.int64)
+    live = np.ones(len(y), dtype=bool)
     y = y.copy()
-    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
     for _ in range(64):
-        if y[0, 0] > y[1, 1] * (1.0 + 1e-15):
-            u = swap @ u
-            y = y[::-1, ::-1].copy()
-        r = round(y[0, 1] / y[0, 0])
-        if r != 0:
-            t = np.array([[1, 0], [-r, 1]], dtype=np.int64)
-            u = t @ u
-            tf = t.astype(float)
-            y = tf @ y @ tf.T
-        if 2.0 * abs(y[0, 1]) <= y[0, 0] * (1.0 + 1e-12) and y[0, 0] <= y[1, 1] * (1.0 + 1e-12):
+        swap = live & (y[:, 0, 0] > y[:, 1, 1] * (1.0 + 1e-15))
+        u[swap] = u[swap, ::-1]
+        y[swap] = y[swap, ::-1, ::-1]
+        # The shear (1 0; -r 1) with r = round(y12 / y11); the identity once done.
+        t = np.eye(2) - np.where(live, (y[:, 0, 1] / y[:, 0, 0]).round(), 0.0)[:, None, None] * _E21
+        u = t.astype(np.int64) @ u
+        y = t @ y @ _t(t)
+        live &= ~(
+            (2.0 * np.abs(y[:, 0, 1]) <= y[:, 0, 0] * (1.0 + 1e-12))
+            & (y[:, 0, 0] <= y[:, 1, 1] * (1.0 + 1e-12))
+        )
+        if not live.any():
             break
     return u
 
 
-def _gl_embed_int(u: np.ndarray) -> np.ndarray:
-    # (u 0; 0 u^-T) with exact integer inverse transpose (det u = +-1).
-    n = u.shape[0]
-    d = int(round(float(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]))) if n == 2 else int(u[0, 0])
-    if n == 1:
-        uinvt = np.array([[d]], dtype=np.int64)  # d = +-1
-    else:
-        adj = np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]], dtype=np.int64)
-        uinvt = (adj * d).T
-    g = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    g[:n, :n] = u
-    g[n:, n:] = uinvt
-    return g
+def _build_candidates(n: int) -> tuple[np.ndarray, int]:
+    # The full inversion and, for n = 2, the embedded degree-1 inversions
+    # (the primary candidates), then for n = 2 the inversion composed with
+    # unit translations, Z -> -(Z + T)^{-1}.  The latter are consulted only
+    # when no primary candidate improves; they sharpen the degree-2 domain
+    # enough to certify the configured eigenvalue floor.
+    j = inversion(n).mat
+    primary = [j] + [embedded_inversion(n, i).mat for i in range(1, n + 1) if n > 1]
+    units = itertools.product((-1, 0, 1), repeat=3) if n == 2 else ()
+    extended = [j @ translation([[a, b], [b, c]]).mat for a, b, c in units if a or b or c]
+    cands = np.array(primary + extended).astype(np.int64)
+    return cands, len(primary), tuple(blk.astype(complex) for blk in _blocks(cands, n))
 
 
-def _translation_int(t: np.ndarray) -> np.ndarray:
-    n = t.shape[0]
-    g = np.eye(2 * n, dtype=np.int64)
-    g[:n, n:] = t
-    return g
+_CANDIDATES = {n: _build_candidates(n) for n in (1, 2)}
 
 
-def _inversion_candidates(n: int) -> list[np.ndarray]:
-    cands = [np.asarray(inversion(n).mat, dtype=np.int64)]
-    if n > 1:
-        for i in range(1, n + 1):
-            cands.append(np.asarray(embedded_inversion(n, i).mat, dtype=np.int64))
-    return cands
+def reduce_batch(
+    points: PointBatch,
+    budget: int = REDUCTION_BUDGET,
+) -> tuple[np.ndarray, PointBatch]:
+    """Move every point of a batch into an approximate fundamental domain
+    for the integral group.
 
-
-def _extended_candidates(n: int) -> list[np.ndarray]:
-    # Inversions composed with unit translations: Z -> -(Z + T)^{-1}.  Only
-    # consulted once the primary candidates are exhausted; they sharpen the
-    # degree-2 domain enough to certify the configured eigenvalue floor.
-    if n != 2:
-        return []
-    j = np.asarray(inversion(n).mat, dtype=np.int64)
-    out = []
-    for t11 in (-1, 0, 1):
-        for t12 in (-1, 0, 1):
-            for t22 in (-1, 0, 1):
-                if t11 == t12 == t22 == 0:
-                    continue
-                t = np.array([[t11, t12], [t12, t22]], dtype=np.int64)
-                out.append(j @ _translation_int(t))
-    return out
+    Highest-point iteration: repeatedly Lagrange-reduce Y by a unimodular
+    congruence, translate X into [-1/2, 1/2], and apply the inversion
+    candidate raising det(Im) most, by a factor above 1 + 1e-9 (primary
+    candidates first), all candidates on all moving points at once; a point
+    is masked out when none improves it.  Returns (gamma, reduced): integral
+    (N, 2n, 2n) gammas and reduced = act_batch(gamma, points).  Raises
+    ReductionBudgetError if a point needs more than ``budget`` steps.
+    """
+    n = points.n
+    if n not in (1, 2):
+        raise ValueError(f"reduction implemented for degrees 1 and 2, got {n}")
+    cands, primary, (a, b, c, d) = _CANDIDATES[n]
+    gamma = np.zeros((len(points), 2 * n, 2 * n), dtype=np.int64) + np.eye(2 * n, dtype=np.int64)
+    # live: the points still moving; g, zc: their gammas and positions.
+    live, g, zc = np.arange(len(points)), gamma.copy(), points.mat
+    steps = 0
+    while live.size:
+        steps += 1
+        if steps > budget:
+            raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
+        if n == 2:
+            u = _lagrange_2x2(zc.imag)
+            uf = u.astype(float)
+            zc = uf @ zc @ _t(uf)
+            zc = (zc + _t(zc)) / 2.0
+            # (u 0; 0 u^-T) with the exact integer inverse transpose (det u = +-1).
+            u_inv_t = _t(_adjugate(u)) * det_stack(u)[:, None, None]
+            g = np.concatenate([u @ g[:, :n], u_inv_t @ g[:, n:]], axis=1)
+        t = -zc.real.round()
+        g[:, :n] += t.astype(np.int64) @ g[:, n:]
+        zc = zc + t
+        z4 = zc[:, None]
+        w = (a @ z4 + b) @ _inv_small(c @ z4 + d)
+        w = (w + _t(w)) / 2.0
+        gain = det_stack(w.imag) / det_stack(zc.imag)[:, None]
+        # The first candidate with the largest gain wins, primary ones first.
+        head = gain[:, :primary]
+        best = head.argmax(axis=1)
+        moved = head.max(axis=1) > 1.0 + _IMPROVE_TOL
+        if len(cands) > primary:
+            tail = gain[:, primary:]
+            use_tail = ~moved & (tail.max(axis=1) > 1.0 + _IMPROVE_TOL)
+            best = np.where(use_tail, primary + tail.argmax(axis=1), best)
+            moved |= use_tail
+        gamma[live] = g
+        best = best[moved]
+        g = cands[best] @ g[moved]
+        zc = w[moved, best]
+        live = live[moved]
+    log.debug("reduction stabilised after %d steps", steps)
+    return gamma, act_batch(gamma, points)
 
 
 def reduce_to_fundamental(
     z: SiegelPoint,
     budget: int = REDUCTION_BUDGET,
 ) -> tuple[SymplecticMatrix, SiegelPoint]:
-    """Move Z into an approximate fundamental domain for the integral group.
-
-    Highest-point iteration: repeatedly Lagrange-reduce Y by a unimodular
-    congruence, translate X into [-1/2, 1/2], and apply any inversion from a
-    finite candidate set that increases det(Im) by a factor above 1 + 1e-9.
-    Stops when no candidate improves.  Returns (gamma, z_red) with integral
-    gamma and z_red = act(gamma, z).
-
-    Raises ReductionBudgetError if the iteration exceeds ``budget`` steps.
-    """
-    n = z.n
-    if n not in (1, 2):
-        raise ValueError(f"reduction implemented for degrees 1 and 2, got {n}")
-    primary = _inversion_candidates(n)
-    extended = _extended_candidates(n)
-    gamma = np.eye(2 * n, dtype=np.int64)
-    zc = z.mat
-    steps = 0
-    while True:
-        steps += 1
-        if steps > budget:
-            raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
-        if n == 2:
-            u = _minkowski_2x2(zc.imag)
-            if not np.array_equal(u, np.eye(2, dtype=np.int64)):
-                g = _gl_embed_int(u)
-                uf = u.astype(float)
-                zc = uf @ zc @ uf.T
-                zc = (zc + zc.T) / 2.0
-                gamma = g @ gamma
-        t = -np.round(zc.real)
-        if np.any(t != 0.0):
-            t = ((t + t.T) / 2.0).astype(np.int64)
-            gamma = _translation_int(t) @ gamma
-            zc = zc + t
-        dcur = _det_im(zc)
-        best_gain = 1.0 + _IMPROVE_TOL
-        best = None
-        best_z = None
-        for cand in primary:
-            znew = _act_int(cand, zc)
-            gain = _det_im(znew) / dcur
-            if gain > best_gain:
-                best_gain = gain
-                best = cand
-                best_z = znew
-        if best is None and extended:
-            for cand in extended:
-                znew = _act_int(cand, zc)
-                gain = _det_im(znew) / dcur
-                if gain > best_gain:
-                    best_gain = gain
-                    best = cand
-                    best_z = znew
-        if best is None:
-            break
-        gamma = best @ gamma
-        zc = best_z
-    log.debug("reduction stabilised after %d steps", steps)
-    g = SymplecticMatrix(gamma.astype(float))
-    return g, act(g, z)
+    """Move Z into an approximate fundamental domain for the integral group:
+    the N = 1 case of ``reduce_batch``.  Returns (gamma, z_red) with
+    integral gamma and z_red = act(gamma, z)."""
+    gamma, reduced = reduce_batch(z.batch, budget)
+    return SymplecticMatrix(gamma[0].astype(float)), reduced.point(0)

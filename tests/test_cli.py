@@ -234,6 +234,19 @@ class TestBound:
         assert len(lines) == 51
 
 
+    @pytest.mark.parametrize("command", ["bound", "moderate"])
+    def test_zero_form_csv_ratios_are_zero(self, zero_file, tmp_path, command):
+        # 0 / 0 reads as 0 in the CSV rows, as in the JSON report.
+        out = tmp_path / "zero.csv"
+        args = ["--form", str(zero_file), "--samples", "20", "--format", "csv"]
+        rc = main([command, *args, "--out", str(out)])
+        assert rc == 0
+        header, *rows = out.read_text().strip().splitlines()
+        col = header.split(",").index("ratio")
+        assert len(rows) == 20
+        assert all(float(row.split(",")[col]) == 0.0 for row in rows)
+
+
 class TestModerate:
     def test_e4_passes(self, e4_file):
         rc = main(
