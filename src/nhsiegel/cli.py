@@ -33,7 +33,7 @@ from .growth import (
 from .linalg import eigenvalues_sym, in_V_delta
 from .reps import basis_vector, vector
 from .samples import SAMPLE_BUILDERS, build_sample
-from .sampling import random_siegel_point
+from .sampling import random_siegel_points
 from .symplectic import SiegelPoint, act, delta_for_degree, reduce_to_fundamental
 
 EXIT_OK = 0
@@ -147,10 +147,10 @@ def cmd_eval(args) -> int:
             }
         )
         rows.append(
-            _flatten_point(z.X, z.Y)
-            + [f"{float(c.real)!r}" for c in val.coords]
-            + [f"{float(c.imag)!r}" for c in val.coords]
-            + [repr(magnitude)]
+            _point_cells(z.batch.X, z.batch.Y)[0].tolist()
+            + val.coords.real.tolist()
+            + val.coords.imag.tolist()
+            + [magnitude]
         )
     dim = package.rep.dim
     header = (
@@ -159,7 +159,7 @@ def cmd_eval(args) -> int:
         + [f"im_{i}" for i in range(dim)]
         + ["phi"]
     )
-    _emit({"results": records}, args, rows, header)
+    _emit({"results": records}, args, _csv_rows(rows), header)
     return EXIT_OK
 
 
@@ -184,9 +184,9 @@ def cmd_reduce(args) -> int:
             }
         )
         rows.append(
-            _flatten_point(z.X, z.Y)
-            + _flatten_point(z_red.X, z_red.Y)
-            + [repr(float(eigenvalues_sym(z_red.Y)[-1]))]
+            _point_cells(z.batch.X, z.batch.Y)[0].tolist()
+            + _point_cells(z_red.batch.X, z_red.batch.Y)[0].tolist()
+            + [float(eigenvalues_sym(z_red.Y)[-1])]
         )
     if worst_consistency > 1e-9:
         sys.stderr.write(f"reduction consistency {worst_consistency:.3e} above 1e-9\n")
@@ -194,7 +194,7 @@ def cmd_reduce(args) -> int:
     header = _point_header(points[0].n) + [
         h + "_red" for h in _point_header(points[0].n)
     ] + ["min_im_eigenvalue"]
-    _emit({"results": records}, args, rows, header)
+    _emit({"results": records}, args, _csv_rows(rows), header)
     return EXIT_OK
 
 
@@ -203,10 +203,9 @@ def cmd_check(args) -> int:
         raise FormDataError("check reports are JSON only; drop --format csv")
     package = _load_package(args)
     rng = np.random.default_rng(args.seed)
-    samples = [
-        random_siegel_point(package.n, rng, eig_low=0.75, eig_high=10.0, x_scale=2.0)
-        for _ in range(args.samples)
-    ]
+    samples = random_siegel_points(
+        package.n, rng, args.samples, eig_low=0.75, eig_high=10.0, x_scale=2.0
+    )
     report = check_invariance(package, samples)
     payload = {
         "gammas": report.gammas,
@@ -237,7 +236,7 @@ def cmd_bound(args) -> int:
         package, _constant(args, package), kind=args.kind, config=_sweep_config(args, seed_offset=1)
     )
     return _emit_sweep(
-        report, args, lambda z: _flatten_point(z.real, z.imag), _point_header(package.n)
+        report, args, lambda z: _point_cells(z.real, z.imag), _point_header(package.n)
     )
 
 
@@ -260,15 +259,16 @@ def cmd_moderate(args) -> int:
     )
     m = 2 * package.n
     header = [f"g_{i+1}{j+1}" for i in range(m) for j in range(m)]
-    return _emit_sweep(report, args, lambda g: [repr(float(v)) for v in g.ravel()], header)
+    return _emit_sweep(report, args, lambda g: g.reshape(len(g), -1), header)
 
 
 def _emit_sweep(report: GrowthReport, args, coords, coord_header: list[str]) -> int:
     # One record stream feeds both outputs: the JSON summary and the CSV
-    # rows, whose first cells ``coords`` makes from the sample's location.
+    # rows, whose first cells ``coords`` makes from the samples' locations.
     rows = None
     if args.fmt == "csv":
-        rows = [coords(w) + [repr(float(v)) for v in rest] for w, *rest in zip(*report.records)]
+        where, *rest = report.records
+        rows = _csv_rows(np.column_stack([coords(where), *rest]).tolist())
     _emit(report.to_dict(), args, rows, coord_header + ["phi", "rhs", "ratio"])
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
@@ -286,9 +286,16 @@ def _point_header(n: int) -> list[str]:
     return [f"x{lab}" for lab in labels] + [f"y{lab}" for lab in labels]
 
 
-def _flatten_point(x: np.ndarray, y: np.ndarray) -> list[str]:
-    upper = np.triu_indices(x.shape[0])  # row major, as _point_header
-    return [repr(float(v)) for v in (*x[upper], *y[upper])]
+def _point_cells(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The upper triangles of (N, n, n) stacks X and Y, row major as in
+    ``_point_header``, as an (N, n(n+1)) array."""
+    upper = np.triu_indices(x.shape[-1])
+    return np.concatenate([x[:, upper[0], upper[1]], y[:, upper[0], upper[1]]], axis=1)
+
+
+def _csv_rows(rows: list[list[float]]) -> list[list[str]]:
+    """CSV rows of floats, each cell the repr of its float."""
+    return [list(map(repr, row)) for row in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:

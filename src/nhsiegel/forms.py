@@ -47,6 +47,43 @@ def _canonical_s_key(s_int: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in s_int)
 
 
+class _CheckedTerms(dict):
+    """A coefficient map every term of which passed ``_checked_term``."""
+
+
+def _checked_term(n, p, level, rep, beta, s_raw, value, where: str):
+    """The validated term (beta, N*S, vector) as (key, read-only vector,
+    Tr S); FormDataError prefixed with ``where`` if it is malformed."""
+    if not isinstance(beta, MultiIndex):
+        raise FormDataError(f"{where}: beta must be a MultiIndex")
+    if beta.n != n:
+        raise FormDataError(f"{where}: beta has dimension {beta.n}, expected {n}")
+    if beta.degree > p:
+        raise FormDataError(
+            f"{where}: beta degree {beta.degree} exceeds near-holomorphy degree {p}"
+        )
+    s_arr = np.asarray(s_raw, dtype=float)
+    if s_arr.shape != (n, n):
+        raise FormDataError(f"{where}: S must be {n}x{n}")
+    s_round = np.round(s_arr)
+    if float(np.max(np.abs(s_arr - s_round))) > 1e-9:
+        raise FormDataError(f"{where}: {int(level)}*S is not integral")
+    if float(np.max(np.abs(s_round - s_round.T))) != 0.0:
+        raise FormDataError(f"{where}: S is not symmetric")
+    s_int = s_round.astype(np.int64)
+    s_mat = s_int / float(level)
+    w = eigenvalues_sym(s_mat)
+    if float(w[-1]) < -1e-12:
+        raise FormDataError(
+            f"{where}: S is not positive semidefinite (min eigenvalue {w[-1]:.3e})"
+        )
+    vec = np.array(value, dtype=complex)
+    if vec.shape != (rep.dim,):
+        raise FormDataError(f"{where}: value has length {vec.shape}, expected {rep.dim}")
+    vec.flags.writeable = False
+    return (beta, _canonical_s_key(s_int)), vec, float(np.trace(s_mat))
+
+
 @dataclass(frozen=True, eq=False)
 class FourierExpansion:
     """Finitely supported Fourier data of a nearly holomorphic form.
@@ -77,36 +114,21 @@ class FourierExpansion:
             )
         if self.t_max < 0:
             raise FormDataError("truncation bound must be non-negative")
-        # The invariants hold no matter how the map was assembled.
-        checked: dict = {}
-        for key, value in dict(self.coefficients).items():
-            beta, skey = key
-            if not isinstance(beta, MultiIndex) or beta.n != self.n:
-                raise FormDataError(f"coefficient key {key!r}: bad multi-index")
-            if beta.degree > self.p:
-                raise FormDataError(
-                    f"coefficient key {key!r}: beta degree {beta.degree} exceeds {self.p}"
+        coeffs = self.coefficients
+        if not isinstance(coeffs, _CheckedTerms):
+            # The invariants hold no matter how the map was assembled.
+            checked = _CheckedTerms()
+            for key, value in dict(coeffs).items():
+                where = f"coefficient key {key!r}"
+                beta, skey = key
+                key, vec, trace = _checked_term(
+                    self.n, self.p, self.level, self.rep, beta, skey, value, where
                 )
-            s_int = np.array(skey, dtype=np.int64)
-            if s_int.shape != (self.n, self.n) or not np.array_equal(s_int, s_int.T):
-                raise FormDataError(f"coefficient key {key!r}: S key must be symmetric {self.n}x{self.n}")
-            s_mat = s_int / float(self.level)
-            if float(eigenvalues_sym(s_mat)[-1]) < -1e-12:
-                raise FormDataError(
-                    f"coefficient key {key!r}: S is not positive semidefinite"
-                )
-            if float(np.trace(s_mat)) > self.t_max + 1e-12:
-                raise FormDataError(
-                    f"coefficient key {key!r}: Tr(S) exceeds the truncation bound {self.t_max}"
-                )
-            vec = np.array(value, dtype=complex)
-            if vec.shape != (self.rep.dim,):
-                raise FormDataError(
-                    f"coefficient key {key!r}: value length does not match dimension {self.rep.dim}"
-                )
-            vec.flags.writeable = False
-            checked[(beta, _canonical_s_key(s_int))] = vec
-        object.__setattr__(self, "coefficients", checked)
+                if trace > self.t_max + 1e-12:
+                    raise FormDataError(f"{where}: Tr(S) exceeds the truncation bound {self.t_max}")
+                checked[key] = vec
+            coeffs = checked
+        object.__setattr__(self, "coefficients", dict(coeffs))
 
     @classmethod
     def from_terms(
@@ -119,47 +141,19 @@ class FourierExpansion:
         terms: Iterable[tuple[MultiIndex, Sequence[Sequence[int]], Sequence[complex]]],
         label: str = "coefficients",
     ) -> "FourierExpansion":
-        """Build an expansion from (beta, N*S integer matrix, vector) records.
+        """Build an expansion from (beta, N*S integer matrix, vector) records,
+        dropping those with Tr(S) above ``t_max``.
 
         Raises FormDataError naming the offending record when a beta exceeds
         degree p, an S is not positive semidefinite, or N*S is not integral.
         """
-        coeffs: dict = {}
+        coeffs = _CheckedTerms()
         for idx, (beta, s_raw, value) in enumerate(terms):
             where = f"{label}[{idx}]"
-            if not isinstance(beta, MultiIndex):
-                raise FormDataError(f"{where}: beta must be a MultiIndex")
-            if beta.n != n:
-                raise FormDataError(f"{where}: beta has dimension {beta.n}, expected {n}")
-            if beta.degree > p:
-                raise FormDataError(
-                    f"{where}: beta degree {beta.degree} exceeds near-holomorphy degree {p}"
-                )
-            s_arr = np.asarray(s_raw, dtype=float)
-            if s_arr.shape != (n, n):
-                raise FormDataError(f"{where}: S must be {n}x{n}")
-            s_round = np.round(s_arr)
-            if float(np.max(np.abs(s_arr - s_round))) > 1e-9:
-                raise FormDataError(f"{where}: {int(level)}*S is not integral")
-            if float(np.max(np.abs(s_round - s_round.T))) != 0.0:
-                raise FormDataError(f"{where}: S is not symmetric")
-            s_int = s_round.astype(np.int64)
-            s_mat = s_int / float(level)
-            w = eigenvalues_sym(s_mat)
-            if float(w[-1]) < -1e-12:
-                raise FormDataError(
-                    f"{where}: S is not positive semidefinite (min eigenvalue {w[-1]:.3e})"
-                )
-            vec = np.array(value, dtype=complex)
-            if vec.shape != (rep.dim,):
-                raise FormDataError(
-                    f"{where}: value has length {vec.shape}, expected {rep.dim}"
-                )
-            vec.flags.writeable = False
-            key = (beta, _canonical_s_key(s_int))
+            key, vec, trace = _checked_term(n, p, level, rep, beta, s_raw, value, where)
             if key in coeffs:
                 raise FormDataError(f"{where}: duplicate (beta, S) record")
-            if float(np.trace(s_mat)) <= t_max + 1e-12:
+            if trace <= t_max + 1e-12:
                 coeffs[key] = vec
         return cls(n=n, p=p, level=level, rep=rep, t_max=t_max, coefficients=coeffs)
 
@@ -418,16 +412,17 @@ class InvarianceReport:
 
 def check_invariance(
     package: FormPackage,
-    samples: Sequence[SiegelPoint],
+    samples: PointBatch | Sequence[SiegelPoint],
 ) -> InvarianceReport:
-    """Measure the relative deviation of F|gamma from F on the samples.
+    """Measure the relative deviation of F|gamma from F on the samples, a
+    PointBatch or a sequence of points.
 
     Samples must satisfy Im(Z) >= identity/2, which keeps the truncation
     tail estimable; the per-sample threshold is the tail bound at Z and at
     gamma Z (scaled through the automorphy factor) plus a fixed
     floating-point allowance.
     """
-    points = PointBatch.from_points(samples)
+    points = samples if isinstance(samples, PointBatch) else PointBatch.from_points(samples)
     if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
         raise ValueError("invariance samples must have Im(Z) >= identity/2")
     rep = package.rep
@@ -443,7 +438,7 @@ def check_invariance(
     devs, thrs = np.array(devs), np.array(thrs)
     return InvarianceReport(
         gammas=len(package.gamma_test_set),
-        samples=len(samples),
+        samples=len(points),
         max_deviation=float(devs.max(initial=0.0)),
         threshold=float(thrs.max(initial=0.0)),
         violations=int(np.sum(devs > thrs)),

@@ -15,8 +15,9 @@ eigenvalue bound is inflated by a safety factor, and the resulting constant
 is then validated on fresh adversarial sweeps.
 
 Sweeps run blocks of SWEEP_BLOCK points through the batched kernels.
-Samples are drawn one at a time and stacked, so a seed gives the same
-points whatever the block size.
+Each block is drawn as one stack (see ``sampling``), with the generator
+called per sample in a fixed order, so a seed gives the same points
+whatever the block size.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ import numpy as np
 from .errors import InvalidExponentError
 from .forms import FormLike, FormPackage, as_evaluator, phi, slash, slash_values
 from .reps import RepVector, norm
-from .sampling import random_compact, random_siegel_points, random_spd, random_symmetric
+from .sampling import random_group_samples, random_siegel_points
 from .symplectic import (
     FUNDAMENTAL_DOMAIN_DELTA,
     PointBatch,
     SiegelPoint,
     SymplecticMatrix,
-    from_point_batch,
     reduce_batch,
 )
 
@@ -68,6 +68,14 @@ class SweepConfig:
             raise ValueError("samples must be >= 1")
         if self.ratio_tol <= 0:
             raise ValueError("ratio tolerance must be positive")
+        if not (math.isfinite(self.eig_low) and self.eig_low > 0):
+            raise ValueError(f"eig_low must be finite and positive, got {self.eig_low}")
+        if not (math.isfinite(self.eig_high) and self.eig_high >= self.eig_low):
+            raise ValueError(f"eig_high must be finite and at least eig_low, got {self.eig_high}")
+        if not (math.isfinite(self.x_scale) and self.x_scale >= 0):
+            raise ValueError(f"x_scale must be finite and non-negative, got {self.x_scale}")
+        if not (math.isfinite(self.safety) and self.safety > 0):
+            raise ValueError(f"safety must be finite and positive, got {self.safety}")
 
 
 class SampleRecords(NamedTuple):
@@ -256,17 +264,7 @@ def group_blocks(n: int, config: SweepConfig) -> Iterator[np.ndarray]:
     as (N, 2n, 2n) stacks of at most SWEEP_BLOCK elements."""
     rng = np.random.default_rng(config.seed)
     for size in _block_sizes(config):
-        # Per sample, the point's draws then the compact factor's.
-        draws = [
-            (
-                random_symmetric(n, rng, config.x_scale),
-                random_spd(n, rng, config.eig_low, config.eig_high),
-                random_compact(n, rng).mat,
-            )
-            for _ in range(size)
-        ]
-        x, y, k = map(np.stack, zip(*draws))
-        yield from_point_batch(PointBatch(x, y)) @ k
+        yield random_group_samples(n, rng, size, config.eig_low, config.eig_high, config.x_scale)
 
 
 def group_samples(n: int, config: SweepConfig) -> Iterator[SymplecticMatrix]:

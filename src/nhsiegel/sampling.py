@@ -1,50 +1,65 @@
 """Seeded random draws of matrices, upper-half-space points, and group
-elements, used by the verification sweeps and the test suite."""
+elements, used by the verification sweeps and the test suite.
+
+Draws are made in blocks.  Each sample takes its draws from the stream in
+a fixed order: the uniform X entries (n, n), the uniform log-eigenvalues of
+Y (n,), the Gaussian (n, n) matrix whose orthonormalised columns rotate Y
+and, for group samples, the real and then the imaginary Gaussian (n, n)
+parts of the unitary behind the compact factor.  A block calls the
+generator twice per sample, once for its uniform and once for its Gaussian
+draws, and then runs all matrix work (orthonormalisation, exp, assembly,
+symmetrisation, the compact blocks) once over the stack.  So a seed gives
+the same samples whatever the block size, and the single-sample functions
+are the N = 1 case.
+
+Orthonormalisation is numpy's QR with each column of Q scaled by the phase
+of R's diagonal entry (+1 for a zero entry): the Q of Gram-Schmidt, without
+its rejection of degenerate draws, which have probability zero.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import det
+from .linalg import _t, det
 from .symplectic import (
     PointBatch,
     SiegelPoint,
     SymplecticMatrix,
     compact_from_unitary,
+    compact_from_unitary_batch,
+    from_point_batch,
     gl_embedding,
     inversion,
     translation,
 )
 
 
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    """The Gram-Schmidt Q of each matrix of a real or complex stack."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(d)
+    phase = np.divide(d, size, out=np.ones_like(d), where=size != 0)
+    return q * phase[..., None, :]
+
+
+def _spd(log_mu: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """Q diag(exp(log_mu)) Q^T per sample, Q orthonormalised from gauss."""
+    q = _orthonormal(gauss)
+    y = (q * np.exp(log_mu)[:, None, :]) @ _t(q)
+    return (y + _t(y)) / 2.0
+
+
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthogonal matrix via Gram-Schmidt on a Gaussian draw."""
-    while True:
-        a = rng.standard_normal((n, n))
-        q = _gram_schmidt(a)
-        if q is not None:
-            return q
+    """Haar random orthogonal matrix: the Gram-Schmidt Q of a Gaussian draw."""
+    return _orthonormal(rng.standard_normal((1, n, n)))[0]
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q = _gram_schmidt(a)
-        if q is not None:
-            return q
-
-
-def _gram_schmidt(a: np.ndarray):
-    q = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
-    n = q.shape[0]
-    for i in range(n):
-        for j in range(i):
-            q[:, i] -= np.vdot(q[:, j], q[:, i]) * q[:, j]
-        nrm = np.sqrt(np.vdot(q[:, i], q[:, i]).real)
-        if nrm < 1e-8:
-            return None
-        q[:, i] /= nrm
-    return q
+    """Haar random unitary matrix: the Gram-Schmidt Q of a complex Gaussian
+    draw (real part first)."""
+    return _orthonormal(rng.standard_normal((1, n, n)) + 1j * rng.standard_normal((1, n, n)))[0]
 
 
 def random_spd(
@@ -54,15 +69,35 @@ def random_spd(
     eig_high: float = 1e2,
 ) -> np.ndarray:
     """SPD matrix with eigenvalues log-uniform in [eig_low, eig_high]."""
-    mu = np.exp(rng.uniform(np.log(eig_low), np.log(eig_high), size=n))
-    q = random_orthogonal(n, rng)
-    y = (q * mu) @ q.T
-    return (y + y.T) / 2.0
+    log_mu = rng.uniform(np.log(eig_low), np.log(eig_high), size=(1, n))
+    return _spd(log_mu, rng.standard_normal((1, n, n)))[0]
 
 
 def random_symmetric(n: int, rng: np.random.Generator, scale: float = 5.0) -> np.ndarray:
     a = rng.uniform(-scale, scale, size=(n, n))
     return (a + a.T) / 2.0
+
+
+def _draw_block(n, rng, count, eig_low, eig_high, x_scale, extra=0):
+    """X and Y of ``count`` samples, and ``extra`` more Gaussian (n, n)
+    draws per sample as a (count, extra, n, n) array, drawn in the stream
+    order of the module docstring."""
+    # Per sample, one call takes the consecutive uniform draws (X, then the
+    # log-eigenvalues) and one the consecutive Gaussian ones; the uniform
+    # draws are then scaled as ``Generator.uniform`` scales them.
+    unif = np.empty((count, n * n + n))
+    gauss = np.empty((count, 1 + extra, n, n))
+    for i in range(count):
+        rng.random(out=unif[i])
+        rng.standard_normal(out=gauss[i])
+    a = _scaled(unif[:, : n * n], -x_scale, x_scale).reshape(count, n, n)
+    log_mu = _scaled(unif[:, n * n :], np.log(eig_low), np.log(eig_high))
+    return (a + _t(a)) / 2.0, _spd(log_mu, gauss[:, 0]), gauss[:, 1:]
+
+
+def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    # Uniform draws on [0, 1) moved to [low, high) as Generator.uniform does.
+    return low + (high - low) * u
 
 
 def random_siegel_points(
@@ -73,13 +108,10 @@ def random_siegel_points(
     eig_high: float = 1e2,
     x_scale: float = 5.0,
 ) -> PointBatch:
-    """``count`` adversarial points, drawn one after another and stacked:
-    Y eigenvalues log-uniform, X entries uniform."""
-    draws = [
-        (random_symmetric(n, rng, x_scale), random_spd(n, rng, eig_low, eig_high))
-        for _ in range(count)
-    ]
-    return PointBatch(*map(np.stack, zip(*draws)))
+    """``count`` adversarial points: Y eigenvalues log-uniform, X entries
+    uniform."""
+    x, y, _ = _draw_block(n, rng, count, eig_low, eig_high, x_scale)
+    return PointBatch._made(x, y)
 
 
 def random_siegel_point(
@@ -91,6 +123,21 @@ def random_siegel_point(
 ) -> SiegelPoint:
     """Adversarial point: Y eigenvalues log-uniform, X entries uniform."""
     return random_siegel_points(n, rng, 1, eig_low, eig_high, x_scale).point(0)
+
+
+def random_group_samples(
+    n: int,
+    rng: np.random.Generator,
+    count: int,
+    eig_low: float = 1e-2,
+    eig_high: float = 1e2,
+    x_scale: float = 5.0,
+) -> np.ndarray:
+    """``count`` samples g = from_point(Z) k with adversarial Z and random
+    compact k, as an (N, 2n, 2n) stack."""
+    x, y, parts = _draw_block(n, rng, count, eig_low, eig_high, x_scale, extra=2)
+    u = _orthonormal(parts[:, 0] + 1j * parts[:, 1])
+    return from_point_batch(PointBatch._made(x, y)) @ compact_from_unitary_batch(u)
 
 
 def random_compact(n: int, rng: np.random.Generator) -> SymplecticMatrix:

@@ -40,13 +40,31 @@ log = logging.getLogger(__name__)
 
 SYMPLECTIC_TOL = 1e-10
 
-# Empirical floors for min eigenvalue of Im(Z) after reduction.  The value
-# for degree 1 is exact (the classical corner of the modular domain); the
-# degree-2 value is a conservative default validated by sampling.
-FUNDAMENTAL_DOMAIN_DELTA = {1: math.sqrt(3.0) / 2.0, 2: 0.4}
-
 REDUCTION_BUDGET = 10000
+# A reduction step must raise det Im(Z) by a factor above 1 + _IMPROVE_TOL;
+# Lagrange reduction of Im(Z) holds to a relative _LAGRANGE_TOL.
 _IMPROVE_TOL = 1e-9
+_LAGRANGE_TOL = 1e-12
+
+# Floors for the least eigenvalue of Im(Z) after reduction.  Degree 1: the
+# corner of the classical modular domain.  Degree 2, proved from the point
+# at which ``reduce_batch`` stops, with t = _IMPROVE_TOL, e = _LAGRANGE_TOL:
+#   * Y is Lagrange-reduced: 2|y12| <= (1 + e) y11 and y11 <= (1 + e) y22
+#     (``_lagrange_2x2`` raises rather than return an unreduced Y);
+#   * |x11| <= 1/2, by the translation (x - round(x) is exact);
+#   * the embedded inversion at slot 1, of gain 1/|z11|^2, is not taken, so
+#     |z11|^2 >= 1/(1 + t) and y11 >= h = sqrt(1/(1 + t) - 1/4).
+# Gershgorin gives lambda_min >= min(y11, y22) - |y12|.  By the first point
+# y11 - |y12| >= y11 (1 - e)/2 and y22 - |y12| >= y11 (1/(1 + e) - (1 + e)/2),
+# the smaller factor of the two, so
+#   lambda_min >= h (1/(1 + e) - (1 + e)/2),
+# sqrt(3)/4 less about 3e-10.  The returned point is act(gamma, Z)
+# recomputed from Z; it equals the last iterate up to rounding.
+FUNDAMENTAL_DOMAIN_DELTA = {
+    1: math.sqrt(3.0) / 2.0,
+    2: math.sqrt(1.0 / (1.0 + _IMPROVE_TOL) - 0.25)
+    * (1.0 / (1.0 + _LAGRANGE_TOL) - (1.0 + _LAGRANGE_TOL) / 2.0),
+}
 
 
 def delta_for_degree(n: int) -> float:
@@ -284,16 +302,17 @@ def embedded_inversion(n: int, i: int) -> SymplecticMatrix:
     return SymplecticMatrix(m)
 
 
+def compact_from_unitary_batch(u: np.ndarray) -> np.ndarray:
+    """The maximal-compact elements (A B; -B A) built from an (N, n, n) stack
+    of unitaries u = A + iB, as an (N, 2n, 2n) array."""
+    a, b = u.real, u.imag
+    top, bottom = np.concatenate([a, b], axis=-1), np.concatenate([-b, a], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
 def compact_from_unitary(u) -> SymplecticMatrix:
     """The maximal-compact element (A B; -B A) built from a unitary u = A + iB."""
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = u.real
-    m[:n, n:] = u.imag
-    m[n:, :n] = -u.imag
-    m[n:, n:] = u.real
-    return SymplecticMatrix(m)
+    return SymplecticMatrix(compact_from_unitary_batch(np.asarray(u, dtype=complex)[None])[0])
 
 
 def _blocks(g: np.ndarray, n: int):
@@ -381,19 +400,13 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (4,))[..., _ADJ_ORDER].reshape(m.shape) * _ADJ_SIGN
 
 
-def _inv_small(m: np.ndarray) -> np.ndarray:
-    # Closed-form inverses of stacked 1x1 / 2x2 complex matrices (hot path).
-    if m.shape[-1] == 1:
-        return 1.0 / m
-    return _adjugate(m) / det_stack(m)[..., None, None]
-
-
 _E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 
 def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
     """Integer u with det +-1 per matrix of an (N, 2, 2) stack such that
-    u y u^T is Lagrange-reduced: 2|y12| <= y11 <= y22."""
+    u y u^T is Lagrange-reduced: 2|y12| <= y11 <= y22, to a relative
+    _LAGRANGE_TOL.  Raises ReductionBudgetError after 64 rounds."""
     u = np.zeros((len(y), 2, 2), dtype=np.int64) + np.eye(2, dtype=np.int64)
     live = np.ones(len(y), dtype=bool)
     y = y.copy()
@@ -406,29 +419,67 @@ def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
         u = t.astype(np.int64) @ u
         y = t @ y @ _t(t)
         live &= ~(
-            (2.0 * np.abs(y[:, 0, 1]) <= y[:, 0, 0] * (1.0 + 1e-12))
-            & (y[:, 0, 0] <= y[:, 1, 1] * (1.0 + 1e-12))
+            (2.0 * np.abs(y[:, 0, 1]) <= y[:, 0, 0] * (1.0 + _LAGRANGE_TOL))
+            & (y[:, 0, 0] <= y[:, 1, 1] * (1.0 + _LAGRANGE_TOL))
         )
         if not live.any():
-            break
-    return u
+            return u
+    raise ReductionBudgetError("Lagrange reduction of Im(Z) did not converge within 64 rounds")
 
 
-def _build_candidates(n: int) -> tuple[np.ndarray, int]:
+def _build_candidates(n: int):
     # The full inversion and, for n = 2, the embedded degree-1 inversions
     # (the primary candidates), then for n = 2 the inversion composed with
     # unit translations, Z -> -(Z + T)^{-1}.  The latter are consulted only
-    # when no primary candidate improves; they sharpen the degree-2 domain
-    # enough to certify the configured eigenvalue floor.
+    # when no primary candidate improves; they sharpen the degree-2 domain.
     j = inversion(n).mat
     primary = [j] + [embedded_inversion(n, i).mat for i in range(1, n + 1) if n > 1]
     units = itertools.product((-1, 0, 1), repeat=3) if n == 2 else ()
     extended = [j @ translation([[a, b], [b, c]]).mat for a, b, c in units if a or b or c]
     cands = np.array(primary + extended).astype(np.int64)
-    return cands, len(primary), tuple(blk.astype(complex) for blk in _blocks(cands, n))
+    blocks = tuple(blk.astype(complex) for blk in _blocks(cands, n))
+    return cands, len(primary), blocks, _det_form(cands, n)
+
+
+def _det_form(cands: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p0) with det(C Z + D) = _minors(Z) @ p + p0 for every (C, D) of
+    a stack of elements and every symmetric Z."""
+    _, _, c, d = _blocks(cands, n)
+    if n == 1:
+        return c[:, 0].T.astype(complex), d[:, 0, 0].astype(complex)
+    # Cauchy-Binet on [C D] [Z; I]: the 2x2 minors of [Z; I] on rows
+    # (01, 02, 03, 12, 13, 23) are (det Z, -z12, z11, -z22, z12, 1).
+    cd = np.concatenate([c, d], axis=-1)
+    q = {
+        (i, j): cd[:, 0, i] * cd[:, 1, j] - cd[:, 0, j] * cd[:, 1, i]
+        for i, j in itertools.combinations(range(4), 2)
+    }
+    p = np.array([q[0, 1], q[0, 3], q[1, 3] - q[0, 2], -q[1, 2]])
+    return p.astype(complex), q[2, 3].astype(complex)
+
+
+def _minors(zc: np.ndarray) -> np.ndarray:
+    """Per point, the minors of [Z; I] that det(C Z + D) is linear in:
+    (z) in degree 1, (det Z, z11, z12, z22) in degree 2."""
+    if zc.shape[-1] == 1:
+        return zc[:, 0]
+    z11, z12, z22 = zc[:, 0, 0], zc[:, 0, 1], zc[:, 1, 1]
+    return np.stack([z11 * z22 - z12 * z12, z11, z12, z22], axis=-1)
 
 
 _CANDIDATES = {n: _build_candidates(n) for n in (1, 2)}
+
+
+def _candidate_dets(zc: np.ndarray) -> np.ndarray:
+    """det(C Z + D) for every point of a complex (N, n, n) stack and every
+    inversion candidate, as an (N, K) array."""
+    p, p0 = _CANDIDATES[zc.shape[-1]][3]
+    return _minors(zc) @ p + p0
+
+
+# A candidate moves a point when its gain 1/|det(C Z + D)|^2 exceeds
+# 1 + _IMPROVE_TOL, i.e. when |det(C Z + D)|^2 is below this.
+_MOVE_BELOW = 1.0 / (1.0 + _IMPROVE_TOL)
 
 
 def reduce_batch(
@@ -441,15 +492,18 @@ def reduce_batch(
     Highest-point iteration: repeatedly Lagrange-reduce Y by a unimodular
     congruence, translate X into [-1/2, 1/2], and apply the inversion
     candidate raising det(Im) most, by a factor above 1 + 1e-9 (primary
-    candidates first), all candidates on all moving points at once; a point
-    is masked out when none improves it.  Returns (gamma, reduced): integral
-    (N, 2n, 2n) gammas and reduced = act_batch(gamma, points).  Raises
-    ReductionBudgetError if a point needs more than ``budget`` steps.
+    candidates first); a point is masked out when none improves it.  Since
+    det Im(gamma Z) = det Im Z / |det(C Z + D)|^2, the candidates are scored
+    by det(C Z + D) alone, all of them on all moving points at once, and
+    the action is formed only for each moved point's winner.  Returns
+    (gamma, reduced): integral (N, 2n, 2n) gammas and reduced =
+    act_batch(gamma, points).  Raises ReductionBudgetError if a point needs
+    more than ``budget`` steps.
     """
     n = points.n
     if n not in (1, 2):
         raise ValueError(f"reduction implemented for degrees 1 and 2, got {n}")
-    cands, primary, (a, b, c, d) = _CANDIDATES[n]
+    cands, primary, (a, b, c, d), _ = _CANDIDATES[n]
     gamma = np.zeros((len(points), 2 * n, 2 * n), dtype=np.int64) + np.eye(2 * n, dtype=np.int64)
     # live: the points still moving; g, zc: their gammas and positions.
     live, g, zc = np.arange(len(points)), gamma.copy(), points.mat
@@ -469,23 +523,28 @@ def reduce_batch(
         t = -zc.real.round()
         g[:, :n] += t.astype(np.int64) @ g[:, n:]
         zc = zc + t
-        z4 = zc[:, None]
-        w = (a @ z4 + b) @ _inv_small(c @ z4 + d)
-        w = (w + _t(w)) / 2.0
-        gain = det_stack(w.imag) / det_stack(zc.imag)[:, None]
+        dets = _candidate_dets(zc)
+        det_sq = dets.real**2 + dets.imag**2  # 1 / gain
         # The first candidate with the largest gain wins, primary ones first.
-        head = gain[:, :primary]
-        best = head.argmax(axis=1)
-        moved = head.max(axis=1) > 1.0 + _IMPROVE_TOL
+        head = det_sq[:, :primary]
+        best = head.argmin(axis=1)
+        moved = head.min(axis=1) < _MOVE_BELOW
         if len(cands) > primary:
-            tail = gain[:, primary:]
-            use_tail = ~moved & (tail.max(axis=1) > 1.0 + _IMPROVE_TOL)
-            best = np.where(use_tail, primary + tail.argmax(axis=1), best)
+            tail = det_sq[:, primary:]
+            use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
+            best = np.where(use_tail, primary + tail.argmin(axis=1), best)
             moved |= use_tail
         gamma[live] = g
         best = best[moved]
         g = cands[best] @ g[moved]
-        zc = w[moved, best]
+        # (A Z + B)(C Z + D)^{-1} = (A Z + B) adj(C Z + D) / det(C Z + D).
+        zc, den = zc[moved], dets[moved, best][:, None, None]
+        num = a[best] @ zc + b[best]
+        if n == 1:
+            zc = num / den
+        else:
+            w = num @ _adjugate(c[best] @ zc + d[best]) / den
+            zc = (w + _t(w)) / 2.0
         live = live[moved]
     log.debug("reduction stabilised after %d steps", steps)
     return gamma, act_batch(gamma, points)

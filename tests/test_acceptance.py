@@ -222,7 +222,7 @@ def test_criterion_06_reduction():
     rng = np.random.default_rng(106)
     t0 = time.perf_counter()
     failures = 0
-    floors = {1: math.sqrt(3) / 2 - 1e-9, 2: 0.4}
+    floors = {1: math.sqrt(3) / 2 - 1e-9, 2: math.sqrt(3) / 4 - 1e-9}
     for n in (1, 2):
         for _ in range(10000):
             z = random_siegel_point(n, rng)

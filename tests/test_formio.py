@@ -134,3 +134,16 @@ class TestValidation:
         assert data["n"] == 1
         assert data["rep"] == {"j": 0, "k": 4}
         assert all(isinstance(x, int) for row in data["coefficients"][0]["S"] for x in row)
+
+    @pytest.mark.parametrize("name", ["e4", "sym2"])
+    def test_loading_runs_one_eigensolve_per_term(self, name, tmp_path, monkeypatch):
+        import nhsiegel.linalg
+
+        path = tmp_path / f"{name}.json"
+        save_form_package(build_sample(name), path)
+        records = len(json.loads(path.read_text(encoding="utf-8"))["coefficients"])
+        calls = []
+        eigh = nhsiegel.linalg._eigh
+        monkeypatch.setattr(nhsiegel.linalg, "_eigh", lambda a: calls.append(a) or eigh(a))
+        load_form_package(path)
+        assert len(calls) == records

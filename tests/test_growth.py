@@ -274,3 +274,30 @@ class TestSweepConfig:
             SweepConfig(samples=0)
         with pytest.raises(ValueError):
             SweepConfig(ratio_tol=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("eig_low", 0.0),
+            ("eig_low", -1.0),
+            ("eig_low", math.nan),
+            ("eig_low", math.inf),
+            ("eig_high", 5e-3),
+            ("eig_high", math.inf),
+            ("eig_high", math.nan),
+            ("x_scale", -1.0),
+            ("x_scale", math.nan),
+            ("x_scale", math.inf),
+            ("safety", 0.0),
+            ("safety", -1.0),
+            ("safety", math.nan),
+            ("safety", math.inf),
+        ],
+    )
+    def test_rejects_bad_sampling_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**{field: value})
+
+    def test_accepts_degenerate_ranges(self, e4_package):
+        config = SweepConfig(samples=20, seed=2, eig_low=2.0, eig_high=2.0, x_scale=0.0)
+        assert estimate_constant(e4_package, config) > 0

@@ -1,0 +1,270 @@
+"""Sweep draws, candidate scoring and CSV rows, each built over a whole block.
+
+A block of samples takes each sample's draws from the generator in a fixed
+order and does the matrix work over the stack; the reduction scores its
+inversion candidates by det(C Z + D) and forms the action only for the
+winners; the CSV rows of a sweep are built from its record arrays.  These
+tests hold each of them against a per-sample or per-candidate reference
+written out here.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from nhsiegel.cli import _point_header, main
+from nhsiegel.errors import ReductionBudgetError
+from nhsiegel.formio import load_form_package, save_form_package
+from nhsiegel.growth import (
+    SWEEP_BLOCK,
+    SweepConfig,
+    estimate_constant,
+    group_blocks,
+    verify_growth_bound,
+    verify_moderate_growth,
+)
+from nhsiegel.linalg import _t, det_stack
+from nhsiegel.reps import basis_vector
+from nhsiegel.samples import build_sample
+from nhsiegel.sampling import (
+    random_compact,
+    random_group_samples,
+    random_orthogonal,
+    random_siegel_point,
+    random_siegel_points,
+    random_unitary,
+)
+from nhsiegel.symplectic import (
+    _CANDIDATES,
+    _IMPROVE_TOL,
+    _candidate_dets,
+    _lagrange_2x2,
+    PointBatch,
+    act_batch,
+    from_point,
+    reduce_batch,
+)
+
+
+def _gram_schmidt(a):
+    q = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    for i in range(q.shape[1]):
+        for j in range(i):
+            q[:, i] -= np.vdot(q[:, j], q[:, i]) * q[:, j]
+        q[:, i] /= np.sqrt(np.vdot(q[:, i], q[:, i]).real)
+    return q
+
+
+def _reference_points(n, seed, count, eig_low=1e-2, eig_high=1e2, x_scale=5.0):
+    """Points drawn one sample at a time: uniform X, uniform
+    log-eigenvalues, then the Gaussian matrix of the rotation."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    for _ in range(count):
+        a = rng.uniform(-x_scale, x_scale, size=(n, n))
+        mu = np.exp(rng.uniform(np.log(eig_low), np.log(eig_high), size=n))
+        q = _gram_schmidt(rng.standard_normal((n, n)))
+        xs.append((a + a.T) / 2.0)
+        ys.append((q * mu) @ q.T)
+    return np.array(xs), np.array(ys)
+
+
+def _max_rel(got, want):
+    # Per sample, the largest entry difference over the largest entry.
+    scale = np.max(np.abs(want), axis=(-2, -1))
+    return float(np.max(np.max(np.abs(got - want), axis=(-2, -1)) / scale))
+
+
+# -- draws -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("ranges", [(1e-2, 1e2, 5.0), (0.75, 10.0, 2.0)])
+def test_block_draws_match_per_sample_reference(n, ranges):
+    x_ref, y_ref = _reference_points(n, 17, 300, *ranges)
+    points = random_siegel_points(n, np.random.default_rng(17), 300, *ranges)
+    assert _max_rel(points.X, x_ref) <= 1e-12
+    assert _max_rel(points.Y, y_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_orthonormal_factors_are_gram_schmidt_q(n):
+    # Y does not see the column phases of its rotation; a compact factor does.
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        want_q = _gram_schmidt(rng.standard_normal((n, n)))
+        want_u = _gram_schmidt(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        rng = np.random.default_rng(seed)
+        np.testing.assert_allclose(random_orthogonal(n, rng), want_q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(random_unitary(n, rng), want_u, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_block_size_does_not_change_the_draws(n):
+    whole = random_siegel_points(n, np.random.default_rng(3), 256)
+    rng = np.random.default_rng(3)
+    halves = [random_siegel_points(n, rng, 128) for _ in range(2)]
+    np.testing.assert_array_equal(np.concatenate([h.X for h in halves]), whole.X)
+    np.testing.assert_array_equal(np.concatenate([h.Y for h in halves]), whole.Y)
+    whole = random_group_samples(n, np.random.default_rng(4), 256)
+    rng = np.random.default_rng(4)
+    halves = [random_group_samples(n, rng, 128) for _ in range(2)]
+    np.testing.assert_array_equal(np.concatenate(halves), whole)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_group_blocks_match_per_sample_reference(n):
+    config = SweepConfig(samples=SWEEP_BLOCK + 44, seed=8)
+    rng = np.random.default_rng(config.seed)
+    want = []
+    for _ in range(config.samples):
+        z = random_siegel_point(n, rng, config.eig_low, config.eig_high, config.x_scale)
+        want.append((from_point(z) @ random_compact(n, rng)).mat)
+    got = np.concatenate(list(group_blocks(n, config)))
+    assert _max_rel(got, np.array(want)) <= 1e-12
+
+
+# -- candidate scoring -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_candidate_det_gives_the_gain(n, reduced):
+    points = random_siegel_points(n, np.random.default_rng(21), 200, 0.1, 10.0)
+    if reduced:
+        points = reduce_batch(points)[1]
+    dets = _candidate_dets(points.mat)
+    base = np.prod(points.eigvals, axis=-1)
+    for k, cand in enumerate(_CANDIDATES[n][0]):
+        gain = np.prod(act_batch(cand.astype(float), points).eigvals, axis=-1) / base
+        np.testing.assert_allclose(1.0 / np.abs(dets[:, k]) ** 2, gain, rtol=1e-12)
+
+
+def _reference_reduce(points):
+    """The reduction with every candidate's gamma Z formed and its gain read
+    off det Im(gamma Z) / det Im Z; returns the gammas."""
+    n = points.n
+    cands, primary, (a, b, c, d), _ = _CANDIDATES[n]
+    gamma = np.zeros((len(points), 2 * n, 2 * n), dtype=np.int64) + np.eye(2 * n, dtype=np.int64)
+    live, g, zc = np.arange(len(points)), gamma.copy(), points.mat
+    while live.size:
+        if n == 2:
+            u = _lagrange_2x2(zc.imag)
+            uf = u.astype(float)
+            zc = uf @ zc @ _t(uf)
+            zc = (zc + _t(zc)) / 2.0
+            u_inv_t = np.round(_t(np.linalg.inv(uf))).astype(np.int64)
+            g = np.concatenate([u @ g[:, :n], u_inv_t @ g[:, n:]], axis=1)
+        t = -zc.real.round()
+        g[:, :n] += t.astype(np.int64) @ g[:, n:]
+        zc = zc + t
+        z4 = zc[:, None]
+        w = (a @ z4 + b) @ np.linalg.inv(c @ z4 + d)
+        w = (w + _t(w)) / 2.0
+        gain = det_stack(w.imag) / det_stack(zc.imag)[:, None]
+        head = gain[:, :primary]
+        best = head.argmax(axis=1)
+        moved = head.max(axis=1) > 1.0 + _IMPROVE_TOL
+        if len(cands) > primary:
+            tail = gain[:, primary:]
+            use_tail = ~moved & (tail.max(axis=1) > 1.0 + _IMPROVE_TOL)
+            best = np.where(use_tail, primary + tail.argmax(axis=1), best)
+            moved |= use_tail
+        gamma[live] = g
+        best = best[moved]
+        g = cands[best] @ g[moved]
+        zc = w[moved, best]
+        live = live[moved]
+    return gamma
+
+
+def _edge_points(n):
+    """Points where the rules of a step decide: z11 = 1/2 + iy, whose
+    inversion gains just above or below the 1 + _IMPROVE_TOL a step must
+    beat, and in degree 2 a tie between the two embedded inversions, which
+    the first must win."""
+    y11 = np.sqrt(1.0 / (1.0 + np.array([0.5, 2.0, 5.0, 20.0]) * _IMPROVE_TOL) - 0.25)
+    x, y = np.zeros((len(y11), n, n)), np.zeros((len(y11), n, n))
+    x[:, 0, 0], y[:, 0, 0] = 0.5, y11
+    if n == 2:
+        y[:, 1, 1] = 2.0
+        # Z = (0.9i, 0.5 + 0.4i; 0.5 + 0.4i, 0.9i): both gain 1/0.81.
+        x = np.concatenate([x, [[[0.0, 0.5], [0.5, 0.0]]]])
+        y = np.concatenate([y, [[[0.9, 0.4], [0.4, 0.9]]]])
+    return PointBatch(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reduction_matches_reference(n):
+    points = random_siegel_points(n, np.random.default_rng(50 + n), 1000)
+    edge = _edge_points(n)
+    points = PointBatch(np.concatenate([points.X, edge.X]), np.concatenate([points.Y, edge.Y]))
+    gamma, _ = reduce_batch(points)
+    np.testing.assert_array_equal(gamma, _reference_reduce(points))
+
+
+def test_lagrange_reduction_raises_when_it_cannot_finish():
+    # An indefinite matrix is never Lagrange-reduced.
+    with pytest.raises(ReductionBudgetError):
+        _lagrange_2x2(np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+
+
+# -- CSV rows ----------------------------------------------------------------
+
+
+def _csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+def _entry(label):
+    # "x12" -> (0, 1): 1-based row and column digits after the prefix.
+    return int(label[-2]) - 1, int(label[-1]) - 1
+
+
+@pytest.mark.parametrize("name", ["e4", "sym2"])
+def test_bound_csv_cells_are_reprs_of_the_records(name, tmp_path):
+    form = tmp_path / f"{name}.json"
+    save_form_package(build_sample(name), form)
+    out = tmp_path / "bound.csv"
+    argv = ["bound", "--form", str(form), "--samples", "300", "--seed", "4"]
+    main(argv + ["--kind", "corollary", "--format", "csv", "--out", str(out)])
+    package = load_form_package(form)
+    constant = estimate_constant(package, SweepConfig(samples=300, seed=4))
+    report = verify_growth_bound(
+        package, constant, "corollary", config=SweepConfig(samples=300, seed=5)
+    )
+    header, rows = _csv(out)
+    assert header == _point_header(package.n) + ["phi", "rhs", "ratio"]
+    where, value, rhs, ratio = report.records
+    assert len(rows) == len(where) == 300
+    for k, row in enumerate(rows):
+        want = [
+            float((where[k].real if label[0] == "x" else where[k].imag)[_entry(label)])
+            for label in header[:-3]
+        ] + [float(value[k]), float(rhs[k]), float(ratio[k])]
+        assert row == [repr(v) for v in want]
+
+
+def test_moderate_csv_cells_are_reprs_of_the_records(e4_package, tmp_path):
+    form = tmp_path / "e4.json"
+    save_form_package(e4_package, form)
+    out = tmp_path / "moderate.csv"
+    main(["moderate", "--form", str(form), "--samples", "300", "--seed", "6",
+          "--format", "csv", "--out", str(out)])
+    package = load_form_package(form)
+    constant = estimate_constant(package, SweepConfig(samples=300, seed=6))
+    report = verify_moderate_growth(
+        package, basis_vector(package.rep, 0), package.lambda1 / 2.0, constant,
+        config=SweepConfig(samples=300, seed=7),
+    )
+    header, rows = _csv(out)
+    assert header == ["g_11", "g_12", "g_21", "g_22", "phi", "rhs", "ratio"]
+    where, value, rhs, ratio = report.records
+    assert len(rows) == len(where) == 300
+    for k, row in enumerate(rows):
+        want = [float(where[k][_entry(label)]) for label in header[:-3]]
+        want += [float(value[k]), float(rhs[k]), float(ratio[k])]
+        assert row == [repr(v) for v in want]
