@@ -30,15 +30,19 @@ from .growth import (
     verify_growth_bound,
     verify_moderate_growth,
 )
-from .linalg import eigenvalues_sym, in_V_delta
 from .reps import basis_vector, vector
 from .samples import SAMPLE_BUILDERS, build_sample
 from .sampling import random_siegel_points
-from .symplectic import SiegelPoint, act, delta_for_degree, reduce_to_fundamental
+from .symplectic import PointBatch, SiegelPoint, act_batch, delta_for_degree, reduce_batch
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+
+
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layout of a point's entries: the upper triangle, row major."""
+    return np.triu_indices(n)
 
 
 def _triangle_to_sym(values: list[float]) -> np.ndarray:
@@ -49,12 +53,8 @@ def _triangle_to_sym(values: list[float]) -> np.ndarray:
             f"{r} entries do not fill an upper triangle (expected 1, 3, 6, ...)"
         )
     m = np.zeros((n, n))
-    idx = 0
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = values[idx]
-            m[j, i] = values[idx]
-            idx += 1
+    i, j = _upper(n)
+    m[i, j] = m[j, i] = values
     return m
 
 
@@ -76,10 +76,10 @@ def parse_point(spec: str) -> SiegelPoint:
         raise FormDataError(f"point {spec!r}: {exc}")
 
 
-def _load_points(args) -> list[SiegelPoint]:
-    points: list[SiegelPoint] = []
-    for spec in args.z or []:
-        points.append(parse_point(spec))
+def _load_points(args) -> PointBatch:
+    """Every --z and --points record, each validated once, as one batch of
+    a single degree."""
+    named = [(f"point {spec!r}", parse_point(spec)) for spec in args.z or []]
     if args.points:
         try:
             data = json.loads(Path(args.points).read_text(encoding="utf-8"))
@@ -91,14 +91,17 @@ def _load_points(args) -> list[SiegelPoint]:
             if not (isinstance(rec, dict) and "X" in rec and "Y" in rec):
                 raise FormDataError(f"points[{idx}]: need objects with X and Y")
             try:
-                points.append(
-                    SiegelPoint(np.asarray(rec["X"], float), np.asarray(rec["Y"], float))
-                )
+                z = SiegelPoint(np.asarray(rec["X"], float), np.asarray(rec["Y"], float))
             except (ValueError, NhsiegelError) as exc:
                 raise FormDataError(f"points[{idx}]: {exc}")
-    if not points:
+            named.append((f"points[{idx}]", z))
+    if not named:
         raise FormDataError("no points given; use --z or --points")
-    return points
+    n = named[0][1].n
+    for where, z in named:
+        if z.n != n:
+            raise FormDataError(f"{where}: degree {z.n} differs from degree {n} of the first point")
+    return PointBatch.from_points(z for _, z in named)
 
 
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
@@ -134,67 +137,51 @@ def _load_package(args) -> FormPackage:
 def cmd_eval(args) -> int:
     package = _load_package(args)
     points = _load_points(args)
-    records = []
-    rows = []
-    for z in points:
-        val = evaluate(package.expansion, z)
-        magnitude = phi(package, z)
-        records.append(
-            {
-                "point": {"X": z.X.tolist(), "Y": z.Y.tolist()},
-                "value": [[float(c.real), float(c.imag)] for c in val.coords],
-                "phi": magnitude,
-            }
+    values = evaluate(package.expansion, points)
+    magnitudes = phi(package, points)
+    records = [
+        {"point": {"X": x, "Y": y}, "value": value, "phi": magnitude}
+        for x, y, value, magnitude in zip(
+            points.X.tolist(), points.Y.tolist(),
+            np.stack([values.real, values.imag], axis=-1).tolist(), magnitudes.tolist(),
         )
-        rows.append(
-            _point_cells(z.batch.X, z.batch.Y)[0].tolist()
-            + val.coords.real.tolist()
-            + val.coords.imag.tolist()
-            + [magnitude]
-        )
+    ]
     dim = package.rep.dim
     header = (
-        _point_header(points[0].n)
+        _point_header(points.n)
         + [f"re_{i}" for i in range(dim)]
         + [f"im_{i}" for i in range(dim)]
         + ["phi"]
     )
-    _emit({"results": records}, args, _csv_rows(rows), header)
+    rows = np.column_stack([_point_cells(points.X, points.Y), values.real, values.imag, magnitudes])
+    _emit({"results": records}, args, _csv_rows(rows.tolist()), header)
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
     points = _load_points(args)
-    records = []
-    rows = []
-    worst_consistency = 0.0
-    for z in points:
-        gamma, z_red = reduce_to_fundamental(z)
-        dev = float(np.max(np.abs(act(gamma, z).mat - z_red.mat)))
-        worst_consistency = max(worst_consistency, dev)
-        delta = args.delta if args.delta is not None else delta_for_degree(z.n)
-        records.append(
-            {
-                "gamma": [[int(v) for v in row] for row in gamma.mat],
-                "z_red": {"X": z_red.X.tolist(), "Y": z_red.Y.tolist()},
-                "min_im_eigenvalue": float(eigenvalues_sym(z_red.Y)[-1]),
-                "in_V_delta": bool(in_V_delta(z_red.Y, delta, tol=args.tol)),
-                "delta": delta,
-                "consistency": dev,
-            }
-        )
-        rows.append(
-            _point_cells(z.batch.X, z.batch.Y)[0].tolist()
-            + _point_cells(z_red.batch.X, z_red.batch.Y)[0].tolist()
-            + [float(eigenvalues_sym(z_red.Y)[-1])]
-        )
-    if worst_consistency > 1e-9:
-        sys.stderr.write(f"reduction consistency {worst_consistency:.3e} above 1e-9\n")
+    gamma, reduced = reduce_batch(points)
+    dev = np.abs(act_batch(gamma, points).mat - reduced.mat).max(axis=(1, 2))
+    if dev.max() > 1e-9:
+        sys.stderr.write(f"reduction consistency {dev.max():.3e} above 1e-9\n")
         return EXIT_VIOLATION
-    header = _point_header(points[0].n) + [
-        h + "_red" for h in _point_header(points[0].n)
-    ] + ["min_im_eigenvalue"]
-    _emit({"results": records}, args, _csv_rows(rows), header)
+    delta = args.delta if args.delta is not None else delta_for_degree(points.n)
+    # The rule of linalg.in_V_delta, read off the reduced batch's eigenvalues.
+    least = reduced.eigvals[:, -1]
+    records = [
+        {"gamma": g, "z_red": {"X": x, "Y": y}, "min_im_eigenvalue": low,
+         "in_V_delta": inside, "delta": delta, "consistency": d}
+        for g, x, y, low, inside, d in zip(
+            gamma.tolist(), reduced.X.tolist(), reduced.Y.tolist(), least.tolist(),
+            (least >= delta - args.tol).tolist(), dev.tolist(),
+        )
+    ]
+    header = _point_header(points.n)
+    header = header + [h + "_red" for h in header] + ["min_im_eigenvalue"]
+    rows = np.column_stack(
+        [_point_cells(points.X, points.Y), _point_cells(reduced.X, reduced.Y), least]
+    )
+    _emit({"results": records}, args, _csv_rows(rows.tolist()), header)
     return EXIT_OK
 
 
@@ -282,15 +269,15 @@ def cmd_sample(args) -> int:
 
 
 def _point_header(n: int) -> list[str]:
-    labels = [f"{i+1}{j+1}" for i in range(n) for j in range(i, n)]
+    labels = [f"{i+1}{j+1}" for i, j in zip(*_upper(n))]
     return [f"x{lab}" for lab in labels] + [f"y{lab}" for lab in labels]
 
 
 def _point_cells(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The upper triangles of (N, n, n) stacks X and Y, row major as in
-    ``_point_header``, as an (N, n(n+1)) array."""
-    upper = np.triu_indices(x.shape[-1])
-    return np.concatenate([x[:, upper[0], upper[1]], y[:, upper[0], upper[1]]], axis=1)
+    """The entries of (N, n, n) stacks X and Y in the layout of ``_upper``,
+    as an (N, n(n+1)) array."""
+    i, j = _upper(x.shape[-1])
+    return np.concatenate([x[:, i, j], y[:, i, j]], axis=1)
 
 
 def _csv_rows(rows: list[list[float]]) -> list[list[str]]:
@@ -308,45 +295,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, form: bool = True):
-        if form:
-            p.add_argument("--form", help="form package JSON file")
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--tmax", type=float, default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-
-    p_eval = sub.add_parser("eval", help="evaluate F(Z) and phi(Z) at points")
-    common(p_eval)
-    p_eval.add_argument("--z", action="append", help="inline point 'x11,..;y11,..'")
-    p_eval.add_argument("--points", help="JSON points file")
-
-    p_red = sub.add_parser("reduce", help="reduce points to the fundamental domain")
-    common(p_red, form=False)
-    p_red.add_argument("--z", action="append")
-    p_red.add_argument("--points")
-
-    p_chk = sub.add_parser("check", help="check the transformation law on samples")
-    common(p_chk)
-
-    p_bnd = sub.add_parser("bound", help="sweep the growth bound")
-    common(p_bnd)
-    p_bnd.add_argument("--kind", choices=("theorem", "corollary"), default="theorem")
-    p_bnd.add_argument("--constant", type=float, default=None,
-                       help="force the constant instead of estimating it")
-
-    p_mod = sub.add_parser("moderate", help="sweep the moderate-growth inequality")
-    common(p_mod)
-    p_mod.add_argument("--r", type=float, default=None)
-    p_mod.add_argument("--w0", default=None, help="comma-separated real coordinates")
-    p_mod.add_argument("--constant", type=float, default=None)
-
-    p_smp = sub.add_parser("sample", help="write a bundled sample form file")
-    common(p_smp, form=False)
-    p_smp.add_argument("--name", choices=sorted(SAMPLE_BUILDERS), required=True)
+    flags = {
+        "form": dict(help="form package JSON file"),
+        "z": dict(action="append", help="inline point 'x11,..;y11,..'"),
+        "points": dict(help="JSON points file"),
+        "samples": dict(type=int, default=1000),
+        "seed": dict(type=int, default=0),
+        "delta": dict(type=float, default=None),
+        "tmax": dict(type=float, default=None),
+        "tol": dict(type=float, default=1e-9),
+        "out": dict(default=None),
+        "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+        "kind": dict(choices=("theorem", "corollary"), default="theorem"),
+        "constant": dict(type=float, default=None, help="force the constant instead of estimating it"),
+        "r": dict(type=float, default=None),
+        "w0": dict(default=None, help="comma-separated real coordinates"),
+        "name": dict(choices=sorted(SAMPLE_BUILDERS), required=True),
+    }
+    # Each subcommand takes the flags it reads; check reads no --tol but keeps
+    # it, so that `check --tol 0` stays an input error.
+    sweep = "form samples seed tmax tol out format"
+    for name, help_, names in (
+        ("eval", "evaluate F(Z) and phi(Z) at points", "form z points tmax out format"),
+        ("reduce", "reduce points to the fundamental domain", "z points delta tol out format"),
+        ("check", "check the transformation law on samples", sweep),
+        ("bound", "sweep the growth bound", sweep + " kind constant"),
+        ("moderate", "sweep the moderate-growth inequality", sweep + " r w0 constant"),
+        ("sample", "write a bundled sample form file", "name tmax out"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        for flag in names.split():
+            p.add_argument(f"--{flag}", **flags[flag])
 
     return parser
 
@@ -365,11 +344,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.samples < 1:
+        given = vars(args)  # only the flags of args.command
+        if given.get("samples", 1) < 1:
             raise FormDataError("--samples must be >= 1")
-        if args.delta is not None and args.delta <= 0:
+        if given.get("delta") is not None and args.delta <= 0:
             raise FormDataError("--delta must be positive")
-        if args.tol <= 0:
+        if given.get("tol", 1.0) <= 0:
             raise FormDataError("--tol must be positive")
         return COMMANDS[args.command](args)
     except FormDataError as exc:

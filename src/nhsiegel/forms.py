@@ -300,10 +300,14 @@ def slash_values(f: FormLike, g, points: PointBatch) -> np.ndarray:
     """rho(C Z + D)^{-1} F(gZ) as an (N, dim) array, for g one 2n x 2n
     matrix or an (N, 2n, 2n) stack and a batch of points (either side may
     have one element)."""
-    ev = as_evaluator(f)
-    j_inv = inv_stack(automorphy_factor_batch(g, points))
-    values = ev.func(act_batch(g, points))
-    return (rep_matrix(ev.rep, j_inv) @ values[..., None])[..., 0]
+    return _slash_parts(as_evaluator(f), g, points)[2]
+
+
+def _slash_parts(ev: PointEvaluator, g, points: PointBatch):
+    """(rho(C Z + D)^{-1}, gZ, rho(C Z + D)^{-1} F(gZ)) as in ``slash_values``."""
+    j_inv = rep_matrix(ev.rep, inv_stack(automorphy_factor_batch(g, points)))
+    moved = act_batch(g, points)
+    return j_inv, moved, (j_inv @ ev.func(moved)[..., None])[..., 0]
 
 
 def slash(f: FormLike, g: SymplecticMatrix) -> PointEvaluator:
@@ -335,8 +339,11 @@ def tail_bound(package: FormPackage, y) -> float:
     max(1, delta'^-p) times the number of multi-indices.  The resulting
     one-dimensional series is summed until it provably closes.
     """
-    y = np.asarray(y, dtype=float)
-    delta = float(eigenvalues_sym(y)[-1])
+    return _tail_series(package, float(eigenvalues_sym(np.asarray(y, dtype=float))[-1]))
+
+
+def _tail_series(package: FormPackage, delta: float) -> float:
+    # ``tail_bound`` at a Y whose least eigenvalue is delta.
     if delta <= 0.0:
         raise TailDivergenceError(
             f"tail estimate requires positive definite Y (min eigenvalue {delta:.3e})"
@@ -425,16 +432,15 @@ def check_invariance(
     points = samples if isinstance(samples, PointBatch) else PointBatch.from_points(samples)
     if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
         raise ValueError("invariance samples must have Im(Z) >= identity/2")
-    rep = package.rep
-    base = evaluate(package.expansion, points)
-    base_tail = np.array([tail_bound(package, y) for y in points.Y])
+    rep, ev = package.rep, as_evaluator(package)
+    base = ev.func(points)
+    base_tail = _tails(package, points)
     devs, thrs = [], []
     for g in package.gamma_test_set:
-        devs.append(norms(rep, slash(package, g).func(points) - base) / (1.0 + norms(rep, base)))
-        jinv = rep_matrix(rep, inv_stack(automorphy_factor_batch(g.mat, points)))
-        amp = np.sqrt(np.sum(np.abs(jinv) ** 2, axis=(1, 2)))
-        moved_tail = np.array([tail_bound(package, y) for y in act_batch(g.mat, points).Y])
-        thrs.append(base_tail + amp * moved_tail + FLOAT_FLOOR)
+        j_inv, moved, slashed = _slash_parts(ev, g.mat, points)
+        devs.append(norms(rep, slashed - base) / (1.0 + norms(rep, base)))
+        amp = np.sqrt(np.sum(np.abs(j_inv) ** 2, axis=(1, 2)))
+        thrs.append(base_tail + amp * _tails(package, moved) + FLOAT_FLOOR)
     devs, thrs = np.array(devs), np.array(thrs)
     return InvarianceReport(
         gammas=len(package.gamma_test_set),
@@ -443,3 +449,9 @@ def check_invariance(
         threshold=float(thrs.max(initial=0.0)),
         violations=int(np.sum(devs > thrs)),
     )
+
+
+def _tails(package: FormPackage, points: PointBatch) -> np.ndarray:
+    """``tail_bound`` at every point of a batch, from its least eigenvalue.
+    The series is summed in scalar floats, as ``tail_bound`` sums it."""
+    return np.array([_tail_series(package, d) for d in points.eigvals[:, -1].tolist()])

@@ -152,6 +152,4 @@ def build_sample(name: str, t_max: float | None = None) -> FormPackage:
     if name not in SAMPLE_BUILDERS:
         raise ValueError(f"unknown sample {name!r}; choose from {sorted(SAMPLE_BUILDERS)}")
     builder = SAMPLE_BUILDERS[name]
-    if name == "constant":
-        return builder() if t_max is None else constant_form(t_max=t_max)
     return builder() if t_max is None else builder(t_max=t_max)

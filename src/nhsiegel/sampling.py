@@ -62,17 +62,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return _orthonormal(rng.standard_normal((1, n, n)) + 1j * rng.standard_normal((1, n, n)))[0]
 
 
-def random_spd(
-    n: int,
-    rng: np.random.Generator,
-    eig_low: float = 1e-2,
-    eig_high: float = 1e2,
-) -> np.ndarray:
-    """SPD matrix with eigenvalues log-uniform in [eig_low, eig_high]."""
-    log_mu = rng.uniform(np.log(eig_low), np.log(eig_high), size=(1, n))
-    return _spd(log_mu, rng.standard_normal((1, n, n)))[0]
-
-
 def random_symmetric(n: int, rng: np.random.Generator, scale: float = 5.0) -> np.ndarray:
     a = rng.uniform(-scale, scale, size=(n, n))
     return (a + a.T) / 2.0

@@ -46,24 +46,24 @@ REDUCTION_BUDGET = 10000
 _IMPROVE_TOL = 1e-9
 _LAGRANGE_TOL = 1e-12
 
-# Floors for the least eigenvalue of Im(Z) after reduction.  Degree 1: the
-# corner of the classical modular domain.  Degree 2, proved from the point
-# at which ``reduce_batch`` stops, with t = _IMPROVE_TOL, e = _LAGRANGE_TOL:
+# Floors for the least eigenvalue of Im(Z) after reduction, proved from the
+# point at which ``reduce_batch`` stops, with t = _IMPROVE_TOL, e = _LAGRANGE_TOL.
+# |x11| <= 1/2 by the translation (x - round(x) is exact), and the inversion
+# at slot 1 (the full one in degree 1), of gain 1/|z11|^2, is not taken, so
+# |z11|^2 >= 1/(1 + t) and y11 >= h = sqrt(1/(1 + t) - 1/4): the degree-1
+# floor, sqrt(3)/2 less about 6e-10.  In degree 2:
 #   * Y is Lagrange-reduced: 2|y12| <= (1 + e) y11 and y11 <= (1 + e) y22
 #     (``_lagrange_2x2`` raises rather than return an unreduced Y);
-#   * |x11| <= 1/2, by the translation (x - round(x) is exact);
-#   * the embedded inversion at slot 1, of gain 1/|z11|^2, is not taken, so
-#     |z11|^2 >= 1/(1 + t) and y11 >= h = sqrt(1/(1 + t) - 1/4).
-# Gershgorin gives lambda_min >= min(y11, y22) - |y12|.  By the first point
-# y11 - |y12| >= y11 (1 - e)/2 and y22 - |y12| >= y11 (1/(1 + e) - (1 + e)/2),
-# the smaller factor of the two, so
-#   lambda_min >= h (1/(1 + e) - (1 + e)/2),
-# sqrt(3)/4 less about 3e-10.  The returned point is act(gamma, Z)
-# recomputed from Z; it equals the last iterate up to rounding.
+#   * Gershgorin gives lambda_min >= min(y11, y22) - |y12|, and by the first
+#     point y11 - |y12| >= y11 (1 - e)/2 and y22 - |y12| >= y11 (1/(1 + e) -
+#     (1 + e)/2), the smaller factor of the two, so
+#     lambda_min >= h (1/(1 + e) - (1 + e)/2), sqrt(3)/4 less about 3e-10.
+# The returned point is act(gamma, Z) recomputed from Z; it equals the last
+# iterate up to rounding.
+_FLOOR_H = math.sqrt(1.0 / (1.0 + _IMPROVE_TOL) - 0.25)
 FUNDAMENTAL_DOMAIN_DELTA = {
-    1: math.sqrt(3.0) / 2.0,
-    2: math.sqrt(1.0 / (1.0 + _IMPROVE_TOL) - 0.25)
-    * (1.0 / (1.0 + _LAGRANGE_TOL) - (1.0 + _LAGRANGE_TOL) / 2.0),
+    1: _FLOOR_H,
+    2: _FLOOR_H * (1.0 / (1.0 + _LAGRANGE_TOL) - (1.0 + _LAGRANGE_TOL) / 2.0),
 }
 
 
@@ -135,9 +135,16 @@ class PointBatch:
 
     @classmethod
     def from_points(cls, points) -> "PointBatch":
-        """Stack SiegelPoints of one degree (ValueError if there are none)."""
-        points = list(points)
-        return cls(np.stack([z.X for z in points]), np.stack([z.Y for z in points]))
+        """Stack SiegelPoints of one degree with the eigendecompositions they
+        were validated with (ValueError if there are none or degrees differ)."""
+        batches = [z.batch for z in points]
+        if not batches:
+            raise ValueError("no points to stack")
+        x, y, w, q = (
+            np.concatenate([getattr(b, name) for b in batches])
+            for name in ("X", "Y", "eigvals", "eigvecs")
+        )
+        return cls._made(x, y, (w, q))
 
     def __len__(self) -> int:
         return self.X.shape[0]

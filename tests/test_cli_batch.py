@@ -1,0 +1,308 @@
+"""The CLI commands over one PointBatch.
+
+``eval``, ``reduce`` and ``check`` build one batch of points and run each
+kernel once over it.  These tests check that the batched commands report
+what point-by-point library calls report, that each point's Y is
+decomposed once, that mixed-degree input is rejected, and that each
+subcommand takes only the flags it reads.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from nhsiegel.cli import main
+from nhsiegel.formio import save_form_package
+from nhsiegel.forms import (
+    FLOAT_FLOOR,
+    check_invariance,
+    evaluate,
+    phi,
+    slash,
+    tail_bound,
+)
+from nhsiegel.linalg import eigenvalues_sym, in_V_delta, inv_stack
+from nhsiegel.reps import norms, rep_matrix
+from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
+from nhsiegel.sampling import random_siegel_points
+from nhsiegel.symplectic import (
+    PointBatch,
+    SiegelPoint,
+    act_batch,
+    automorphy_factor_batch,
+    delta_for_degree,
+    reduce_batch,
+    reduce_to_fundamental,
+)
+
+
+@pytest.fixture(scope="module")
+def forms(tmp_path_factory):
+    root = tmp_path_factory.mktemp("forms")
+    paths = {}
+    for name in ("e4", "e2star", "sym2"):
+        paths[name] = root / f"{name}.json"
+        save_form_package(build_sample(name), paths[name])
+    return paths
+
+
+def _points_file(path, batch: PointBatch):
+    path.write_text(
+        json.dumps([{"X": x, "Y": y} for x, y in zip(batch.X.tolist(), batch.Y.tolist())]),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def _adversarial(n, count=200, seed=11):
+    return random_siegel_points(n, np.random.default_rng(seed), count)
+
+
+def _run_json(argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())["results"]
+
+
+def _close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.fixture
+def eigh_matrices(monkeypatch):
+    """Counts the matrices that numpy.linalg.eigh decomposes."""
+    real = np.linalg.eigh
+    count = [0]
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        count[0] += a.size // (a.shape[-1] * a.shape[-2])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return count
+
+
+class TestMixedDegrees:
+    @pytest.mark.parametrize("command", ["reduce", "eval"])
+    def test_inline_points(self, forms, capsys, command):
+        argv = [command, "--z", "0;1", "--z", "0,0,0;1,0,1"]
+        if command == "eval":
+            argv += ["--form", str(forms["e4"])]
+        assert main(argv + ["--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert "point '0,0,0;1,0,1'" in captured.err
+        assert "degree 2" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["reduce", "eval"])
+    def test_points_file(self, forms, tmp_path, capsys, command):
+        path = tmp_path / "mixed.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"X": [[0.0]], "Y": [[1.0]]},
+                    {"X": [[0.0, 0.0], [0.0, 0.0]], "Y": [[1.0, 0.0], [0.0, 1.0]]},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        argv = [command, "--points", str(path)]
+        if command == "eval":
+            argv += ["--form", str(forms["e4"])]
+        assert main(argv) == 2
+        assert "points[1]" in capsys.readouterr().err
+
+    def test_from_points_rejects_mixed_degrees(self):
+        with pytest.raises(ValueError):
+            PointBatch.from_points([SiegelPoint.base_point(1), SiegelPoint.base_point(2)])
+        with pytest.raises(ValueError):
+            PointBatch.from_points([])
+
+
+class TestEigensolveCounts:
+    def test_reduce_decomposes_each_point_at_most_three_times(
+        self, tmp_path, eigh_matrices
+    ):
+        k = 50
+        path = _points_file(tmp_path / "points.json", _adversarial(2, k))
+        eigh_matrices[0] = 0
+        assert main(["reduce", "--points", path, "--out", str(tmp_path / "r.json")]) == 0
+        assert 0 < eigh_matrices[0] <= 3 * k
+
+    def test_check_decomposes_each_y_once(self, forms, tmp_path, eigh_matrices):
+        # 6 terms on load, the 50 samples, and the 50 moved points per gamma.
+        eigh_matrices[0] = 0
+        argv = ["check", "--form", str(forms["sym2"]), "--samples", "50"]
+        assert main(argv + ["--out", str(tmp_path / "c.json")]) == 1
+        assert 0 < eigh_matrices[0] <= 156
+
+    def test_from_points_reuses_the_decompositions(self, eigh_matrices):
+        batch = _adversarial(2, 20)
+        points = [batch.point(i) for i in range(len(batch))]
+        eigh_matrices[0] = 0
+        stacked = PointBatch.from_points(points)
+        assert eigh_matrices[0] == 0
+        np.testing.assert_array_equal(stacked.eigvals, batch.eigvals)
+        np.testing.assert_array_equal(stacked.eigvecs, batch.eigvecs)
+        np.testing.assert_array_equal(stacked.Y, batch.Y)
+
+
+class TestAgainstSinglePoints:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reduce(self, tmp_path, n):
+        batch = _adversarial(n)
+        path = _points_file(tmp_path / "points.json", batch)
+        results = _run_json(["reduce", "--points", path], tmp_path)
+        assert len(results) == len(batch)
+        delta = delta_for_degree(n)
+        for i, rec in enumerate(results):
+            gamma, z_red = reduce_to_fundamental(batch.point(i))
+            assert rec["gamma"] == gamma.mat.astype(int).tolist()
+            _close(rec["z_red"]["X"], z_red.X)
+            _close(rec["z_red"]["Y"], z_red.Y)
+            low = float(eigenvalues_sym(z_red.Y)[-1])
+            _close(rec["min_im_eigenvalue"], low)
+            assert rec["in_V_delta"] is bool(in_V_delta(z_red.Y, delta, tol=1e-9))
+            assert rec["delta"] == delta
+            assert rec["consistency"] == 0.0
+
+    @pytest.mark.parametrize("name", ["e4", "e2star", "sym2"])
+    def test_eval(self, forms, tmp_path, name):
+        package = build_sample(name)
+        batch = _adversarial(package.n)
+        path = _points_file(tmp_path / "points.json", batch)
+        results = _run_json(["eval", "--form", str(forms[name]), "--points", path], tmp_path)
+        assert len(results) == len(batch)
+        for i, rec in enumerate(results):
+            z = batch.point(i)
+            assert rec["point"] == {"X": z.X.tolist(), "Y": z.Y.tolist()}
+            coords = evaluate(package.expansion, z).coords
+            value = np.array(rec["value"])
+            _close(value[:, 0] + 1j * value[:, 1], coords)
+            _close(rec["phi"], phi(package, z))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reduce_csv_rows(self, tmp_path, n):
+        batch = _adversarial(n, 30)
+        path = _points_file(tmp_path / "points.json", batch)
+        out = tmp_path / "r.csv"
+        assert main(["reduce", "--points", path, "--format", "csv", "--out", str(out)]) == 0
+        header, *rows = out.read_text().strip().splitlines()
+        gamma, reduced = reduce_batch(batch)
+        upper = np.triu_indices(n)
+        assert header.split(",")[-1] == "min_im_eigenvalue"
+        assert len(rows) == len(batch)
+        for i, row in enumerate(rows):
+            cells = [
+                *batch.X[i][upper], *batch.Y[i][upper],
+                *reduced.X[i][upper], *reduced.Y[i][upper],
+                reduced.eigvals[i, -1],
+            ]
+            assert row.split(",") == [repr(float(c)) for c in cells]
+
+
+def _reference_check(package, points):
+    # check_invariance as it was summed point by point: the slash through
+    # ``slash``, and the tails through ``tail_bound`` at every Y.
+    rep = package.rep
+    base = evaluate(package.expansion, points)
+    base_tail = np.array([tail_bound(package, y) for y in points.Y])
+    devs, thrs = [], []
+    for g in package.gamma_test_set:
+        slashed = slash(package, g).func(points)
+        devs.append(norms(rep, slashed - base) / (1.0 + norms(rep, base)))
+        jinv = rep_matrix(rep, inv_stack(automorphy_factor_batch(g.mat, points)))
+        amp = np.sqrt(np.sum(np.abs(jinv) ** 2, axis=(1, 2)))
+        moved_tail = np.array([tail_bound(package, y) for y in act_batch(g.mat, points).Y])
+        thrs.append(base_tail + amp * moved_tail + FLOAT_FLOOR)
+    devs, thrs = np.array(devs), np.array(thrs)
+    return float(devs.max()), float(thrs.max()), int(np.sum(devs > thrs))
+
+
+@pytest.mark.parametrize("name", ["e4", "e2star", "sym2"])
+def test_check_invariance_matches_point_by_point_reference(name):
+    package = build_sample(name)
+    points = random_siegel_points(
+        package.n, np.random.default_rng(3), 60, eig_low=0.75, eig_high=10.0, x_scale=2.0
+    )
+    report = check_invariance(package, points)
+    assert (report.max_deviation, report.threshold, report.violations) == _reference_check(
+        package, points
+    )
+    as_list = check_invariance(package, [points.point(i) for i in range(len(points))])
+    assert as_list == report
+
+
+class TestFlags:
+    # (command, the arguments it needs, the flags it no longer takes)
+    REMOVED = [
+        ("eval", ["--form", "f.json", "--z", "0;1"], ["--delta", "--samples", "--seed", "--tol"]),
+        ("reduce", ["--z", "0;1"], ["--samples", "--seed", "--tmax"]),
+        ("check", ["--form", "f.json"], ["--delta"]),
+        ("bound", ["--form", "f.json"], ["--delta"]),
+        ("moderate", ["--form", "f.json"], ["--delta"]),
+        ("sample", ["--name", "e4"], ["--delta", "--samples", "--seed", "--tol", "--format"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, needed, flag",
+        [(c, needed, f) for c, needed, flags in REMOVED for f in flags],
+    )
+    def test_unread_flag_rejected(self, capsys, command, needed, flag):
+        value = "json" if flag == "--format" else "1"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *needed, flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--z", "0;1", "--delta", "0"],
+            ["reduce", "--z", "0;1", "--tol", "0"],
+            ["bound", "--form", "f.json", "--samples", "0"],
+            ["moderate", "--form", "f.json", "--tol", "-1"],
+        ],
+    )
+    def test_kept_flags_still_checked(self, capsys, argv):
+        assert main(argv) == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_reduce_delta_and_tol(self, capsys):
+        assert main(["reduce", "--z", "0;1", "--delta", "1.5", "--tol", "0.5"]) == 0
+        rec = json.loads(capsys.readouterr().out)["results"][0]
+        assert rec["delta"] == 1.5
+        assert rec["in_V_delta"] is True
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_BUILDERS))
+def test_build_sample_t_max(name):
+    assert build_sample(name, t_max=3.0).expansion.t_max == 3.0
+
+
+class TestDegreeOneFloor:
+    CORNER = SiegelPoint(np.array([[0.5]]), np.array([[0.8660254034957635]]))
+
+    def test_value(self):
+        assert delta_for_degree(1) == math.sqrt(1.0 / (1.0 + 1e-9) - 0.25)
+        assert math.sqrt(3) / 2 - 1e-9 < delta_for_degree(1) < math.sqrt(3) / 2
+
+    def test_corner_is_in_the_domain(self):
+        # The stopping rule keeps this point: its inversion gains less than
+        # 1 + 1e-9, though Im z is below sqrt(3)/2.
+        gamma, z_red = reduce_to_fundamental(self.CORNER)
+        np.testing.assert_array_equal(gamma.mat, np.eye(2))
+        assert z_red.Y[0, 0] < math.sqrt(3) / 2
+        assert in_V_delta(z_red.Y, delta_for_degree(1))
+
+    def test_cli_corner_at_tight_tol(self, capsys):
+        assert main(["reduce", "--z", "0.5;0.8660254034957635", "--tol", "1e-12"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["in_V_delta"] is True
+
+    def test_reduced_points_clear_the_floor(self):
+        _, reduced = reduce_batch(_adversarial(1, 2000, seed=5))
+        assert reduced.eigvals[:, -1].min() >= delta_for_degree(1) - 1e-12
