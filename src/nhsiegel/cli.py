@@ -16,13 +16,14 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormDataError, NhsiegelError
 from .formio import load_form_package, save_form_package
-from .forms import FormPackage, check_invariance, evaluate, phi
+from .forms import FormPackage, check_invariance, evaluate, magnitudes
 from .growth import (
     GrowthReport,
     SweepConfig,
@@ -33,7 +34,7 @@ from .growth import (
 from .reps import basis_vector, vector
 from .samples import SAMPLE_BUILDERS, build_sample
 from .sampling import random_siegel_points
-from .symplectic import PointBatch, SiegelPoint, act_batch, delta_for_degree, reduce_batch
+from .symplectic import PointBatch, SiegelPoint, delta_for_degree, reduce_batch
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -138,12 +139,12 @@ def cmd_eval(args) -> int:
     package = _load_package(args)
     points = _load_points(args)
     values = evaluate(package.expansion, points)
-    magnitudes = phi(package, points)
+    phis = magnitudes(package.rep, points, values)
     records = [
         {"point": {"X": x, "Y": y}, "value": value, "phi": magnitude}
         for x, y, value, magnitude in zip(
             points.X.tolist(), points.Y.tolist(),
-            np.stack([values.real, values.imag], axis=-1).tolist(), magnitudes.tolist(),
+            np.stack([values.real, values.imag], axis=-1).tolist(), phis.tolist(),
         )
     ]
     dim = package.rep.dim
@@ -153,7 +154,7 @@ def cmd_eval(args) -> int:
         + [f"im_{i}" for i in range(dim)]
         + ["phi"]
     )
-    rows = np.column_stack([_point_cells(points.X, points.Y), values.real, values.imag, magnitudes])
+    rows = np.column_stack([_point_cells(points.X, points.Y), values.real, values.imag, phis])
     _emit({"results": records}, args, _csv_rows(rows.tolist()), header)
     return EXIT_OK
 
@@ -161,19 +162,15 @@ def cmd_eval(args) -> int:
 def cmd_reduce(args) -> int:
     points = _load_points(args)
     gamma, reduced = reduce_batch(points)
-    dev = np.abs(act_batch(gamma, points).mat - reduced.mat).max(axis=(1, 2))
-    if dev.max() > 1e-9:
-        sys.stderr.write(f"reduction consistency {dev.max():.3e} above 1e-9\n")
-        return EXIT_VIOLATION
     delta = args.delta if args.delta is not None else delta_for_degree(points.n)
     # The rule of linalg.in_V_delta, read off the reduced batch's eigenvalues.
     least = reduced.eigvals[:, -1]
     records = [
         {"gamma": g, "z_red": {"X": x, "Y": y}, "min_im_eigenvalue": low,
-         "in_V_delta": inside, "delta": delta, "consistency": d}
-        for g, x, y, low, inside, d in zip(
+         "in_V_delta": inside, "delta": delta}
+        for g, x, y, low, inside in zip(
             gamma.tolist(), reduced.X.tolist(), reduced.Y.tolist(), least.tolist(),
-            (least >= delta - args.tol).tolist(), dev.tolist(),
+            (least >= delta - args.tol).tolist(),
         )
     ]
     header = _point_header(points.n)
@@ -194,14 +191,7 @@ def cmd_check(args) -> int:
         package.n, rng, args.samples, eig_low=0.75, eig_high=10.0, x_scale=2.0
     )
     report = check_invariance(package, samples)
-    payload = {
-        "gammas": report.gammas,
-        "samples": report.samples,
-        "max_deviation": report.max_deviation,
-        "threshold": report.threshold,
-        "violations": report.violations,
-    }
-    _emit(payload, args)
+    _emit(asdict(report), args)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 

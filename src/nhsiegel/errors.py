@@ -6,7 +6,7 @@ class NhsiegelError(Exception):
 
 
 class EigenIterationError(NhsiegelError):
-    """Symmetric eigensolver failed to converge within its sweep budget."""
+    """A symmetric eigensolve was given non-finite entries."""
 
 
 class NotPositiveDefiniteError(NhsiegelError):

@@ -139,7 +139,6 @@ class FourierExpansion:
         rep: Rep,
         t_max: float,
         terms: Iterable[tuple[MultiIndex, Sequence[Sequence[int]], Sequence[complex]]],
-        label: str = "coefficients",
     ) -> "FourierExpansion":
         """Build an expansion from (beta, N*S integer matrix, vector) records,
         dropping those with Tr(S) above ``t_max``.
@@ -149,7 +148,7 @@ class FourierExpansion:
         """
         coeffs = _CheckedTerms()
         for idx, (beta, s_raw, value) in enumerate(terms):
-            where = f"{label}[{idx}]"
+            where = f"coefficients[{idx}]"
             key, vec, trace = _checked_term(n, p, level, rep, beta, s_raw, value, where)
             if key in coeffs:
                 raise FormDataError(f"{where}: duplicate (beta, S) record")
@@ -164,14 +163,14 @@ class FourierExpansion:
             yield beta, s, vec.copy()
 
     def with_t_max(self, t_max: float) -> "FourierExpansion":
-        """Re-truncate to a new trace bound."""
-        terms = [
-            (beta, np.array(skey, dtype=float), vec)
-            for (beta, skey), vec in self.coefficients.items()
-        ]
-        return FourierExpansion.from_terms(
-            self.n, self.p, self.level, self.rep, t_max, terms
+        """Re-truncate to a new trace bound.  The stored terms are checked
+        already, so only their traces are read again."""
+        kept = _CheckedTerms(
+            (key, vec)
+            for key, vec in self.coefficients.items()
+            if np.trace(np.array(key[1], dtype=float) / self.level) <= t_max + 1e-12
         )
+        return FourierExpansion(self.n, self.p, self.level, self.rep, t_max, kept)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FourierExpansion):
@@ -325,9 +324,13 @@ def phi(f: FormLike, z: SiegelPoint | PointBatch):
     every point of a PointBatch."""
     points = z.batch if isinstance(z, SiegelPoint) else z
     ev = as_evaluator(f)
-    moved = (rep_matrix(ev.rep, points.y_sqrt) @ ev.func(points)[..., None])[..., 0]
-    out = norms(ev.rep, moved)
+    out = magnitudes(ev.rep, points, ev.func(points))
     return out if points is z else float(out[0])
+
+
+def magnitudes(rep: Rep, points: PointBatch, values: np.ndarray) -> np.ndarray:
+    """||rho(Y^{1/2}) v|| at every point of a batch, for its (N, dim) values v."""
+    return norms(rep, (rep_matrix(rep, points.y_sqrt) @ values[..., None])[..., 0])
 
 
 def tail_bound(package: FormPackage, y) -> float:
@@ -405,16 +408,6 @@ class InvarianceReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-    def merge(self, other: "InvarianceReport") -> "InvarianceReport":
-        """Combine two shards (counts add, extrema win)."""
-        return InvarianceReport(
-            gammas=max(self.gammas, other.gammas),
-            samples=self.samples + other.samples,
-            max_deviation=max(self.max_deviation, other.max_deviation),
-            threshold=max(self.threshold, other.threshold),
-            violations=self.violations + other.violations,
-        )
 
 
 def check_invariance(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -107,31 +107,6 @@ class GrowthReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-    def merge(self, other: "GrowthReport") -> "GrowthReport":
-        """Combine two shards of the same sweep (samples and violations add,
-        the worst ratio and its witness win, records concatenate)."""
-        if (self.kind, self.constant, self.exponent_r) != (
-            other.kind,
-            other.constant,
-            other.exponent_r,
-        ):
-            raise ValueError("cannot merge reports from different sweeps")
-        take_other = other.worst_ratio > self.worst_ratio
-        records = None
-        if self.records is not None and other.records is not None:
-            records = SampleRecords(*map(np.concatenate, zip(self.records, other.records)))
-        return GrowthReport(
-            kind=self.kind,
-            constant=self.constant,
-            exponent_r=self.exponent_r,
-            samples=self.samples + other.samples,
-            violations=self.violations + other.violations,
-            worst_ratio=max(self.worst_ratio, other.worst_ratio),
-            worst_point=other.worst_point if take_other else self.worst_point,
-            config=self.config,
-            records=records,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -220,10 +195,10 @@ def verify_growth_bound(
     package: FormPackage,
     constant: float,
     kind: str = "theorem",
-    points: Iterable[SiegelPoint] | None = None,
     config: SweepConfig | None = None,
 ) -> GrowthReport:
-    """Check phi(F, Z) <= constant * RHS(Im Z) over sample points.
+    """Check phi(F, Z) <= constant * RHS(Im Z) over the configured
+    adversarial points.
 
     ``kind`` selects the right-hand side: "theorem" for the eigenvalue
     product, "corollary" for the trace/determinant form.  Violations are
@@ -235,13 +210,9 @@ def verify_growth_bound(
     if constant < 0:
         raise ValueError("bound constant must be non-negative")
     config = config or SweepConfig()
-    if points is None:
-        blocks = adversarial_blocks(package.n, config)
-    else:
-        blocks = (PointBatch.from_points(chunk) for chunk in _chunks(points))
     lam1 = package.lambda1
     parts = []
-    for batch in blocks:
+    for batch in adversarial_blocks(package.n, config):
         value = phi(package, batch)
         rhs = constant * rhs_fn(batch, lam1)
         parts.append((batch.mat, value, rhs))
@@ -340,13 +311,7 @@ def _report(kind, constant, exponent_r, parts, config, package) -> GrowthReport:
 
 def _config_dict(config: SweepConfig, package: FormPackage) -> dict:
     return {
-        "samples": config.samples,
-        "seed": config.seed,
-        "eig_low": config.eig_low,
-        "eig_high": config.eig_high,
-        "x_scale": config.x_scale,
-        "safety": config.safety,
-        "ratio_tol": config.ratio_tol,
+        **asdict(config),
         "delta": FUNDAMENTAL_DOMAIN_DELTA.get(package.n),
         "t_max": package.expansion.t_max,
     }

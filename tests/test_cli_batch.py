@@ -3,8 +3,10 @@
 ``eval``, ``reduce`` and ``check`` build one batch of points and run each
 kernel once over it.  These tests check that the batched commands report
 what point-by-point library calls report, that each point's Y is
-decomposed once, that mixed-degree input is rejected, and that each
-subcommand takes only the flags it reads.
+decomposed once, that mixed-degree input is rejected, that each
+subcommand takes only the flags it reads, and that nothing is computed
+twice: ``eval`` sums the series once, ``reduce`` forms each reduced point
+once, and ``--tmax`` re-truncates without validating the terms again.
 """
 
 import json
@@ -14,17 +16,19 @@ import numpy as np
 import pytest
 
 from nhsiegel.cli import main
+from nhsiegel.errors import FormDataError
 from nhsiegel.formio import save_form_package
 from nhsiegel.forms import (
     FLOAT_FLOOR,
+    FourierExpansion,
     check_invariance,
     evaluate,
     phi,
     slash,
     tail_bound,
 )
-from nhsiegel.linalg import eigenvalues_sym, in_V_delta, inv_stack
-from nhsiegel.reps import norms, rep_matrix
+from nhsiegel.linalg import MultiIndex, eigenvalues_sym, in_V_delta, inv_stack
+from nhsiegel.reps import make_rep, norms, rep_matrix
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
 from nhsiegel.sampling import random_siegel_points
 from nhsiegel.symplectic import (
@@ -168,7 +172,6 @@ class TestAgainstSinglePoints:
             _close(rec["min_im_eigenvalue"], low)
             assert rec["in_V_delta"] is bool(in_V_delta(z_red.Y, delta, tol=1e-9))
             assert rec["delta"] == delta
-            assert rec["consistency"] == 0.0
 
     @pytest.mark.parametrize("name", ["e4", "e2star", "sym2"])
     def test_eval(self, forms, tmp_path, name):
@@ -306,3 +309,92 @@ class TestDegreeOneFloor:
     def test_reduced_points_clear_the_floor(self):
         _, reduced = reduce_batch(_adversarial(1, 2000, seed=5))
         assert reduced.eigvals[:, -1].min() >= delta_for_degree(1) - 1e-12
+
+
+class TestNothingComputedTwice:
+    """Each command computes each quantity once and reports only what it
+    checked."""
+
+    def test_reduce_decomposes_each_point_at_most_twice(self, tmp_path, eigh_matrices):
+        # Once when the points are parsed, once for the reduced points.
+        k = 50
+        path = _points_file(tmp_path / "points.json", _adversarial(2, k))
+        eigh_matrices[0] = 0
+        assert main(["reduce", "--points", path, "--out", str(tmp_path / "r.json")]) == 0
+        assert 0 < eigh_matrices[0] <= 2 * k
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reduce_record_keys(self, tmp_path, n):
+        path = _points_file(tmp_path / "points.json", _adversarial(n, 20))
+        for rec in _run_json(["reduce", "--points", path], tmp_path):
+            assert set(rec) == {"gamma", "z_red", "min_im_eigenvalue", "in_V_delta", "delta"}
+
+    @pytest.mark.parametrize("name", ["e4", "sym2"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_eval_sums_the_series_once(self, forms, tmp_path, monkeypatch, name, fmt):
+        import nhsiegel.cli
+        import nhsiegel.forms
+
+        calls = []
+        real = nhsiegel.forms.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nhsiegel.forms, "evaluate", counting)
+        monkeypatch.setattr(nhsiegel.cli, "evaluate", counting)
+        path = _points_file(tmp_path / "points.json", _adversarial(build_sample(name).n, 20))
+        argv = ["eval", "--form", str(forms[name]), "--points", path, "--format", fmt]
+        assert main(argv + ["--out", str(tmp_path / f"e.{fmt}")]) == 0
+        assert len(calls) == 1
+
+
+def _retruncated_by_from_terms(expansion, t_max):
+    # Every stored term sent through from_terms again.
+    terms = [
+        (beta, np.array(skey, dtype=float), vec)
+        for (beta, skey), vec in expansion.coefficients.items()
+    ]
+    return FourierExpansion.from_terms(
+        expansion.n, expansion.p, expansion.level, expansion.rep, t_max, terms
+    )
+
+
+def _level_three_expansion():
+    # Traces such as 1/3 + 1/3 test the Tr(S) cut at level N > 1.
+    rep = make_rep(2, 0, 2)
+    beta = MultiIndex.from_dict(2, {})
+    keys = [
+        [[1, 0], [0, 1]], [[1, 1], [1, 1]], [[2, 1], [1, 2]], [[4, 2], [2, 5]], [[0, 0], [0, 3]]
+    ]
+    terms = [(beta, key, [complex(i + 1)]) for i, key in enumerate(keys)]
+    return FourierExpansion.from_terms(2, 0, 3, rep, 10.0, terms)
+
+
+class TestWithTMax:
+    @pytest.mark.parametrize("name", ["e4", "e2star", "sym2"])
+    def test_runs_no_eigensolve(self, name, monkeypatch):
+        import nhsiegel.linalg
+
+        expansion = build_sample(name).expansion
+        calls = []
+        eigh = nhsiegel.linalg._eigh
+        monkeypatch.setattr(nhsiegel.linalg, "_eigh", lambda a: calls.append(a) or eigh(a))
+        assert len(expansion.with_t_max(3.0).coefficients) > 0
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "expansion",
+        [build_sample("e4").expansion, build_sample("sym2").expansion, _level_three_expansion()],
+        ids=["e4", "sym2", "level3"],
+    )
+    def test_keeps_what_from_terms_keeps(self, expansion):
+        traces = sorted({float(np.trace(s)) for _, s, _ in expansion.terms()})
+        for t_max in [0.0, *traces, *(t + 1e-9 for t in traces), expansion.t_max + 1.0]:
+            got = expansion.with_t_max(t_max)
+            want = _retruncated_by_from_terms(expansion, t_max)
+            assert got == want
+            assert list(got.coefficients) == list(want.coefficients)
+        with pytest.raises(FormDataError):
+            expansion.with_t_max(-1.0)

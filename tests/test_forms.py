@@ -261,14 +261,6 @@ class TestInvariance:
         with pytest.raises(ValueError, match="identity/2"):
             check_invariance(e4_package, [point1(0.0, 0.3)])
 
-    def test_report_merge(self, e4_package, rng):
-        shard1 = check_invariance(e4_package, [point1(0.1, 1.0), point1(0.2, 2.0)])
-        shard2 = check_invariance(e4_package, [point1(-0.3, 1.5)])
-        merged = shard1.merge(shard2)
-        assert merged.samples == 3
-        assert merged.max_deviation == max(shard1.max_deviation, shard2.max_deviation)
-        assert merged.violations == 0
-
     def test_non_modular_data_flagged(self, sym2_package, rng):
         # Negative control: the synthetic degree-2 set satisfies no
         # transformation law, so the checker must report violations.

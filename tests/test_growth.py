@@ -144,25 +144,6 @@ class TestVerifyGrowthBound:
         with pytest.raises(ValueError):
             verify_growth_bound(e4_package, 1.0, "sharpest")
 
-    def test_shard_merge(self, e4_package):
-        c = 1.25
-        r1 = verify_growth_bound(
-            e4_package, c, "theorem", config=SweepConfig(samples=50, seed=61)
-        )
-        r2 = verify_growth_bound(
-            e4_package, c, "theorem", config=SweepConfig(samples=70, seed=62)
-        )
-        merged = r1.merge(r2)
-        assert merged.samples == 120
-        assert merged.violations == r1.violations + r2.violations
-        assert merged.worst_ratio == max(r1.worst_ratio, r2.worst_ratio)
-        with pytest.raises(ValueError):
-            r1.merge(
-                verify_growth_bound(
-                    e4_package, 2.0, "theorem", config=SweepConfig(samples=10, seed=63)
-                )
-            )
-
     def test_report_dict_fields(self, zero_package):
         report = verify_growth_bound(
             zero_package, 1.0, "theorem", config=SweepConfig(samples=10, seed=1)
