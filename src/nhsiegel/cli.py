@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +106,7 @@ def _load_points(args) -> PointBatch:
 
 
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
-    if args.fmt == "csv" and csv_rows is not None:
+    if csv_rows is not None and args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
@@ -125,13 +125,7 @@ def _load_package(args) -> FormPackage:
         raise FormDataError("--form is required for this command")
     package = load_form_package(args.form)
     if args.tmax is not None:
-        package = FormPackage(
-            package.expansion.with_t_max(args.tmax),
-            package.gamma_test_set,
-            growth_a=package.growth_a,
-            growth_kappa=package.growth_kappa,
-            coset_reps=package.coset_reps,
-        )
+        package = replace(package, expansion=package.expansion.with_t_max(args.tmax))
     return package
 
 
@@ -183,8 +177,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.fmt == "csv":
-        raise FormDataError("check reports are JSON only; drop --format csv")
     package = _load_package(args)
     rng = np.random.default_rng(args.seed)
     samples = random_siegel_points(
@@ -302,32 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
         "w0": dict(default=None, help="comma-separated real coordinates"),
         "name": dict(choices=sorted(SAMPLE_BUILDERS), required=True),
     }
-    # Each subcommand takes the flags it reads; check reads no --tol but keeps
-    # it, so that `check --tol 0` stays an input error.
+    # Each subcommand takes the flags it reads.
     sweep = "form samples seed tmax tol out format"
-    for name, help_, names in (
-        ("eval", "evaluate F(Z) and phi(Z) at points", "form z points tmax out format"),
-        ("reduce", "reduce points to the fundamental domain", "z points delta tol out format"),
-        ("check", "check the transformation law on samples", sweep),
-        ("bound", "sweep the growth bound", sweep + " kind constant"),
-        ("moderate", "sweep the moderate-growth inequality", sweep + " r w0 constant"),
-        ("sample", "write a bundled sample form file", "name tmax out"),
+    for name, func, help_, names in (
+        ("eval", cmd_eval, "evaluate F(Z) and phi(Z) at points", "form z points tmax out format"),
+        ("reduce", cmd_reduce, "reduce points to the fundamental domain", "z points delta tol out format"),
+        ("check", cmd_check, "check the transformation law on samples", "form samples seed tmax out"),
+        ("bound", cmd_bound, "sweep the growth bound", sweep + " kind constant"),
+        ("moderate", cmd_moderate, "sweep the moderate-growth inequality", sweep + " r w0 constant"),
+        ("sample", cmd_sample, "write a bundled sample form file", "name tmax out"),
     ):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
         for flag in names.split():
             p.add_argument(f"--{flag}", **flags[flag])
 
     return parser
-
-
-COMMANDS = {
-    "eval": cmd_eval,
-    "reduce": cmd_reduce,
-    "check": cmd_check,
-    "bound": cmd_bound,
-    "moderate": cmd_moderate,
-    "sample": cmd_sample,
-}
 
 
 def main(argv=None) -> int:
@@ -341,7 +323,7 @@ def main(argv=None) -> int:
             raise FormDataError("--delta must be positive")
         if given.get("tol", 1.0) <= 0:
             raise FormDataError("--tol must be positive")
-        return COMMANDS[args.command](args)
+        return args.func(args)
     except FormDataError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormDataError
-from .forms import FormPackage, FourierExpansion
+from .forms import FormPackage, FourierExpansion, trace_level
 from .linalg import MultiIndex
 from .reps import make_rep
 from .symplectic import SymplecticMatrix
@@ -144,7 +144,7 @@ def package_to_dict(package: FormPackage) -> dict:
     records = []
     for (beta, skey), vec in sorted(
         exp_.coefficients.items(),
-        key=lambda kv: (sum(kv[0][1][i][i] for i in range(exp_.n)), kv[0][1], kv[0][0].powers),
+        key=lambda kv: (trace_level(kv[0][1]), kv[0][1], kv[0][0].powers),
     ):
         records.append(
             {

@@ -7,7 +7,8 @@ finite coefficient map
 
 where beta ranges over multi-indices of total degree <= p on the entries of
 Y^{-1}, and S over positive semidefinite symmetric matrices with N*S
-integral and trace at most the truncation bound.  Evaluation sums
+integral whose level Tr(N*S) is at most ``last_level(N, t_max)``; the series
+tail starts at the next level.  Evaluation sums
 
     F(Z) = sum a(beta, S) exp(2 pi i Tr(S Z)) [Y^{-1}]^beta.
 
@@ -47,13 +48,26 @@ def _canonical_s_key(s_int: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in s_int)
 
 
+def trace_level(s_key) -> int:
+    """The level m = Tr(N*S) of an integer key N*S: its diagonal sum."""
+    return sum(row[i] for i, row in enumerate(s_key))
+
+
+def last_level(level: int, t_max: float) -> int:
+    """The highest level Tr(N*S) that the truncation bound t_max keeps;
+    the series tail starts at the level after it."""
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise FormDataError(f"truncation bound must be finite and non-negative, got {t_max}")
+    return math.floor(level * (t_max + 1e-12))
+
+
 class _CheckedTerms(dict):
     """A coefficient map every term of which passed ``_checked_term``."""
 
 
 def _checked_term(n, p, level, rep, beta, s_raw, value, where: str):
-    """The validated term (beta, N*S, vector) as (key, read-only vector,
-    Tr S); FormDataError prefixed with ``where`` if it is malformed."""
+    """The validated term (beta, N*S, vector) as (key, read-only vector);
+    FormDataError prefixed with ``where`` if it is malformed."""
     if not isinstance(beta, MultiIndex):
         raise FormDataError(f"{where}: beta must be a MultiIndex")
     if beta.n != n:
@@ -71,8 +85,7 @@ def _checked_term(n, p, level, rep, beta, s_raw, value, where: str):
     if float(np.max(np.abs(s_round - s_round.T))) != 0.0:
         raise FormDataError(f"{where}: S is not symmetric")
     s_int = s_round.astype(np.int64)
-    s_mat = s_int / float(level)
-    w = eigenvalues_sym(s_mat)
+    w = eigenvalues_sym(s_int / float(level))
     if float(w[-1]) < -1e-12:
         raise FormDataError(
             f"{where}: S is not positive semidefinite (min eigenvalue {w[-1]:.3e})"
@@ -81,7 +94,7 @@ def _checked_term(n, p, level, rep, beta, s_raw, value, where: str):
     if vec.shape != (rep.dim,):
         raise FormDataError(f"{where}: value has length {vec.shape}, expected {rep.dim}")
     vec.flags.writeable = False
-    return (beta, _canonical_s_key(s_int)), vec, float(np.trace(s_mat))
+    return (beta, _canonical_s_key(s_int)), vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +102,10 @@ class FourierExpansion:
     """Finitely supported Fourier data of a nearly holomorphic form.
 
     ``coefficients`` maps (MultiIndex, integer matrix key of N*S) to complex
-    coordinate vectors in ``rep``.  Terms with Tr(S) above ``t_max`` are
-    dropped on construction; S that fails positive semidefiniteness is
-    rejected outright.
+    coordinate vectors in ``rep``.  The constructor rejects a term whose
+    level Tr(N*S) exceeds ``last_level(level, t_max)``, as it rejects an S
+    that fails positive semidefiniteness; ``from_terms`` drops such terms
+    instead.
     """
 
     n: int
@@ -112,8 +126,7 @@ class FourierExpansion:
             raise FormDataError(
                 f"representation rank {self.rep.n} does not match degree {self.n}"
             )
-        if self.t_max < 0:
-            raise FormDataError("truncation bound must be non-negative")
+        last = last_level(self.level, self.t_max)
         coeffs = self.coefficients
         if not isinstance(coeffs, _CheckedTerms):
             # The invariants hold no matter how the map was assembled.
@@ -121,10 +134,10 @@ class FourierExpansion:
             for key, value in dict(coeffs).items():
                 where = f"coefficient key {key!r}"
                 beta, skey = key
-                key, vec, trace = _checked_term(
+                key, vec = _checked_term(
                     self.n, self.p, self.level, self.rep, beta, skey, value, where
                 )
-                if trace > self.t_max + 1e-12:
+                if trace_level(key[1]) > last:
                     raise FormDataError(f"{where}: Tr(S) exceeds the truncation bound {self.t_max}")
                 checked[key] = vec
             coeffs = checked
@@ -141,18 +154,19 @@ class FourierExpansion:
         terms: Iterable[tuple[MultiIndex, Sequence[Sequence[int]], Sequence[complex]]],
     ) -> "FourierExpansion":
         """Build an expansion from (beta, N*S integer matrix, vector) records,
-        dropping those with Tr(S) above ``t_max``.
+        dropping those whose level Tr(N*S) exceeds ``last_level(level, t_max)``.
 
         Raises FormDataError naming the offending record when a beta exceeds
         degree p, an S is not positive semidefinite, or N*S is not integral.
         """
+        last = last_level(level, t_max)
         coeffs = _CheckedTerms()
         for idx, (beta, s_raw, value) in enumerate(terms):
             where = f"coefficients[{idx}]"
-            key, vec, trace = _checked_term(n, p, level, rep, beta, s_raw, value, where)
+            key, vec = _checked_term(n, p, level, rep, beta, s_raw, value, where)
             if key in coeffs:
                 raise FormDataError(f"{where}: duplicate (beta, S) record")
-            if trace <= t_max + 1e-12:
+            if trace_level(key[1]) <= last:
                 coeffs[key] = vec
         return cls(n=n, p=p, level=level, rep=rep, t_max=t_max, coefficients=coeffs)
 
@@ -164,11 +178,10 @@ class FourierExpansion:
 
     def with_t_max(self, t_max: float) -> "FourierExpansion":
         """Re-truncate to a new trace bound.  The stored terms are checked
-        already, so only their traces are read again."""
+        already, so only their levels are read again."""
+        last = last_level(self.level, t_max)
         kept = _CheckedTerms(
-            (key, vec)
-            for key, vec in self.coefficients.items()
-            if np.trace(np.array(key[1], dtype=float) / self.level) <= t_max + 1e-12
+            (key, vec) for key, vec in self.coefficients.items() if trace_level(key[1]) <= last
         )
         return FourierExpansion(self.n, self.p, self.level, self.rep, t_max, kept)
 
@@ -361,7 +374,7 @@ def _tail_series(package: FormPackage, delta: float) -> float:
     count_beta = multi_index_count(n, p)
     mono = max(1.0, delta ** (-p))
     c = _TWO_PI * delta / level
-    m = int(math.floor(level * exp_.t_max + 1e-9)) + 1
+    m = last_level(level, exp_.t_max) + 1
 
     def term(mm: int) -> float:
         return (2.0 * mm + 1.0) ** r_slots * a_const * (1.0 + mm / level) ** kappa * math.exp(-c * mm)

@@ -22,9 +22,9 @@ whatever the block size.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -109,16 +109,7 @@ class GrowthReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "constant": self.constant,
-            "exponent_r": self.exponent_r,
-            "samples": self.samples,
-            "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
-            "worst_point": self.worst_point,
-            "config": self.config,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
 
 def sturm_rhs_batch(points: PointBatch, lambda1: int) -> np.ndarray:
@@ -150,22 +141,20 @@ def corollary_rhs(y, lambda1: int) -> float:
     return float(corollary_rhs_batch(_one_point(y), lambda1)[0])
 
 
-def _chunks(items: Iterable, size: int = SWEEP_BLOCK) -> Iterator[list]:
-    it = iter(items)
-    while chunk := list(itertools.islice(it, size)):
-        yield chunk
-
-
-def _block_sizes(config: SweepConfig) -> Iterator[int]:
-    for start in range(0, config.samples, SWEEP_BLOCK):
-        yield min(SWEEP_BLOCK, config.samples - start)
-
-
-def adversarial_blocks(n: int, config: SweepConfig) -> Iterator[PointBatch]:
-    """The configured adversarial points, in blocks of SWEEP_BLOCK."""
+def _seeded_blocks(draw, n: int, config: SweepConfig) -> Iterator:
+    """``config.samples`` draws of ``draw`` from one generator seeded with
+    ``config.seed``, in blocks of at most SWEEP_BLOCK."""
     rng = np.random.default_rng(config.seed)
-    for size in _block_sizes(config):
-        yield random_siegel_points(n, rng, size, config.eig_low, config.eig_high, config.x_scale)
+    for start in range(0, config.samples, SWEEP_BLOCK):
+        size = min(SWEEP_BLOCK, config.samples - start)
+        yield draw(n, rng, size, config.eig_low, config.eig_high, config.x_scale)
+
+
+# The configured adversarial points as PointBatches, and the configured
+# samples g = from_point(Z) k (adversarial Z, random compact k) as
+# (N, 2n, 2n) stacks.
+adversarial_blocks = partial(_seeded_blocks, random_siegel_points)
+group_blocks = partial(_seeded_blocks, random_group_samples)
 
 
 def estimate_constant(package: FormPackage, config: SweepConfig) -> float:
@@ -217,7 +206,7 @@ def verify_growth_bound(
         rhs = constant * rhs_fn(batch, lam1)
         parts.append((batch.mat, value, rhs))
     exponent = lam1 / 2.0 if kind == "theorem" else float(package.n * lam1)
-    return _report(kind, constant, exponent, parts, config, package)
+    return _report(kind, constant, exponent, parts, _config_dict(config, package))
 
 
 def lift_batch(f: FormLike, elements) -> np.ndarray:
@@ -228,14 +217,6 @@ def lift_batch(f: FormLike, elements) -> np.ndarray:
 def lift(f: FormLike, g: SymplecticMatrix) -> RepVector:
     """The lifted function on the group: rho(J(g, iI))^{-1} F(g . iI)."""
     return RepVector(as_evaluator(f).rep, lift_batch(f, g.mat[None])[0])
-
-
-def group_blocks(n: int, config: SweepConfig) -> Iterator[np.ndarray]:
-    """Samples g = from_point(Z) k with adversarial Z and random compact k,
-    as (N, 2n, 2n) stacks of at most SWEEP_BLOCK elements."""
-    rng = np.random.default_rng(config.seed)
-    for size in _block_sizes(config):
-        yield random_group_samples(n, rng, size, config.eig_low, config.eig_high, config.x_scale)
 
 
 def group_samples(n: int, config: SweepConfig) -> Iterator[SymplecticMatrix]:
@@ -255,7 +236,9 @@ def verify_moderate_growth(
 
     ``constant`` is the certified eigenvalue-bound constant; the moderate
     growth constant is ||w0|| * constant * safety.  The exponent must be at
-    least n * lambda1 / 2.
+    least n * lambda1 / 2.  Given ``elements`` are swept as one block in
+    place of the configured draws, and the report's config then keeps only
+    the fields that applied to them.
     """
     lam1 = package.lambda1
     min_r = package.n * lam1 / 2.0
@@ -263,22 +246,25 @@ def verify_moderate_growth(
         raise InvalidExponentError(f"exponent {r} below the certified threshold {min_r}")
     config = config or SweepConfig()
     c_mod = norm(w0) * constant * config.safety
+    settings = _config_dict(config, package)
     if elements is None:
         blocks = group_blocks(package.n, config)
     else:
-        blocks = (np.stack([g.mat for g in chunk]) for chunk in _chunks(elements))
+        mats = [g.mat for g in elements]
+        blocks = [np.stack(mats)] if mats else []
+        settings = {k: settings[k] for k in ("safety", "ratio_tol", "delta", "t_max")}
     weights = np.conj(w0.coords) * package.rep.basis_sq_norms
     parts = []
     for gs in blocks:
         value = np.abs(np.sum(lift_batch(package, gs) * weights, axis=-1))
         rhs = c_mod * np.sum(gs * gs, axis=(1, 2)) ** r
         parts.append((gs, value, rhs))
-    return _report("moderate-growth", c_mod, float(r), parts, config, package)
+    return _report("moderate-growth", c_mod, float(r), parts, settings)
 
 
-def _report(kind, constant, exponent_r, parts, config, package) -> GrowthReport:
-    """The report of a sweep from its (where, value, rhs) blocks; the ratio
-    reads 0/0 as 0 and x/0 as inf."""
+def _report(kind, constant, exponent_r, parts, settings) -> GrowthReport:
+    """The report of a sweep from its (where, value, rhs) blocks and its
+    config dict ``settings``; the ratio reads 0/0 as 0 and x/0 as inf."""
     if not parts:
         raise ValueError("a sweep needs at least one sample")
     where, value, rhs = map(np.concatenate, zip(*parts))
@@ -301,10 +287,10 @@ def _report(kind, constant, exponent_r, parts, config, package) -> GrowthReport:
         constant=constant,
         exponent_r=exponent_r,
         samples=len(ratio),
-        violations=int(np.sum(records.ratio > 1.0 + config.ratio_tol)),
+        violations=int(np.sum(records.ratio > 1.0 + settings["ratio_tol"])),
         worst_ratio=worst_ratio,
         worst_point=worst_point,
-        config=_config_dict(config, package),
+        config=settings,
         records=records,
     )
 

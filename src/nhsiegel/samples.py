@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .forms import FormPackage, FourierExpansion
+from .forms import FormPackage, FourierExpansion, last_level
 from .linalg import MultiIndex
 from .reps import make_rep
 from .symplectic import SymplecticMatrix, inversion, translation
@@ -42,19 +42,24 @@ def _beta0(n: int) -> MultiIndex:
     return MultiIndex.from_dict(n, {})
 
 
+def _level_one(k, p, c, t_max, growth_a, growth_kappa, extra=()) -> FormPackage:
+    """The level-one weight-k package with a(0) = 1, the ``extra`` terms,
+    and a(m) = c sigma_{k-1}(m) at every level m the truncation keeps."""
+    b0 = _beta0(1)
+    terms = [(b0, [[0]], [1.0 + 0.0j]), *extra]
+    for m in range(1, last_level(1, t_max) + 1):
+        terms.append((b0, [[m]], [c * divisor_power_sum(m, k - 1) + 0.0j]))
+    exp_ = FourierExpansion.from_terms(1, p, 1, make_rep(1, 0, k), t_max, terms)
+    return FormPackage(exp_, _sl2_gamma_set(), growth_a=growth_a, growth_kappa=growth_kappa)
+
+
 def eisenstein4(t_max: float = 20.0) -> FormPackage:
     """Weight-4 level-one Eisenstein series, truncated at Tr(S) <= t_max.
 
     Coefficients: a(0) = 1, a(m) = 240 sigma_3(m).  Declared growth
     A = 300, kappa = 3 (sigma_3(m) <= zeta(3) m^3 and 240 zeta(3) < 300).
     """
-    rep = make_rep(1, 0, 4)
-    b0 = _beta0(1)
-    terms = [(b0, [[0]], [1.0 + 0.0j])]
-    for m in range(1, int(t_max) + 1):
-        terms.append((b0, [[m]], [240.0 * divisor_power_sum(m, 3) + 0.0j]))
-    exp_ = FourierExpansion.from_terms(1, 0, 1, rep, t_max, terms)
-    return FormPackage(exp_, _sl2_gamma_set(), growth_a=300.0, growth_kappa=3.0)
+    return _level_one(4, 0, 240.0, t_max, 300.0, 3.0)
 
 
 def eisenstein6(t_max: float = 20.0) -> FormPackage:
@@ -63,13 +68,7 @@ def eisenstein6(t_max: float = 20.0) -> FormPackage:
     Coefficients: a(0) = 1, a(m) = -504 sigma_5(m).  Declared growth
     A = 550, kappa = 5 (504 zeta(5) < 523).
     """
-    rep = make_rep(1, 0, 6)
-    b0 = _beta0(1)
-    terms = [(b0, [[0]], [1.0 + 0.0j])]
-    for m in range(1, int(t_max) + 1):
-        terms.append((b0, [[m]], [-504.0 * divisor_power_sum(m, 5) + 0.0j]))
-    exp_ = FourierExpansion.from_terms(1, 0, 1, rep, t_max, terms)
-    return FormPackage(exp_, _sl2_gamma_set(), growth_a=550.0, growth_kappa=5.0)
+    return _level_one(6, 0, -504.0, t_max, 550.0, 5.0)
 
 
 def e2_star(t_max: float = 20.0) -> FormPackage:
@@ -80,17 +79,8 @@ def e2_star(t_max: float = 20.0) -> FormPackage:
     Declared growth A = 30, kappa = 2 (24 sigma_1(m) <= 24 m^2 and the 1/y
     coefficient has magnitude 3/pi < 1).
     """
-    rep = make_rep(1, 0, 2)
-    b0 = _beta0(1)
     b11 = MultiIndex.from_dict(1, {(1, 1): 1})
-    terms = [
-        (b0, [[0]], [1.0 + 0.0j]),
-        (b11, [[0]], [-3.0 / math.pi + 0.0j]),
-    ]
-    for m in range(1, int(t_max) + 1):
-        terms.append((b0, [[m]], [-24.0 * divisor_power_sum(m, 1) + 0.0j]))
-    exp_ = FourierExpansion.from_terms(1, 1, 1, rep, t_max, terms)
-    return FormPackage(exp_, _sl2_gamma_set(), growth_a=30.0, growth_kappa=2.0)
+    return _level_one(2, 1, -24.0, t_max, 30.0, 2.0, [(b11, [[0]], [-3.0 / math.pi + 0.0j])])
 
 
 def constant_form(value: complex = 1.0, t_max: float = 20.0) -> FormPackage:

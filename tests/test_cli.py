@@ -274,6 +274,20 @@ class TestModerate:
         assert lines[0] == "g_11,g_12,g_21,g_22,phi,rhs,ratio"
         assert len(lines) == 21
 
+    def test_w0_default_is_first_basis_vector(self, e4_file, tmp_path):
+        # Guard: --w0 given as the default vector writes the same bytes.
+        outs = [tmp_path / "default.json", tmp_path / "w0.json"]
+        base = ["moderate", "--form", str(e4_file), "--samples", "50"]
+        assert main([*base, "--out", str(outs[0])]) == 0
+        assert main([*base, "--w0", "1", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("w0", ["x", "1,2"])
+    def test_bad_w0(self, e4_file, capsys, w0):
+        # Guard: a non-numeric or wrong-length --w0 is malformed input.
+        assert main(["moderate", "--form", str(e4_file), "--samples", "10", "--w0", w0]) == 2
+        assert "--w0" in capsys.readouterr().err
+
     def test_exponent_too_small(self, e4_file, capsys):
         rc = main(
             ["moderate", "--form", str(e4_file), "--samples", "10", "--r", "0.5"]
@@ -283,9 +297,6 @@ class TestModerate:
 
 
 class TestCheck:
-    def test_csv_rejected(self, e4_file):
-        assert main(["check", "--form", str(e4_file), "--format", "csv"]) == 2
-
     def test_e4(self, e4_file, tmp_path):
         out = tmp_path / "check.json"
         rc = main(
@@ -306,13 +317,21 @@ class TestCheck:
         assert report["violations"] == 0
         assert report["max_deviation"] <= report["threshold"]
 
+    def test_tmax_just_below_a_level(self, e4_file):
+        # The term at level 5 is dropped; the tail must count it, or the
+        # truncated E4 fails its own transformation law.
+        argv = ["check", "--form", str(e4_file), "--samples", "100", "--tmax", "4.9999999999"]
+        assert main(argv) == 0
+
 
 class TestConfigValidation:
     def test_bad_samples(self, e4_file):
         assert main(["check", "--form", str(e4_file), "--samples", "0"]) == 2
 
-    def test_bad_tol(self, e4_file):
-        assert main(["check", "--form", str(e4_file), "--tol", "0"]) == 2
+    def test_missing_form_file(self, tmp_path, capsys):
+        # Guard: an unreadable form file is malformed input.
+        assert main(["bound", "--form", str(tmp_path / "missing.json")]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_bad_format_rejected_by_argparse(self, e4_file):
         with pytest.raises(SystemExit):

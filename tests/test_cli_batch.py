@@ -249,6 +249,8 @@ class TestFlags:
         ("bound", ["--form", "f.json"], ["--delta"]),
         ("moderate", ["--form", "f.json"], ["--delta"]),
         ("sample", ["--name", "e4"], ["--delta", "--samples", "--seed", "--tol", "--format"]),
+        # Listed last: pytest numbers the ids of these cases by position.
+        ("check", ["--form", "f.json"], ["--tol", "--format"]),
     ]
 
     @pytest.mark.parametrize(

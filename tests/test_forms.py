@@ -16,7 +16,7 @@ from nhsiegel.forms import (
 )
 from nhsiegel.linalg import MultiIndex, inverse, monomial
 from nhsiegel.reps import make_rep, norm
-from nhsiegel.samples import divisor_power_sum
+from nhsiegel.samples import divisor_power_sum, eisenstein4
 from nhsiegel.sampling import random_siegel_point, random_symplectic
 from nhsiegel.symplectic import SiegelPoint, inversion, translation
 
@@ -121,6 +121,14 @@ class TestConstructionGates:
                 2, 0, 1, rep, 10.0, [(MultiIndex.from_dict(2, {}), s, [1.0])]
             )
 
+    def test_rejects_asymmetric_s_degree2(self):
+        # Guard: the symmetry check of each record.
+        rep = make_rep(2, 0, 2)
+        with pytest.raises(FormDataError, match="S is not symmetric"):
+            FourierExpansion.from_terms(
+                2, 0, 1, rep, 10.0, [(MultiIndex.from_dict(2, {}), [[1, 1], [0, 1]], [1.0])]
+            )
+
     def test_rejects_beta_above_degree(self):
         rep = make_rep(1, 0, 2)
         with pytest.raises(FormDataError, match="exceeds near-holomorphy degree"):
@@ -149,6 +157,17 @@ class TestConstructionGates:
         smaller = e4_package.expansion.with_t_max(5.0)
         assert len(smaller.coefficients) == 6
         assert smaller.t_max == 5.0
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_rejects_non_finite_truncation_bound(self, e4_package, t_max):
+        # No level is the last one below such a bound, and no tail follows it.
+        with pytest.raises(FormDataError, match="truncation bound must be finite"):
+            e4_package.expansion.with_t_max(t_max)
+
+    def test_retruncation_just_below_a_level(self, e4_package):
+        # Guard: a bound just below level 5 keeps the levels up to 4.
+        kept = e4_package.expansion.with_t_max(4.9999999999)
+        assert sorted(int(s[0, 0]) for _, s, _ in kept.terms()) == [0, 1, 2, 3, 4]
 
     def test_raw_constructor_enforces_invariants(self):
         rep = make_rep(1, 0, 4)
@@ -289,6 +308,14 @@ class TestTailBound:
             for m in range(21, 201)
         )
         assert tail_bound(e4_package, np.array([[y]])) >= true_tail
+
+    def test_counts_the_first_dropped_level(self, e4_package):
+        # A bound just below level 5 drops the level-5 term, so the tail
+        # must start there: it covers the terms of levels 5 to 20.
+        package = eisenstein4(t_max=4.9999999999)
+        z = point1(0.0, 0.8660254)
+        dropped = evaluate(e4_package.expansion, z).coords - evaluate(package.expansion, z).coords
+        assert tail_bound(package, z.Y) >= abs(dropped[0])
 
     def test_divergence_error(self, e4_package):
         with pytest.raises(TailDivergenceError):

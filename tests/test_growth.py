@@ -226,6 +226,20 @@ class TestModerateGrowth:
         assert report.violations == 0
         assert report.samples == 6
 
+    def test_given_elements_config(self, e4_package):
+        # Nothing is drawn, so the config keeps only the fields that applied.
+        w0 = basis_vector(e4_package.rep, 0)
+        rays = [SymplecticMatrix(np.diag([float(t), 1.0 / t])) for t in (2, 4, 8, 16, 32)]
+        report = verify_moderate_growth(e4_package, w0, 2.0, 1.0, elements=rays)
+        assert report.samples == 5
+        assert set(report.config) == {"safety", "ratio_tol", "delta", "t_max"}
+
+    def test_no_elements(self, e4_package):
+        # Guard: an empty element list is not a sweep.
+        w0 = basis_vector(e4_package.rep, 0)
+        with pytest.raises(ValueError, match="a sweep needs at least one sample"):
+            verify_moderate_growth(e4_package, w0, 2.0, 1.0, elements=[])
+
     def test_exponent_floor(self, e4_package):
         w0 = basis_vector(e4_package.rep, 0)
         with pytest.raises(InvalidExponentError):
