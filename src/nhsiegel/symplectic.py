@@ -58,8 +58,8 @@ _LAGRANGE_TOL = 1e-12
 #     point y11 - |y12| >= y11 (1 - e)/2 and y22 - |y12| >= y11 (1/(1 + e) -
 #     (1 + e)/2), the smaller factor of the two, so
 #     lambda_min >= h (1/(1 + e) - (1 + e)/2), sqrt(3)/4 less about 3e-10.
-# The returned point is act(gamma, Z) recomputed from Z; it equals the last
-# iterate up to rounding.
+# The returned point is that stopping point, the last iterate, so the floors
+# hold for it as returned; it equals gamma . Z up to rounding.
 _FLOOR_H = math.sqrt(1.0 / (1.0 + _IMPROVE_TOL) - 0.25)
 FUNDAMENTAL_DOMAIN_DELTA = {
     1: _FLOOR_H,
@@ -239,25 +239,25 @@ class SymplecticMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
+    @classmethod
+    def _integral(cls, g: np.ndarray) -> "SymplecticMatrix":
+        """The element of an int64 matrix g, checked exactly: g^T J g = J."""
+        if not np.array_equal(g.T @ _INT_J[len(g) // 2] @ g, _INT_J[len(g) // 2]):
+            raise ValueError("matrix does not satisfy the symplectic relations")
+        m = object.__new__(cls)
+        object.__setattr__(m, "mat", g.astype(float))
+        m.mat.flags.writeable = False
+        return m
+
     @property
     def n(self) -> int:
         return self.mat.shape[0] // 2
 
-    @property
-    def A(self) -> np.ndarray:
-        return _blocks(self.mat, self.n)[0]
-
-    @property
-    def B(self) -> np.ndarray:
-        return _blocks(self.mat, self.n)[1]
-
-    @property
-    def C(self) -> np.ndarray:
-        return _blocks(self.mat, self.n)[2]
-
-    @property
-    def D(self) -> np.ndarray:
-        return _blocks(self.mat, self.n)[3]
+    # The blocks of g = (A B; C D).
+    A = property(lambda self: _blocks(self.mat, self.n)[0])
+    B = property(lambda self: _blocks(self.mat, self.n)[1])
+    C = property(lambda self: _blocks(self.mat, self.n)[2])
+    D = property(lambda self: _blocks(self.mat, self.n)[3])
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         return SymplecticMatrix(self.mat @ other.mat)
@@ -288,33 +288,23 @@ def gl_embedding(u) -> SymplecticMatrix:
 
 
 def inversion(n: int) -> SymplecticMatrix:
-    """The full inversion (0 -I; I 0) acting by Z -> -Z^{-1}."""
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = -np.eye(n)
-    m[n:, :n] = np.eye(n)
-    return SymplecticMatrix(m)
+    """The full inversion (0 -I; I 0) = J^T acting by Z -> -Z^{-1}."""
+    return SymplecticMatrix(symplectic_form(n).T)
 
 
 def embedded_inversion(n: int, i: int) -> SymplecticMatrix:
     """The degree-1 inversion embedded at diagonal slot i (1-based)."""
     if not (1 <= i <= n):
         raise ValueError(f"slot {i} outside 1..{n}")
-    e = np.zeros((n, n))
-    e[i - 1, i - 1] = 1.0
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = np.eye(n) - e
-    m[:n, n:] = -e
-    m[n:, :n] = e
-    m[n:, n:] = np.eye(n) - e
+    m, slot = np.eye(2 * n), [i - 1, n + i - 1]
+    m[np.ix_(slot, slot)] = [[0.0, -1.0], [1.0, 0.0]]
     return SymplecticMatrix(m)
 
 
 def compact_from_unitary_batch(u: np.ndarray) -> np.ndarray:
     """The maximal-compact elements (A B; -B A) built from an (N, n, n) stack
     of unitaries u = A + iB, as an (N, 2n, 2n) array."""
-    a, b = u.real, u.imag
-    top, bottom = np.concatenate([a, b], axis=-1), np.concatenate([-b, a], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    return np.block([[u.real, u.imag], [-u.imag, u.real]])
 
 
 def compact_from_unitary(u) -> SymplecticMatrix:
@@ -398,36 +388,43 @@ def is_in_principal_congruence(g: SymplecticMatrix, level: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-_ADJ_ORDER = np.array([3, 1, 2, 0])
 _ADJ_SIGN = np.array([[1, -1], [-1, 1]])
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
     # Of each matrix of a stack of 2x2 matrices.
-    return m.reshape(m.shape[:-2] + (4,))[..., _ADJ_ORDER].reshape(m.shape) * _ADJ_SIGN
+    return _t(m)[..., ::-1, ::-1] * _ADJ_SIGN
 
 
-_E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
+_INT_EYE = {k: np.eye(k, dtype=np.int64) for k in (2, 4)}
+_INT_J = {n: symplectic_form(n).astype(np.int64) for n in (1, 2)}
 
 
 def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
     """Integer u with det +-1 per matrix of an (N, 2, 2) stack such that
     u y u^T is Lagrange-reduced: 2|y12| <= y11 <= y22, to a relative
     _LAGRANGE_TOL.  Raises ReductionBudgetError after 64 rounds."""
-    u = np.zeros((len(y), 2, 2), dtype=np.int64) + np.eye(2, dtype=np.int64)
-    live = np.ones(len(y), dtype=bool)
-    y = y.copy()
+    # The entries of u y u^T, rounded as the products t y t^T would round them.
+    y11, y12, y22 = y[:, 0, 0], y[:, 0, 1], y[:, 1, 1]
+    u, live = np.repeat(_INT_EYE[2][None], len(y), axis=0), np.ones(len(y), dtype=bool)
     for _ in range(64):
-        swap = live & (y[:, 0, 0] > y[:, 1, 1] * (1.0 + 1e-15))
-        u[swap] = u[swap, ::-1]
-        y[swap] = y[swap, ::-1, ::-1]
+        swap = live & (y11 > y22 * (1.0 + 1e-15))
+        swapped = swap.any()
+        if swapped:
+            y11, y22 = np.where(swap, y22, y11), np.where(swap, y11, y22)
+            u[swap] = u[swap, ::-1]
         # The shear (1 0; -r 1) with r = round(y12 / y11); the identity once done.
-        t = np.eye(2) - np.where(live, (y[:, 0, 1] / y[:, 0, 0]).round(), 0.0)[:, None, None] * _E21
-        u = t.astype(np.int64) @ u
-        y = t @ y @ _t(t)
+        r = np.where(live, np.rint(y12 / y11), 0.0)
+        if r.any():
+            u[:, 1] -= r.astype(np.int64)[:, None] * u[:, 0]
+            y12, y22 = y12 - r * y11, y22 - r * y12
+            y22 = y22 - r * y12  # again, with the sheared y12: t y t^T's order
+        elif not swapped and (y11 > 0.0).all():
+            # Then y11 <= y22 (1 + 1e-15) and |y12| <= y11 / 2: all reduced.
+            return u
         live &= ~(
-            (2.0 * np.abs(y[:, 0, 1]) <= y[:, 0, 0] * (1.0 + _LAGRANGE_TOL))
-            & (y[:, 0, 0] <= y[:, 1, 1] * (1.0 + _LAGRANGE_TOL))
+            (2.0 * np.abs(y12) <= y11 * (1.0 + _LAGRANGE_TOL))
+            & (y11 <= y22 * (1.0 + _LAGRANGE_TOL))
         )
         if not live.any():
             return u
@@ -470,8 +467,9 @@ def _minors(zc: np.ndarray) -> np.ndarray:
     (z) in degree 1, (det Z, z11, z12, z22) in degree 2."""
     if zc.shape[-1] == 1:
         return zc[:, 0]
-    z11, z12, z22 = zc[:, 0, 0], zc[:, 0, 1], zc[:, 1, 1]
-    return np.stack([z11 * z22 - z12 * z12, z11, z12, z22], axis=-1)
+    m = zc.reshape(-1, 4)[:, [0, 0, 1, 3]]  # z11 (for det Z), z11, z12, z22
+    m[:, 0] = m[:, 1] * m[:, 3] - m[:, 2] * m[:, 2]
+    return m
 
 
 _CANDIDATES = {n: _build_candidates(n) for n in (1, 2)}
@@ -503,20 +501,20 @@ def reduce_batch(
     det Im(gamma Z) = det Im Z / |det(C Z + D)|^2, the candidates are scored
     by det(C Z + D) alone, all of them on all moving points at once, and
     the action is formed only for each moved point's winner.  Returns
-    (gamma, reduced): integral (N, 2n, 2n) gammas and reduced =
-    act_batch(gamma, points).  Raises ReductionBudgetError if a point needs
-    more than ``budget`` steps.
+    (gamma, reduced): integral (N, 2n, 2n) gammas and the last iterates, on
+    which the stopping rule held, equal to act_batch(gamma, points) up to
+    rounding.  Raises ReductionBudgetError after ``budget`` steps.
     """
     n = points.n
     if n not in (1, 2):
         raise ValueError(f"reduction implemented for degrees 1 and 2, got {n}")
     cands, primary, (a, b, c, d), _ = _CANDIDATES[n]
-    gamma = np.zeros((len(points), 2 * n, 2 * n), dtype=np.int64) + np.eye(2 * n, dtype=np.int64)
-    # live: the points still moving; g, zc: their gammas and positions.
+    gamma = np.repeat(_INT_EYE[2 * n][None], len(points), axis=0)
+    # live: the points still moving; g, zc: their gammas and positions;
+    # last: each point's position when the stopping rule was last evaluated.
     live, g, zc = np.arange(len(points)), gamma.copy(), points.mat
-    steps = 0
-    while live.size:
-        steps += 1
+    last = np.empty_like(zc)
+    for steps in itertools.count(1):
         if steps > budget:
             raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
         if n == 2:
@@ -525,23 +523,25 @@ def reduce_batch(
             zc = uf @ zc @ _t(uf)
             zc = (zc + _t(zc)) / 2.0
             # (u 0; 0 u^-T) with the exact integer inverse transpose (det u = +-1).
-            u_inv_t = _t(_adjugate(u)) * det_stack(u)[:, None, None]
-            g = np.concatenate([u @ g[:, :n], u_inv_t @ g[:, n:]], axis=1)
-        t = -zc.real.round()
+            g[:, :n] = u @ g[:, :n]
+            g[:, n:] = (_t(_adjugate(u)) * det_stack(u)[:, None, None]) @ g[:, n:]
+        t = -np.rint(zc.real)
         g[:, :n] += t.astype(np.int64) @ g[:, n:]
         zc = zc + t
         dets = _candidate_dets(zc)
         det_sq = dets.real**2 + dets.imag**2  # 1 / gain
         # The first candidate with the largest gain wins, primary ones first.
         head = det_sq[:, :primary]
-        best = head.argmin(axis=1)
-        moved = head.min(axis=1) < _MOVE_BELOW
+        best, moved = head.argmin(axis=1), head.min(axis=1) < _MOVE_BELOW
         if len(cands) > primary:
             tail = det_sq[:, primary:]
             use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
             best = np.where(use_tail, primary + tail.argmin(axis=1), best)
             moved |= use_tail
-        gamma[live] = g
+        gamma[live], last[live] = g, zc
+        live = live[moved]
+        if not live.size:
+            break
         best = best[moved]
         g = cands[best] @ g[moved]
         # (A Z + B)(C Z + D)^{-1} = (A Z + B) adj(C Z + D) / det(C Z + D).
@@ -552,9 +552,9 @@ def reduce_batch(
         else:
             w = num @ _adjugate(c[best] @ zc + d[best]) / den
             zc = (w + _t(w)) / 2.0
-        live = live[moved]
     log.debug("reduction stabilised after %d steps", steps)
-    return gamma, act_batch(gamma, points)
+    # Exactly symmetric: the iterates are symmetrised, the translations symmetric.
+    return gamma, PointBatch._made(last.real.copy(), last.imag.copy())
 
 
 def reduce_to_fundamental(
@@ -562,7 +562,7 @@ def reduce_to_fundamental(
     budget: int = REDUCTION_BUDGET,
 ) -> tuple[SymplecticMatrix, SiegelPoint]:
     """Move Z into an approximate fundamental domain for the integral group:
-    the N = 1 case of ``reduce_batch``.  Returns (gamma, z_red) with
-    integral gamma and z_red = act(gamma, z)."""
+    the N = 1 case of ``reduce_batch``.  Returns (gamma, z_red): gamma integral
+    and exactly symplectic, z_red the last iterate, act(gamma, z) up to rounding."""
     gamma, reduced = reduce_batch(z.batch, budget)
-    return SymplecticMatrix(gamma[0].astype(float)), reduced.point(0)
+    return SymplecticMatrix._integral(gamma[0]), reduced.point(0)

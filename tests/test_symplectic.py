@@ -12,13 +12,19 @@ from nhsiegel.linalg import eigenvalues_sym, in_V_delta
 from nhsiegel.sampling import (
     random_compact,
     random_siegel_point,
+    random_siegel_points,
     random_symplectic,
 )
 from nhsiegel.symplectic import (
+    _LAGRANGE_TOL,
+    _MOVE_BELOW,
     FUNDAMENTAL_DOMAIN_DELTA,
     SiegelPoint,
     SymplecticMatrix,
+    _candidate_dets,
+    _lagrange_2x2,
     act,
+    act_batch,
     automorphy_factor,
     compact_from_unitary,
     delta_for_degree,
@@ -29,6 +35,7 @@ from nhsiegel.symplectic import (
     inversion,
     is_in_principal_congruence,
     is_symplectic,
+    reduce_batch,
     reduce_to_fundamental,
     symplectic_form,
     translation,
@@ -276,6 +283,123 @@ class TestReduce:
         # Proved: sqrt(3)/4 less the slack of the two stopping tolerances.
         assert math.sqrt(3) / 4 - 1e-9 <= delta_for_degree(2) <= math.sqrt(3) / 4
         assert FUNDAMENTAL_DOMAIN_DELTA[1] > FUNDAMENTAL_DOMAIN_DELTA[2]
+
+
+def _lagrange_by_products(y):
+    # Lagrange reduction with each swap and shear applied as the 2x2
+    # products t y t^T, one stack at a time.
+    u = np.zeros((len(y), 2, 2), dtype=np.int64) + np.eye(2, dtype=np.int64)
+    live = np.ones(len(y), dtype=bool)
+    y = y.copy()
+    for _ in range(64):
+        swap = live & (y[:, 0, 0] > y[:, 1, 1] * (1.0 + 1e-15))
+        u[swap] = u[swap, ::-1]
+        y[swap] = y[swap, ::-1, ::-1]
+        r = np.where(live, (y[:, 0, 1] / y[:, 0, 0]).round(), 0.0)
+        t = np.eye(2) - r[:, None, None] * np.array([[0.0, 0.0], [1.0, 0.0]])
+        u = t.astype(np.int64) @ u
+        y = t @ y @ np.swapaxes(t, -1, -2)
+        live &= ~(
+            (2.0 * np.abs(y[:, 0, 1]) <= y[:, 0, 0] * (1.0 + _LAGRANGE_TOL))
+            & (y[:, 0, 0] <= y[:, 1, 1] * (1.0 + _LAGRANGE_TOL))
+        )
+        if not live.any():
+            return u
+    raise AssertionError("reference Lagrange reduction did not terminate")
+
+
+@pytest.fixture
+def reduction_work(monkeypatch):
+    """Counts the matrices the symplectic module decomposes and the
+    numpy.linalg.solve calls."""
+    import nhsiegel.symplectic
+
+    counts = {"decomposed": 0, "solves": 0}
+    eigh, solve = nhsiegel.symplectic._eigh, np.linalg.solve
+
+    def counting_eigh(a):
+        counts["decomposed"] += len(a)
+        return eigh(a)
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(nhsiegel.symplectic, "_eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return counts
+
+
+class TestReducedPoint:
+    """The reduced point is the last iterate of the reduction: it satisfies
+    the stopping rule the floors are proved from, and forming it takes one
+    eigensolve per point and no solve."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batch_decomposes_each_point_once_and_solves_nothing(self, reduction_work, n):
+        points = random_siegel_points(n, np.random.default_rng(30 + n), 200)
+        reduction_work.update(decomposed=0, solves=0)
+        reduce_batch(points)
+        assert reduction_work == {"decomposed": 200, "solves": 0}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_single_point_decomposed_once_and_solves_nothing(self, reduction_work, rng, n):
+        for _ in range(20):
+            z = random_siegel_point(n, rng)
+            reduction_work.update(decomposed=0, solves=0)
+            reduce_to_fundamental(z)
+            assert reduction_work == {"decomposed": 1, "solves": 0}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_satisfies_the_stopping_rule(self, n):
+        points = random_siegel_points(n, np.random.default_rng(40 + n), 10000)
+        gamma, reduced = reduce_batch(points)
+        assert np.abs(reduced.X).max() <= 0.5
+        det = _candidate_dets(reduced.mat)
+        assert (det.real**2 + det.imag**2).min() >= _MOVE_BELOW
+        if n == 2:
+            y11, y12, y22 = reduced.Y[:, 0, 0], reduced.Y[:, 0, 1], reduced.Y[:, 1, 1]
+            assert np.all(2.0 * np.abs(y12) <= y11 * (1.0 + _LAGRANGE_TOL))
+            assert np.all(y11 <= y22 * (1.0 + _LAGRANGE_TOL))
+        assert reduced.eigvals[:, -1].min() >= delta_for_degree(n) - 1e-12
+        # The same point as gamma . Z, up to rounding.
+        diff = np.abs(act_batch(gamma, points).mat - reduced.mat).max(axis=(1, 2))
+        assert np.all(diff <= 1e-12 * np.maximum(1.0, np.abs(reduced.mat).max(axis=(1, 2))))
+
+    def test_lagrange_matches_the_product_form(self):
+        rng = np.random.default_rng(50)
+        count = 10000
+        theta = rng.uniform(0.0, np.pi, count)
+        c, s = np.cos(theta), np.sin(theta)
+        q = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+        # Condition numbers up to 1e8, the smaller eigenvalue log-uniform.
+        low = 10.0 ** rng.uniform(-4.0, 4.0, count)
+        eig = np.stack([low, low * 10.0 ** rng.uniform(0.0, 8.0, count)], axis=-1)
+        y = (q * eig[:, None, :]) @ np.swapaxes(q, -1, -2)
+        y = (y + np.swapaxes(y, -1, -2)) / 2.0
+        np.testing.assert_array_equal(_lagrange_2x2(y), _lagrange_by_products(y))
+
+    def test_lagrange_matches_the_product_form_at_ties(self):
+        # After the first shear y22 lies within 8 ulps of y11 / (1 + 1e-12),
+        # where the stopping test turns, so a y22 rounded in another order
+        # (say y22 + r (r y11 - 2 y12)) changes u for about a sixth of them.
+        rng = np.random.default_rng(51)
+        count = 10000
+        y11 = rng.uniform(1.0, 2.0, count)
+        r = rng.integers(1, 100, count).astype(float)
+        sheared = rng.uniform(-0.45, 0.45, count) * y11
+        target = y11 / (1.0 + 1e-12) * (1.0 + rng.integers(-8, 9, count) * 2.0**-52)
+        y12 = sheared + r * y11
+        y22 = target + r * y12 + r * sheared
+        y = np.stack([np.stack([y11, y12], axis=-1), np.stack([y12, y22], axis=-1)], axis=-2)
+        np.testing.assert_array_equal(_lagrange_2x2(y), _lagrange_by_products(y))
+
+    def test_gamma_checked_exactly(self):
+        gamma, _ = reduce_to_fundamental(SiegelPoint(np.array([[0.3]]), np.array([[0.2]])))
+        assert is_symplectic(gamma.mat)
+        assert not gamma.mat.flags.writeable
+        with pytest.raises(ValueError):
+            SymplecticMatrix._integral(2 * np.eye(2, dtype=np.int64))
 
 
 class TestPrincipalCongruence:
