@@ -220,15 +220,19 @@ class FourierExpansion:
 
 def evaluate(f: FourierExpansion, z: SiegelPoint | PointBatch):
     """Sum the stored expansion at Z, as a RepVector; at every point of a
-    PointBatch, as the (N, dim) array of coordinates."""
+    PointBatch, as the (N, dim) array of coordinates.  Y^{-1} is formed
+    only when a stored beta has positive degree, and then once."""
     points = z.batch if isinstance(z, SiegelPoint) else z
     if points.n != f.n:
         raise ValueError(f"point degree {points.n} does not match form degree {f.n}")
     total = np.zeros((len(points), f.rep.dim), dtype=complex)
-    zc, y_inv = points.mat.reshape(len(points), -1), points.y_inv
+    zc, y_inv = points.mat.reshape(len(points), -1), None
     for beta, s_flat, v_stack in f._stacks:
-        phases = np.exp(2j * math.pi * (zc @ s_flat.T))  # exp(2 pi i Tr(S Z))
-        total += monomial(y_inv, beta)[:, None] * (phases @ v_stack)
+        part = np.exp(2j * math.pi * (zc @ s_flat.T)) @ v_stack  # sum a exp(2 pi i Tr(S Z))
+        if beta.degree:
+            y_inv = points.y_inv if y_inv is None else y_inv
+            part *= monomial(y_inv, beta)[:, None]
+        total += part
     return total if points is z else RepVector(f.rep, total[0])
 
 
@@ -355,7 +359,10 @@ def tail_bound(package: FormPackage, y) -> float:
     max(1, delta'^-p) times the number of multi-indices.  The resulting
     one-dimensional series is summed until it provably closes.
     """
-    return _tail_series(package, float(eigenvalues_sym(np.asarray(y, dtype=float))[-1]))
+    y = np.asarray(y, dtype=float)
+    if y.shape != (package.n, package.n):
+        raise ValueError(f"Y of shape {y.shape} does not match form degree {package.n}")
+    return _tail_series(package, float(eigenvalues_sym(y)[-1]))
 
 
 def _tail_series(package: FormPackage, delta: float) -> float:

@@ -46,9 +46,13 @@ def _t(a: np.ndarray) -> np.ndarray:
 def _require_symmetric(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     a = _as_square(np.asarray(a, dtype=float), name, stacked)
     at = _t(a)
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
-    if (np.abs(a - at) > 1e-12 * scale).any():
-        raise ValueError(f"{name} is not symmetric")
+    skew = np.abs(a - at)
+    # Every array this package builds, and most input, is exactly symmetric:
+    # the tolerance scale, a second pass over a, is needed only when not.
+    if skew.any():
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
+        if (skew > 1e-12 * scale).any():
+            raise ValueError(f"{name} is not symmetric")
     return (a + at) / 2.0
 
 

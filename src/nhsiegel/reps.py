@@ -79,13 +79,15 @@ class Rep:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index table of ``rep_matrix``.  Column a of rho(M) / det^k
+        """Gather table of ``rep_matrix``.  Column a of rho(M) / det^k
         expands prod_i (sum_r M[r, i] e_r)^{a_i}; each term splits every a_i
-        over the rows r.  ``powers[t]`` holds the split as exponents of the
-        flattened M, ``weights[t]`` its multinomial coefficient at the
-        flattened (row, column) entry it adds to."""
+        over the rows r and is a product of j entries of M.  ``factors[t]``
+        holds the j flat indices r * n + i of those entries, an int (T, j)
+        array (shape (T, 0) for j = 0, whose products are all 1), and
+        ``weights[t]`` the term's multinomial coefficient at the flattened
+        (row, column) entry of rho(M) it adds to."""
         n, dim = self.n, self.dim
-        powers, weights = [], []
+        factors, weights = [], []
         for col, a in enumerate(self.exponents):
             for split in itertools.product(*(_compositions(ai, n) for ai in a)):
                 k = np.array(split, dtype=np.int64).T  # k[r, i]: power of M[r, i]
@@ -94,9 +96,9 @@ class Rep:
                 w[row * dim + col] = math.prod(math.factorial(ai) for ai in a) / math.prod(
                     math.factorial(int(x)) for x in k.flat
                 )
-                powers.append(k.ravel())
+                factors.append(np.repeat(np.arange(n * n), k.ravel()))
                 weights.append(w)
-        return np.array(powers), np.array(weights)
+        return np.array(factors, dtype=np.intp), np.array(weights)
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -166,14 +168,13 @@ def rep_matrix(rep: Rep, m) -> np.ndarray:
     m = _as_square(m, "representation argument", stacked=m.ndim == 3)
     if m.shape[-1] != rep.n:
         raise ValueError(f"matrix rank {m.shape[-1]} does not match representation rank {rep.n}")
-    stack, n = m.reshape((-1,) + m.shape[-2:]), rep.n
-    d = det_stack(stack)
+    flat, d = m.reshape(-1, rep.n * rep.n), det_stack(m.reshape(-1, rep.n, rep.n))
     if rep.k > 0:
-        scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
-        if np.any(np.abs(d) <= 1e-13 * scale**n):
+        scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+        if (np.abs(d) <= 1e-13 * scale**rep.n).any():
             raise SingularMatrixError("determinant twist requires an invertible matrix")
-    powers, weights = rep._table
-    terms = np.prod(stack.reshape(len(stack), 1, n * n) ** powers, axis=-1)
+    factors, weights = rep._table
+    terms = flat[:, factors].prod(axis=-1)
     out = (terms @ weights).reshape(m.shape[:-2] + (rep.dim, rep.dim))
     if rep.k > 0:
         out *= (d**rep.k).reshape(m.shape[:-2] + (1, 1))
@@ -195,7 +196,7 @@ def inner(v: RepVector, w: RepVector) -> complex:
 
 def norms(rep: Rep, coords: np.ndarray) -> np.ndarray:
     """Invariant norms of a stack of coordinate vectors (..., dim)."""
-    sq = np.sum(coords * np.conj(coords) * rep.basis_sq_norms, axis=-1).real
+    sq = (coords * np.conj(coords) * rep.basis_sq_norms).sum(axis=-1).real
     return np.sqrt(np.maximum(0.0, sq))
 
 

@@ -242,7 +242,7 @@ class SymplecticMatrix:
     @classmethod
     def _integral(cls, g: np.ndarray) -> "SymplecticMatrix":
         """The element of an int64 matrix g, checked exactly: g^T J g = J."""
-        if not np.array_equal(g.T @ _INT_J[len(g) // 2] @ g, _INT_J[len(g) // 2]):
+        if not (g.T @ _INT_J[len(g) // 2] @ g == _INT_J[len(g) // 2]).all():
             raise ValueError("matrix does not satisfy the symplectic relations")
         m = object.__new__(cls)
         object.__setattr__(m, "mat", g.astype(float))

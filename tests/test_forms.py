@@ -18,7 +18,7 @@ from nhsiegel.linalg import MultiIndex, inverse, monomial
 from nhsiegel.reps import make_rep, norm
 from nhsiegel.samples import divisor_power_sum, eisenstein4
 from nhsiegel.sampling import random_siegel_point, random_symplectic
-from nhsiegel.symplectic import SiegelPoint, inversion, translation
+from nhsiegel.symplectic import PointBatch, SiegelPoint, inversion, translation
 
 # Frozen from the direct 400-term summation oracle below at 50-digit
 # precision: E4(i) = 1 + 240 sum sigma_3(m) exp(-2 pi m).
@@ -320,6 +320,69 @@ class TestTailBound:
     def test_divergence_error(self, e4_package):
         with pytest.raises(TailDivergenceError):
             tail_bound(e4_package, np.array([[-1.0]]))
+
+    def test_rejects_y_of_another_degree(self, e4_package, sym2_package):
+        with pytest.raises(ValueError, match=r"Y of shape \(2, 2\) does not match form degree 1"):
+            tail_bound(e4_package, np.eye(2))
+        with pytest.raises(ValueError, match=r"Y of shape \(3, 1, 1\) does not match form degree 1"):
+            tail_bound(e4_package, np.ones((3, 1, 1)))
+        with pytest.raises(ValueError, match=r"Y of shape \(1, 1\) does not match form degree 2"):
+            tail_bound(sym2_package, np.eye(1))
+
+
+@pytest.fixture
+def y_inv_calls(monkeypatch):
+    """Record the batch size of every PointBatch.y_inv computed."""
+    calls, original = [], PointBatch.y_inv.fget
+
+    def counting(batch):
+        calls.append(len(batch))
+        return original(batch)
+
+    monkeypatch.setattr(PointBatch, "y_inv", property(counting))
+    return calls
+
+
+def several_beta_expansion():
+    # Three beta of positive degree besides beta = 0, on the weight-2 space.
+    beta = [MultiIndex.from_dict(1, {(1, 1): b}) for b in range(4)]
+    terms = [(beta[b], [[m]], [1.0 / (1 + b + m)]) for b in range(4) for m in range(3)]
+    return FourierExpansion.from_terms(1, 3, 1, make_rep(1, 0, 2), 5.0, terms)
+
+
+class TestInverseImaginaryPart:
+    """Y^{-1} is formed only for a stored beta of positive degree, and then
+    once per call however many such beta there are."""
+
+    @pytest.mark.parametrize("name", ["e4_package", "e6_package"])
+    def test_holomorphic_forms_form_none(self, name, request, rng, y_inv_calls):
+        package = request.getfixturevalue(name)
+        z = random_siegel_point(1, rng)
+        batch = PointBatch.from_points([random_siegel_point(1, rng) for _ in range(7)])
+        for arg in (z, batch):
+            evaluate(package.expansion, arg)
+            phi(package, arg)
+        assert y_inv_calls == []
+
+    @pytest.mark.parametrize("name", ["e2star_package", "sym2_package", "several_beta"])
+    def test_forms_with_inverse_terms_form_it_once(self, name, request, rng, y_inv_calls):
+        if name == "several_beta":
+            package = several_beta_expansion()
+        else:
+            package = request.getfixturevalue(name)
+        n = package.n
+        z = random_siegel_point(n, rng)
+        batch = PointBatch.from_points([random_siegel_point(n, rng) for _ in range(7)])
+        expansion = getattr(package, "expansion", package)
+        for call, size in [
+            (lambda: evaluate(expansion, z), 1),
+            (lambda: evaluate(expansion, batch), 7),
+            (lambda: phi(package, z), 1),
+            (lambda: phi(package, batch), 7),
+        ]:
+            y_inv_calls.clear()
+            call()
+            assert y_inv_calls == [size]
 
 
 class TestPhi:

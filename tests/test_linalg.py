@@ -10,6 +10,7 @@ from nhsiegel.errors import (
 )
 from nhsiegel.linalg import (
     MultiIndex,
+    _require_symmetric,
     det,
     eigenvalues_sym,
     eigh_sym,
@@ -23,6 +24,7 @@ from nhsiegel.linalg import (
     solve_gauss,
     sqrt_posdef,
 )
+from nhsiegel.symplectic import SiegelPoint
 
 
 def random_symmetric(rng, n, scale=10.0):
@@ -85,6 +87,70 @@ class TestEigen:
                 idx += 1
         w, q = eigh_sym(y)
         assert np.max(np.abs((q * w) @ q.T - y)) <= 1e-10 * (1.0 + np.max(np.abs(y)))
+
+
+def require_symmetric_reference(a, name="matrix"):
+    """The tolerance test of ``_require_symmetric`` without its exact-symmetry
+    shortcut: the scale is always formed."""
+    a = np.asarray(a, dtype=float)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
+    if (np.abs(a - a.swapaxes(-1, -2)) > 1e-12 * scale).any():
+        raise ValueError(f"{name} is not symmetric")
+    return (a + a.swapaxes(-1, -2)) / 2.0
+
+
+class TestRequireSymmetric:
+    def test_exact_input_gives_equal_fresh_array(self, rng):
+        for a in (random_symmetric(rng, 3), np.stack([random_symmetric(rng, 2) for _ in range(4)])):
+            out = _require_symmetric(a, stacked=a.ndim == 3)
+            np.testing.assert_array_equal(out, a)
+            assert not np.shares_memory(out, a)
+
+    def test_caller_arrays_stay_writeable(self, rng):
+        x, y = random_symmetric(rng, 2), np.array([[2.0, 0.5], [0.5, 1.0]])
+        SiegelPoint(x, y)
+        assert x.flags.writeable and y.flags.writeable
+        x[0, 0] = 1.0
+
+    def test_small_asymmetry_symmetrised(self):
+        for a in (
+            np.array([[0.5, 0.1], [0.1 + 5e-13, 0.2]]),  # scale 1
+            np.array([[1e6, 1.0], [1.0 + 1e-7, 2.0]]),  # scale 1e6
+        ):
+            out = _require_symmetric(a)
+            np.testing.assert_array_equal(out, (a + a.T) / 2.0)
+            np.testing.assert_array_equal(out, out.T)
+
+    def test_large_asymmetry_raises(self):
+        with pytest.raises(ValueError, match="^Y is not symmetric$"):
+            _require_symmetric(np.array([[0.5, 0.1], [0.1 + 5e-12, 0.2]]), "Y")
+        with pytest.raises(ValueError, match="^X is not symmetric$"):
+            _require_symmetric(np.array([[[1e6, 1.0], [1.0 + 1e-5, 2.0]]]), "X", stacked=True)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[np.nan, 1.0], [1.0, 2.0]],
+            [[1.0, np.nan], [1.0, 2.0]],
+            [[1.0, np.nan], [5.0, 2.0]],
+            [[np.nan, 1.0], [5.0, 2.0]],
+            [[np.inf, 1.0], [1.0, 2.0]],
+            [[1.0, np.inf], [np.inf, 2.0]],
+            [[1.0, np.inf], [1.0, 2.0]],
+            [[1.0, -np.inf], [np.inf, 2.0]],
+            [[1.0, 3.0], [5.0, np.inf]],
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_as_reference(self, a):
+        a = np.array(a)
+        try:
+            expected = require_symmetric_reference(a)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                _require_symmetric(a)
+        else:
+            np.testing.assert_array_equal(_require_symmetric(a), expected)
 
 
 class TestSqrt:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nhsiegel.errors import RepMismatchError, SingularMatrixError, UnsupportedWeightError
-from nhsiegel.linalg import eigenvalues_sym
+from nhsiegel.linalg import det_stack, eigenvalues_sym
 from nhsiegel.reps import (
+    _compositions,
     apply,
     basis_vector,
     highest_weight,
@@ -109,6 +110,56 @@ class TestApply:
         v = random_vector(make_rep(2, 2, 0), rng)
         with pytest.raises(RepMismatchError):
             apply(make_rep(2, 2, 1), np.eye(2), v)
+
+
+def rep_matrix_power_table(rep, stack):
+    """Reference form of ``rep_matrix``: each term is the product of all n^2
+    entries of M raised to the powers of a table built independently here."""
+    n, dim = rep.n, rep.dim
+    powers, weights = [], []
+    for col, a in enumerate(rep.exponents):
+        for split in itertools.product(*(_compositions(ai, n) for ai in a)):
+            k = np.array(split, dtype=np.int64).T  # k[r, i]: power of M[r, i]
+            row = rep.exponents.index(tuple(int(s) for s in k.sum(axis=1)))
+            w = np.zeros(dim * dim, dtype=complex)
+            w[row * dim + col] = math.prod(math.factorial(ai) for ai in a) / math.prod(
+                math.factorial(int(x)) for x in k.flat
+            )
+            powers.append(k.ravel())
+            weights.append(w)
+    stack = np.asarray(stack, dtype=complex)
+    terms = np.prod(stack.reshape(len(stack), 1, n * n) ** np.array(powers), axis=-1)
+    out = (terms @ np.array(weights)).reshape(len(stack), dim, dim)
+    if rep.k > 0:
+        out *= (det_stack(stack) ** rep.k)[:, None, None]
+    return out
+
+
+class TestRepMatrixReference:
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n,j,k", list(itertools.product((1, 2), range(5), range(4))))
+    def test_agrees_with_power_table(self, n, j, k, complex_input, rng):
+        rep = make_rep(n, j, k)
+        stack = rng.uniform(-2, 2, size=(64, n, n))
+        if complex_input:
+            stack = stack + 1j * rng.uniform(-2, 2, size=(64, n, n))
+        # The whole stack, and its first matrix alone (the N = 1 case).
+        for got, ref in [
+            (rep_matrix(rep, stack), rep_matrix_power_table(rep, stack)),
+            (rep_matrix(rep, stack[0])[None], rep_matrix_power_table(rep, stack[:1])),
+        ]:
+            err = np.abs(got - ref).max(axis=(1, 2))
+            assert (err <= 1e-15 * np.abs(ref).max(axis=(1, 2))).all()
+            if j <= 1 or (j <= 2 and not complex_input):
+                np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("n,j,k", [(1, 0, 1), (1, 2, 3), (2, 0, 2), (2, 2, 1), (2, 4, 3)])
+    def test_singular_member_raises_with_twist(self, n, j, k, rng):
+        stack = rng.uniform(-2, 2, size=(5, n, n))
+        stack[3] = 0.0 if n == 1 else [[1.0, 2.0], [0.5, 1.0]]
+        with pytest.raises(SingularMatrixError):
+            rep_matrix(make_rep(n, j, k), stack)
+        assert np.isfinite(rep_matrix(make_rep(n, j, 0), stack)).all()
 
 
 class TestInner:
