@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -204,8 +204,8 @@ class FourierExpansion:
         )
 
     @cached_property
-    def _stacks(self) -> list[tuple[MultiIndex, np.ndarray, np.ndarray]]:
-        # Per beta: the S matrices flattened to (K, n*n) and the (K, dim) values.
+    def _stacks(self) -> list[tuple[MultiIndex, int, np.ndarray, np.ndarray]]:
+        # Per beta: its degree, the S matrices flattened to (K, n*n), the (K, dim) values.
         by_beta: dict[MultiIndex, list] = {}
         for (beta, skey), vec in self.coefficients.items():
             by_beta.setdefault(beta, []).append((skey, vec))
@@ -214,7 +214,7 @@ class FourierExpansion:
             items.sort(key=lambda kv: kv[0])
             s_stack = np.array([k for k, _ in items], dtype=float) / float(self.level)
             v_stack = np.array([v for _, v in items], dtype=complex)
-            out.append((beta, s_stack.reshape(len(items), -1), v_stack))
+            out.append((beta, beta.degree, s_stack.reshape(len(items), -1), v_stack))
         return out
 
 
@@ -225,14 +225,15 @@ def evaluate(f: FourierExpansion, z: SiegelPoint | PointBatch):
     points = z.batch if isinstance(z, SiegelPoint) else z
     if points.n != f.n:
         raise ValueError(f"point degree {points.n} does not match form degree {f.n}")
-    total = np.zeros((len(points), f.rep.dim), dtype=complex)
-    zc, y_inv = points.mat.reshape(len(points), -1), None
-    for beta, s_flat, v_stack in f._stacks:
+    zc, y_inv, total = points.mat.reshape(len(points), -1), None, None
+    for beta, degree, s_flat, v_stack in f._stacks:
         part = np.exp(2j * math.pi * (zc @ s_flat.T)) @ v_stack  # sum a exp(2 pi i Tr(S Z))
-        if beta.degree:
+        if degree:
             y_inv = points.y_inv if y_inv is None else y_inv
             part *= monomial(y_inv, beta)[:, None]
-        total += part
+        total = part if total is None else total + part
+    if total is None:
+        total = np.zeros((len(points), f.rep.dim), dtype=complex)
     return total if points is z else RepVector(f.rep, total[0])
 
 
@@ -338,16 +339,33 @@ def slash(f: FormLike, g: SymplecticMatrix) -> PointEvaluator:
 
 def phi(f: FormLike, z: SiegelPoint | PointBatch):
     """The invariant magnitude ||rho(Y^{1/2}) F(Z)||, or the array of it at
-    every point of a PointBatch."""
+    every point of a PointBatch, read off Y = Q diag(mu) Q^T as
+    ||D(mu) rho(Q^T) F(Z)|| (``magnitudes``)."""
     points = z.batch if isinstance(z, SiegelPoint) else z
-    ev = as_evaluator(f)
-    out = magnitudes(ev.rep, points, ev.func(points))
+    f = f.expansion if isinstance(f, FormPackage) else f
+    values = f.func(points) if isinstance(f, PointEvaluator) else evaluate(f, points)
+    out = magnitudes(f.rep, points, values)
     return out if points is z else float(out[0])
 
 
 def magnitudes(rep: Rep, points: PointBatch, values: np.ndarray) -> np.ndarray:
-    """||rho(Y^{1/2}) v|| at every point of a batch, for its (N, dim) values v."""
-    return norms(rep, (rep_matrix(rep, points.y_sqrt) @ values[..., None])[..., 0])
+    """||rho(Y^{1/2}) v|| at every point of a batch, for its (N, dim) values v.
+    With Y = Q diag(mu) Q^T, rho(Y^{1/2}) = rho(Q) D(mu) rho(Q^T), where D(mu)
+    scales e^a by prod_i mu_i^{(a_i + k)/2} (``Rep.half_weights``).  For real
+    orthogonal Q, rho(Q) is unitary for the invariant product and det(Q)^k is
+    +-1, so the norm is ||D(mu) Sym^j(Q^T) v||, with Sym^0(Q^T) = 1."""
+    if points.n != rep.n:
+        raise ValueError(f"point degree {points.n} does not match representation rank {rep.n}")
+    if rep.dim > 1:
+        q_t = points.eigvecs.swapaxes(-1, -2)
+        values = (rep_matrix(_sym_part(rep), q_t) @ values[..., None])[..., 0]
+    return norms(rep, np.exp(np.log(points.eigvals) @ rep.half_weights) * values)
+
+
+@cache
+def _sym_part(rep: Rep) -> Rep:
+    # Sym^j of rep, one instance per rep so that its rep_matrix table is built once.
+    return Rep(rep.n, rep.j, 0)
 
 
 def tail_bound(package: FormPackage, y) -> float:
@@ -378,41 +396,28 @@ def _tail_series(package: FormPackage, delta: float) -> float:
     n, p, level = exp_.n, exp_.p, exp_.level
     kappa = package.growth_kappa
     r_slots = n * (n + 1) // 2
-    count_beta = multi_index_count(n, p)
-    mono = max(1.0, delta ** (-p))
     c = _TWO_PI * delta / level
-    m = last_level(level, exp_.t_max) + 1
-
-    def term(mm: int) -> float:
-        return (2.0 * mm + 1.0) ** r_slots * a_const * (1.0 + mm / level) ** kappa * math.exp(-c * mm)
-
-    def ratio_majorant(mm: int) -> float:
-        # Upper bound for term(m'+1)/term(m') over all m' >= mm.  Both
-        # polynomial ratio factors decrease toward 1, so capping the kappa
-        # factor at 1 from below keeps this valid for negative kappa too.
-        poly = ((2.0 * mm + 3.0) / (2.0 * mm + 1.0)) ** r_slots
-        kfac = ((level + mm + 1.0) / (level + mm)) ** kappa
-        return poly * max(1.0, kfac) * math.exp(-c)
-
+    e_c = math.exp(-c)
+    first = last_level(level, exp_.t_max) + 1
     total = 0.0
-    closed = False
-    for _ in range(200000):
-        t = term(m)
+    for m in range(first, first + 200000):
+        # The term at level m, then an upper bound for term(m'+1)/term(m')
+        # over all m' >= m.  Both polynomial ratio factors decrease toward
+        # 1, so capping the kappa factor at 1 from below keeps the bound
+        # valid for negative kappa too.
+        t = (2.0 * m + 1.0) ** r_slots * a_const * (1.0 + m / level) ** kappa * math.exp(-c * m)
         total += t
-        r_hat = ratio_majorant(m)
+        poly = ((2.0 * m + 3.0) / (2.0 * m + 1.0)) ** r_slots
+        kfac = ((level + m + 1.0) / (level + m)) ** kappa
+        r_hat = poly * max(1.0, kfac) * e_c
         if r_hat < 1.0:
             rest = t * r_hat / (1.0 - r_hat)
             if rest <= 1e-16 * total:
-                total += rest
-                closed = True
-                break
-        m += 1
-    if not closed:
-        raise TailDivergenceError(
-            "tail estimate did not stabilise within the iteration budget "
-            f"(min eigenvalue of Y is {delta:.3e}; effectively too small)"
-        )
-    return count_beta * mono * total
+                return multi_index_count(n, p) * max(1.0, delta ** (-p)) * (total + rest)
+    raise TailDivergenceError(
+        "tail estimate did not stabilise within the iteration budget "
+        f"(min eigenvalue of Y is {delta:.3e}; effectively too small)"
+    )
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,12 @@ class Rep:
         return tuple(tuple(ai + self.k for ai in a) for a in self.exponents)
 
     @cached_property
+    def half_weights(self) -> np.ndarray:
+        """The (n, dim) array of half the torus weights, (a_i + k) / 2 at
+        [i, a]: rho(diag(mu)^{1/2}) scales e^a by exp(log(mu) @ this)[a]."""
+        return np.array(self.weights, dtype=float).T / 2.0
+
+    @cached_property
     def basis_sq_norms(self) -> np.ndarray:
         fj = math.factorial(self.j)
         return np.array(
@@ -168,8 +174,9 @@ def rep_matrix(rep: Rep, m) -> np.ndarray:
     m = _as_square(m, "representation argument", stacked=m.ndim == 3)
     if m.shape[-1] != rep.n:
         raise ValueError(f"matrix rank {m.shape[-1]} does not match representation rank {rep.n}")
-    flat, d = m.reshape(-1, rep.n * rep.n), det_stack(m.reshape(-1, rep.n, rep.n))
+    flat = m.reshape(-1, rep.n * rep.n)
     if rep.k > 0:
+        d = det_stack(m.reshape(-1, rep.n, rep.n))
         scale = np.maximum(1.0, np.abs(flat).max(axis=1))
         if (np.abs(d) <= 1e-13 * scale**rep.n).any():
             raise SingularMatrixError("determinant twist requires an invertible matrix")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhsiegel.errors import RepMismatchError, SingularMatrixError, UnsupportedWeightError
 from nhsiegel.linalg import det_stack, eigenvalues_sym
@@ -279,3 +281,29 @@ class TestWeightInequality:
         y = 2.3
         out = apply(rep, [[y]], v)
         np.testing.assert_allclose(out.coords, v.coords * y**4)
+
+
+class TestOrthogonalInvariance:
+    """rho(Q) keeps the invariant norm for every real orthogonal Q, of
+    determinant 1 or -1: the premise on which phi is read off the
+    eigendecomposition of Y."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        j=st.integers(0, 3),
+        k=st.integers(0, 3),
+        entries=st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False), min_size=9, max_size=9
+        ),
+        reflect=st.booleans(),
+        coords=st.lists(st.integers(-1000, 1000), min_size=20, max_size=20),
+    )
+    def test_norm_preserved(self, n, j, k, entries, reflect, coords):
+        rep = make_rep(n, j, k)
+        q, _ = np.linalg.qr(np.array(entries[: n * n]).reshape(n, n))
+        if (np.linalg.det(q) < 0.0) != reflect:
+            q[:, 0] = -q[:, 0]
+        c = np.array(coords, dtype=float) / 100.0
+        v = vector(rep, c[: rep.dim] + 1j * c[10 : 10 + rep.dim])
+        assert abs(norm(apply(rep, q, v)) - norm(v)) <= 1e-12 * norm(v)
