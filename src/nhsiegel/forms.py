@@ -220,11 +220,25 @@ class FourierExpansion:
 
 def evaluate(f: FourierExpansion, z: SiegelPoint | PointBatch):
     """Sum the stored expansion at Z, as a RepVector; at every point of a
-    PointBatch, as the (N, dim) array of coordinates.  Y^{-1} is formed
-    only when a stored beta has positive degree, and then once."""
+    PointBatch, as the read-only (N, dim) array of coordinates.
+
+    The batch keeps the values of the last expansion summed at it, so a
+    second call with the same expansion object (``phi`` after ``evaluate``)
+    returns them without summing; an expansion is immutable once built."""
     points = z.batch if isinstance(z, SiegelPoint) else z
     if points.n != f.n:
         raise ValueError(f"point degree {points.n} does not match form degree {f.n}")
+    held = points._summed
+    if held is None or held[0] is not f:
+        held = (f, _series(f, points))
+        object.__setattr__(points, "_summed", held)
+    total = held[1]
+    return total if points is z else RepVector(f.rep, total[0])
+
+
+def _series(f: FourierExpansion, points: PointBatch) -> np.ndarray:
+    """The sum at every point, read-only.  Y^{-1} is formed only when a
+    stored beta has positive degree, and then once."""
     zc, y_inv, total = points.mat.reshape(len(points), -1), None, None
     for beta, degree, s_flat, v_stack in f._stacks:
         part = np.exp(2j * math.pi * (zc @ s_flat.T)) @ v_stack  # sum a exp(2 pi i Tr(S Z))
@@ -234,7 +248,8 @@ def evaluate(f: FourierExpansion, z: SiegelPoint | PointBatch):
         total = part if total is None else total + part
     if total is None:
         total = np.zeros((len(points), f.rep.dim), dtype=complex)
-    return total if points is z else RepVector(f.rep, total[0])
+    total.flags.writeable = False
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,15 +383,24 @@ def _sym_part(rep: Rep) -> Rep:
     return Rep(rep.n, rep.j, 0)
 
 
-def tail_bound(package: FormPackage, y) -> float:
-    """Upper bound for the discarded series tail at imaginary part Y.
+def tail_bound(package: FormPackage, y):
+    """Upper bound for the discarded series tail at imaginary part Y: a
+    matrix Y, or a SiegelPoint; at every point of a PointBatch, as an array.
 
     Counts lattice matrices with Tr(N*S) = m by (2m+1)^(n(n+1)/2), bounds
     each coefficient by A (1 + m/N)^kappa, uses Tr(S Y) >= delta' Tr(S) with
     delta' the least eigenvalue of Y, and bounds every Y^{-1} monomial by
     max(1, delta'^-p) times the number of multi-indices.  The resulting
-    one-dimensional series is summed until it provably closes.
+    one-dimensional series is summed until it provably closes.  A point
+    supplies delta' from the eigenvalues it holds; a matrix is checked and
+    decomposed here.
     """
+    if isinstance(y, (SiegelPoint, PointBatch)):
+        points = y.batch if isinstance(y, SiegelPoint) else y
+        if points.n != package.n:
+            raise ValueError(f"point degree {points.n} does not match form degree {package.n}")
+        tails = np.array([_tail_series(package, d) for d in points.eigvals[:, -1].tolist()])
+        return tails if points is y else float(tails[0])
     y = np.asarray(y, dtype=float)
     if y.shape != (package.n, package.n):
         raise ValueError(f"Y of shape {y.shape} does not match form degree {package.n}")
@@ -452,13 +476,13 @@ def check_invariance(
         raise ValueError("invariance samples must have Im(Z) >= identity/2")
     rep, ev = package.rep, as_evaluator(package)
     base = ev.func(points)
-    base_tail = _tails(package, points)
+    base_tail = tail_bound(package, points)
     devs, thrs = [], []
     for g in package.gamma_test_set:
         j_inv, moved, slashed = _slash_parts(ev, g.mat, points)
         devs.append(norms(rep, slashed - base) / (1.0 + norms(rep, base)))
         amp = np.sqrt(np.sum(np.abs(j_inv) ** 2, axis=(1, 2)))
-        thrs.append(base_tail + amp * _tails(package, moved) + FLOAT_FLOOR)
+        thrs.append(base_tail + amp * tail_bound(package, moved) + FLOAT_FLOOR)
     devs, thrs = np.array(devs), np.array(thrs)
     return InvarianceReport(
         gammas=len(package.gamma_test_set),
@@ -467,9 +491,3 @@ def check_invariance(
         threshold=float(thrs.max(initial=0.0)),
         violations=int(np.sum(devs > thrs)),
     )
-
-
-def _tails(package: FormPackage, points: PointBatch) -> np.ndarray:
-    """``tail_bound`` at every point of a batch, from its least eigenvalue.
-    The series is summed in scalar floats, as ``tail_bound`` sums it."""
-    return np.array([_tail_series(package, d) for d in points.eigvals[:, -1].tolist()])

@@ -44,15 +44,16 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def _require_symmetric(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    a = _as_square(np.asarray(a, dtype=float), name, stacked)
+    a = _as_square(np.array(a, dtype=float), name, stacked)  # never the caller's array
     at = _t(a)
-    skew = np.abs(a - at)
     # Every array this package builds, and most input, is exactly symmetric:
-    # the tolerance scale, a second pass over a, is needed only when not.
-    if skew.any():
-        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
-        if (skew > 1e-12 * scale).any():
-            raise ValueError(f"{name} is not symmetric")
+    # one comparison passes it, and the copy is returned as it is.
+    if (a == at).all():
+        return a
+    skew = np.abs(a - at)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
+    if (skew > 1e-12 * scale).any():
+        raise ValueError(f"{name} is not symmetric")
     return (a + at) / 2.0
 
 

@@ -104,6 +104,9 @@ class PointBatch:
     Y: np.ndarray
     eigvals: np.ndarray = field(init=False, repr=False)
     eigvecs: np.ndarray = field(init=False, repr=False)
+    # (expansion, read-only (N, dim) values) of the last expansion that
+    # ``forms.evaluate`` summed here; None until then.
+    _summed: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         x = _require_symmetric(self.X, "X", stacked=True)
@@ -132,6 +135,7 @@ class PointBatch:
         for name, value in zip(("X", "Y", "eigvals", "eigvecs"), (x, y, *eig)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_summed", None)
 
     @classmethod
     def from_points(cls, points) -> "PointBatch":
@@ -154,7 +158,9 @@ class PointBatch:
         return self.X.shape[-1]
 
     # Derived arrays are recomputed on use, not kept: a point that outlives
-    # its computation holds only X, Y and the eigendecomposition.
+    # its computation holds X, Y, the eigendecomposition and one array, the
+    # values F(Z) of the last expansion summed here (``_summed``), so that
+    # ``phi`` right after ``evaluate`` of the same expansion sums nothing.
     @property
     def mat(self) -> np.ndarray:
         """Z as a complex (N, n, n) array."""

@@ -371,14 +371,21 @@ class TestInverseImaginaryPart:
         else:
             package = request.getfixturevalue(name)
         n = package.n
-        z = random_siegel_point(n, rng)
-        batch = PointBatch.from_points([random_siegel_point(n, rng) for _ in range(7)])
         expansion = getattr(package, "expansion", package)
+
+        # A fresh point or batch for each call: a point keeps the values last
+        # summed at it, and phi there right after evaluate forms no Y^{-1}.
+        def z():
+            return random_siegel_point(n, rng)
+
+        def batch():
+            return PointBatch.from_points([random_siegel_point(n, rng) for _ in range(7)])
+
         for call, size in [
-            (lambda: evaluate(expansion, z), 1),
-            (lambda: evaluate(expansion, batch), 7),
-            (lambda: phi(package, z), 1),
-            (lambda: phi(package, batch), 7),
+            (lambda: evaluate(expansion, z()), 1),
+            (lambda: evaluate(expansion, batch()), 7),
+            (lambda: phi(package, z()), 1),
+            (lambda: phi(package, batch()), 7),
         ]:
             y_inv_calls.clear()
             call()

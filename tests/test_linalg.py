@@ -331,3 +331,27 @@ def test_eig_scaling_invariance(rng):
     y = random_symmetric(rng, 4) * 1e6
     w, q = eigh_sym(y)
     assert np.max(np.abs((q * w) @ q.T - y)) <= 1e-10 * (1.0 + np.max(np.abs(y)))
+
+
+class TestPointCopies:
+    """``SiegelPoint`` freezes copies of X and Y made by ``_require_symmetric``."""
+
+    def test_caller_arrays_stay_writeable_and_unaliased(self, rng):
+        x, y = random_symmetric(rng, 2), np.array([[2.0, 0.5], [0.5, 1.0]])
+        z = SiegelPoint(x, y)
+        assert x.flags.writeable and y.flags.writeable
+        assert not (z.X.flags.writeable or z.Y.flags.writeable)
+        assert not (np.shares_memory(z.X, x) or np.shares_memory(z.Y, y))
+        kept = z.X.copy()
+        x[0, 1] = x[1, 0] = 7.0
+        np.testing.assert_array_equal(z.X, kept)
+
+    def test_tiny_skew_symmetrised(self):
+        y = np.array([[2.0, 0.5 + 1e-13], [0.5, 1.0]])
+        z = SiegelPoint(np.zeros((2, 2)), y)
+        np.testing.assert_array_equal(z.Y, (y + y.T) / 2.0)
+        np.testing.assert_array_equal(z.Y, z.Y.T)
+
+    def test_large_skew_rejected(self):
+        with pytest.raises(ValueError, match="^Y is not symmetric$"):
+            SiegelPoint(np.zeros((2, 2)), np.array([[2.0, 0.5 + 1e-9], [0.5, 1.0]]))

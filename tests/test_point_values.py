@@ -1,0 +1,174 @@
+"""A point keeps the values of the last expansion summed at it, and
+``tail_bound`` reads the least eigenvalue a point already holds."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nhsiegel.linalg
+from nhsiegel.forms import evaluate, phi, tail_bound
+from nhsiegel.sampling import random_siegel_point, random_siegel_points
+from nhsiegel.symplectic import PointBatch, act_batch, inversion, reduce_batch, reduce_to_fundamental
+
+FORMS = ["e4_package", "e2star_package", "sym2_package"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Record each read of ``PointBatch.mat`` (the series sum reads Z) and of
+    ``PointBatch.y_inv``, as ("mat" or "y_inv", batch size)."""
+    calls = []
+    for name in ("mat", "y_inv"):
+        original = getattr(PointBatch, name).fget
+
+        def counting(batch, name=name, original=original):
+            calls.append((name, len(batch)))
+            return original(batch)
+
+        monkeypatch.setattr(PointBatch, name, property(counting))
+    return calls
+
+
+def _copy(points: PointBatch) -> PointBatch:
+    """The same points as a batch that has summed nothing."""
+    return PointBatch(points.X.copy(), points.Y.copy())
+
+
+def _arg(points: PointBatch):
+    """A one-point batch as a SiegelPoint (sharing the batch), else the batch."""
+    return points.point(0) if len(points) == 1 else points
+
+
+def _coords(values):
+    return getattr(values, "coords", values)
+
+
+def _points(n, count, seed=3):
+    return random_siegel_points(n, np.random.default_rng(seed), count)
+
+
+class TestHeldValues:
+    @pytest.mark.parametrize("name", FORMS)
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_phi_after_evaluate_sums_nothing(self, name, count, request, work):
+        package = request.getfixturevalue(name)
+        points = _points(package.n, count)
+        values = evaluate(package.expansion, _arg(points))
+        work.clear()
+        got = phi(package, _arg(points))
+        assert work == []
+        fresh = _copy(points)
+        np.testing.assert_array_equal(got, phi(package, _arg(fresh)))
+        np.testing.assert_array_equal(_coords(values), _coords(evaluate(package.expansion, _arg(fresh))))
+
+    def test_reduced_query_point_sums_once(self, e2star_package, work):
+        # The single-point query: reduce, evaluate, then phi at the reduced point.
+        z = random_siegel_point(1, np.random.default_rng(5))
+        _, z_red = reduce_to_fundamental(z)
+        work.clear()
+        evaluate(e2star_package.expansion, z_red)
+        phi(e2star_package, z_red)
+        assert work == [("mat", 1), ("y_inv", 1)]
+
+    def test_other_expansion_is_summed_afresh(self, e4_package, work):
+        points = _points(1, 6)
+        short = e4_package.expansion.with_t_max(3.0)
+        full = evaluate(e4_package.expansion, points)
+        work.clear()
+        got = evaluate(short, points)
+        assert work == [("mat", 6)]
+        np.testing.assert_array_equal(got, evaluate(short, _copy(points)))
+        assert not np.array_equal(got, full)
+        # Back to the first expansion: summed again, to the same values.
+        np.testing.assert_array_equal(evaluate(e4_package.expansion, points), full)
+
+    def test_equal_expansion_object_is_summed_afresh(self, e4_package, work):
+        # The slot checks identity, not equality.
+        points = _points(1, 4)
+        twin = e4_package.expansion.with_t_max(e4_package.expansion.t_max)
+        assert twin == e4_package.expansion and twin is not e4_package.expansion
+        evaluate(e4_package.expansion, points)
+        work.clear()
+        evaluate(twin, points)
+        assert work == [("mat", 4)]
+
+    @pytest.mark.parametrize("name", FORMS + ["zero_package"])
+    def test_held_array_is_read_only(self, name, request):
+        package = request.getfixturevalue(name)
+        points = _points(package.n, 5)
+        values = evaluate(package.expansion, points)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
+        assert evaluate(package.expansion, points) is values
+
+    def test_new_batches_start_empty(self, e4_package):
+        points = _points(1, 5)
+        assert points._summed is None
+        evaluate(e4_package.expansion, points)
+        assert points._summed[0] is e4_package.expansion
+        made = {
+            "point": points.point(2).batch,
+            "from_points": PointBatch.from_points([points.point(0), points.point(1)]),
+            "reduce_batch": reduce_batch(points)[1],
+            "act_batch": act_batch(inversion(1).mat, points),
+        }
+        for where, batch in made.items():
+            assert batch._summed is None, where
+
+    def test_single_point_batch_shares_its_slot(self, e4_package):
+        # point(0) of a one-point batch is that batch, so it sees the values.
+        points = _points(1, 1)
+        values = evaluate(e4_package.expansion, points)
+        assert evaluate(e4_package.expansion, points.point(0)).coords.tolist() == values[0].tolist()
+        assert points.point(0).batch._summed[1] is values
+
+
+class TestTailBoundAtPoints:
+    @pytest.mark.parametrize("name", FORMS)
+    def test_point_equals_matrix_on_reduced_points(self, name, request):
+        package = request.getfixturevalue(name)
+        _, reduced = reduce_batch(_points(package.n, 40, seed=11))
+        by_matrix = [tail_bound(package, y) for y in reduced.Y]
+        got = tail_bound(package, reduced)
+        assert isinstance(got, np.ndarray) and got.shape == (40,)
+        assert got.tolist() == by_matrix
+        for i in (0, 17, 39):
+            single = tail_bound(package, reduced.point(i))
+            assert type(single) is float and single == by_matrix[i]
+
+    def test_point_input_makes_no_eigensolve(self, e2star_package, sym2_package, monkeypatch):
+        points = {1: _points(1, 8), 2: _points(2, 8)}
+        calls = []
+        original = nhsiegel.linalg._eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(nhsiegel.linalg, "_eigh", counting)
+        for package in (e2star_package, sym2_package):
+            tail_bound(package, points[package.n])
+            tail_bound(package, points[package.n].point(3))
+        assert calls == []
+        tail_bound(e2star_package, points[1].Y[0])
+        assert calls == [(1, 1)]
+
+    def test_point_of_another_degree_rejected(self, e4_package, sym2_package):
+        with pytest.raises(ValueError, match="point degree 2 does not match form degree 1"):
+            tail_bound(e4_package, _points(2, 3))
+        with pytest.raises(ValueError, match="point degree 1 does not match form degree 2"):
+            tail_bound(sym2_package, _points(1, 1).point(0))
+
+
+def test_readme_quickstart_runs():
+    # The ```python block of README.md, run as written.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert namespace["magnitude"] == pytest.approx(1.4557628922687093, abs=1e-10)  # |E4(i)|
+    assert namespace["report"].passed and namespace["mod"].passed
