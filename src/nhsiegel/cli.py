@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FormDataError, NhsiegelError
 from .formio import load_form_package, save_form_package
-from .forms import FormPackage, check_invariance, evaluate, magnitudes
+from .forms import FormPackage, check_invariance, evaluate, phi
 from .growth import (
     GrowthReport,
     SweepConfig,
@@ -133,7 +133,7 @@ def cmd_eval(args) -> int:
     package = _load_package(args)
     points = _load_points(args)
     values = evaluate(package.expansion, points)
-    phis = magnitudes(package.rep, points, values)
+    phis = phi(package, points)
     records = [
         {"point": {"X": x, "Y": y}, "value": value, "phi": magnitude}
         for x, y, value, magnitude in zip(
@@ -194,8 +194,6 @@ def _sweep_config(args, seed_offset: int = 0) -> SweepConfig:
 def _constant(args, package: FormPackage) -> float:
     if args.constant is None:
         return estimate_constant(package, _sweep_config(args))
-    if args.constant <= 0:
-        raise FormDataError("--constant must be positive")
     return args.constant
 
 
@@ -219,6 +217,8 @@ def cmd_moderate(args) -> int:
             raise FormDataError("--w0 must be comma-separated reals")
         if len(coords) != rep.dim:
             raise FormDataError(f"--w0 needs {rep.dim} coordinates")
+        if not all(map(math.isfinite, coords)):
+            raise FormDataError(f"--w0 coordinates must be finite, got {args.w0}")
         w0 = vector(rep, coords)
     else:
         w0 = basis_vector(rep, 0)
@@ -319,10 +319,10 @@ def main(argv=None) -> int:
         given = vars(args)  # only the flags of args.command
         if given.get("samples", 1) < 1:
             raise FormDataError("--samples must be >= 1")
-        if given.get("delta") is not None and args.delta <= 0:
-            raise FormDataError("--delta must be positive")
-        if given.get("tol", 1.0) <= 0:
-            raise FormDataError("--tol must be positive")
+        for flag in ("constant", "delta", "tol"):
+            value = given.get(flag)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise FormDataError(f"--{flag} must be finite and positive, got {value}")
         return args.func(args)
     except FormDataError as exc:
         sys.stderr.write(f"input error: {exc}\n")

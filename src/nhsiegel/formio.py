@@ -10,7 +10,9 @@ Top-level fields:
     growth          {"A": float, "kappa": float}
     gamma_test_set  list of 2n x 2n integer matrices
     coefficients    list of records, see below
-    coset_reps      optional list of 2n x 2n integer matrices
+    coset_reps      optional list of 2n x 2n integer matrices; parsed and
+                    kept, but sweeps that estimate a constant reject a
+                    non-identity one until per-cusp expansions exist
 
 Each coefficient record is
 
@@ -102,7 +104,9 @@ def package_from_dict(data: dict) -> FormPackage:
     rep_raw = data["rep"]
     if not (isinstance(rep_raw, dict) and "j" in rep_raw and "k" in rep_raw):
         raise FormDataError("rep must be an object with fields j and k")
-    rep = make_rep(n, int(rep_raw["j"]), int(rep_raw["k"]))
+    if not (isinstance(rep_raw["j"], int) and isinstance(rep_raw["k"], int)):
+        raise FormDataError("rep.j and rep.k must be integers")
+    rep = make_rep(n, rep_raw["j"], rep_raw["k"])
     growth_raw = data["growth"]
     if not (isinstance(growth_raw, dict) and "A" in growth_raw and "kappa" in growth_raw):
         raise FormDataError("growth must be an object with fields A and kappa")

@@ -93,6 +93,8 @@ def _checked_term(n, p, level, rep, beta, s_raw, value, where: str):
     vec = np.array(value, dtype=complex)
     if vec.shape != (rep.dim,):
         raise FormDataError(f"{where}: value has length {vec.shape}, expected {rep.dim}")
+    if not np.all(np.isfinite(vec)):
+        raise FormDataError(f"{where}: value has non-finite coordinates {vec.tolist()}")
     vec.flags.writeable = False
     return (beta, _canonical_s_key(s_int)), vec
 
@@ -258,9 +260,11 @@ class FormPackage:
     coefficient-growth constants.
 
     ``gamma_test_set`` holds integral symplectic matrices against which the
-    transformation law is checked; ``coset_reps`` are representatives used
-    when the invariance group is a proper subgroup of the full integral
-    group (default: just the identity).
+    transformation law is checked; ``coset_reps`` are representatives for
+    an invariance group that is a proper subgroup of the full integral
+    group (default: just the identity).  They are kept, but only the
+    expansion at infinity is stored, so ``estimate_constant`` rejects a
+    non-identity one until per-cusp expansions exist.
     """
 
     expansion: FourierExpansion
@@ -352,14 +356,13 @@ def slash(f: FormLike, g: SymplecticMatrix) -> PointEvaluator:
     return PointEvaluator(ev.rep, ev.n, partial(slash_values, ev, g.mat))
 
 
-def phi(f: FormLike, z: SiegelPoint | PointBatch):
+def phi(f: FourierExpansion | FormPackage, z: SiegelPoint | PointBatch):
     """The invariant magnitude ||rho(Y^{1/2}) F(Z)||, or the array of it at
     every point of a PointBatch, read off Y = Q diag(mu) Q^T as
     ||D(mu) rho(Q^T) F(Z)|| (``magnitudes``)."""
     points = z.batch if isinstance(z, SiegelPoint) else z
     f = f.expansion if isinstance(f, FormPackage) else f
-    values = f.func(points) if isinstance(f, PointEvaluator) else evaluate(f, points)
-    out = magnitudes(f.rep, points, values)
+    out = magnitudes(f.rep, points, evaluate(f, points))
     return out if points is z else float(out[0])
 
 

@@ -29,8 +29,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidExponentError
-from .forms import FormLike, FormPackage, as_evaluator, phi, slash, slash_values
+from .errors import FormDataError, InvalidExponentError
+from .forms import FormLike, FormPackage, phi, slash_values
 from .reps import RepVector, norm
 from .sampling import random_group_samples, random_siegel_points
 from .symplectic import (
@@ -66,8 +66,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.ratio_tol <= 0:
-            raise ValueError("ratio tolerance must be positive")
+        if not (math.isfinite(self.ratio_tol) and self.ratio_tol > 0):
+            raise ValueError(f"ratio_tol must be finite and positive, got {self.ratio_tol}")
         if not (math.isfinite(self.eig_low) and self.eig_low > 0):
             raise ValueError(f"eig_low must be finite and positive, got {self.eig_low}")
         if not (math.isfinite(self.eig_high) and self.eig_high >= self.eig_low):
@@ -160,23 +160,20 @@ group_blocks = partial(_seeded_blocks, random_group_samples)
 def estimate_constant(package: FormPackage, config: SweepConfig) -> float:
     """Empirical constant for the eigenvalue product bound.
 
-    Sweeps phi over fundamental-domain points and over the coset
-    representatives, takes the worst ratio against the eigenvalue bound,
-    and inflates it by the configured safety factor.
+    Sweeps phi over fundamental-domain points, takes the worst ratio
+    against the eigenvalue bound, and inflates it by the configured safety
+    factor.  Only the expansion at infinity is stored, so a non-identity
+    coset representative is rejected.
     """
-    lam1 = package.lambda1
     identity = np.eye(2 * package.n)
-    evaluators = [
-        as_evaluator(package) if np.array_equal(g.mat, identity) else slash(package, g)
-        for g in package.coset_reps
-    ]
+    if any(not np.array_equal(g.mat, identity) for g in package.coset_reps):
+        raise FormDataError("a non-identity coset representative needs per-cusp expansions")
     worst = 0.0
     for points in adversarial_blocks(package.n, config):
         _, reduced = reduce_batch(points)
-        rhs = sturm_rhs_batch(reduced, lam1)
-        for ev in evaluators:
-            # fmax skips NaN ratios, as a scan keeping the largest would.
-            worst = float(np.fmax.reduce(phi(ev, reduced) / rhs, initial=worst))
+        ratio = phi(package, reduced) / sturm_rhs_batch(reduced, package.lambda1)
+        # fmax skips NaN ratios, as a scan keeping the largest would.
+        worst = float(np.fmax.reduce(ratio, initial=worst))
     return config.safety * worst
 
 
@@ -196,8 +193,8 @@ def verify_growth_bound(
     rhs_fn = {"theorem": sturm_rhs_batch, "corollary": corollary_rhs_batch}.get(kind)
     if rhs_fn is None:
         raise ValueError(f"unknown bound kind {kind!r}")
-    if constant < 0:
-        raise ValueError("bound constant must be non-negative")
+    if not (math.isfinite(constant) and constant >= 0):
+        raise ValueError(f"bound constant must be finite and non-negative, got {constant}")
     config = config or SweepConfig()
     lam1 = package.lambda1
     parts = []
@@ -211,12 +208,12 @@ def verify_growth_bound(
 
 def lift_batch(f: FormLike, elements) -> np.ndarray:
     """The lift at every element of an (N, 2n, 2n) stack, as (N, dim)."""
-    return slash_values(f, elements, SiegelPoint.base_point(as_evaluator(f).n).batch)
+    return slash_values(f, elements, SiegelPoint.base_point(f.n).batch)
 
 
 def lift(f: FormLike, g: SymplecticMatrix) -> RepVector:
     """The lifted function on the group: rho(J(g, iI))^{-1} F(g . iI)."""
-    return RepVector(as_evaluator(f).rep, lift_batch(f, g.mat[None])[0])
+    return RepVector(f.rep, lift_batch(f, g.mat[None])[0])
 
 
 def group_samples(n: int, config: SweepConfig) -> Iterator[SymplecticMatrix]:
@@ -242,8 +239,14 @@ def verify_moderate_growth(
     """
     lam1 = package.lambda1
     min_r = package.n * lam1 / 2.0
+    if not math.isfinite(r):
+        raise ValueError(f"exponent r must be finite, got {r}")
     if r < min_r:
         raise InvalidExponentError(f"exponent {r} below the certified threshold {min_r}")
+    if not (math.isfinite(constant) and constant >= 0):
+        raise ValueError(f"bound constant must be finite and non-negative, got {constant}")
+    if not np.all(np.isfinite(w0.coords)):
+        raise ValueError(f"w0 coordinates must be finite, got {w0.coords.tolist()}")
     config = config or SweepConfig()
     c_mod = norm(w0) * constant * config.safety
     settings = _config_dict(config, package)

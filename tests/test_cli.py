@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -296,6 +297,33 @@ class TestModerate:
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def coset_file(e4_file, tmp_path_factory):
+    # e4 with the inversion as its one coset representative: the file's
+    # list replaces the identity default.
+    data = json.loads(e4_file.read_text(encoding="utf-8"))
+    data["coset_reps"] = [[[0, -1], [1, 0]]]
+    path = tmp_path_factory.mktemp("forms") / "e4_coset.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestCosetReps:
+    @pytest.mark.parametrize("command", ["bound", "moderate"])
+    def test_constant_estimate_rejected(self, coset_file, capsys, command):
+        assert main([command, "--form", str(coset_file), "--samples", "20"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert "per-cusp expansions" in err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("bound", ["--constant", "2"]), ("moderate", ["--constant", "2"]), ("check", [])],
+    )
+    def test_commands_that_estimate_nothing_still_run(self, coset_file, command, extra):
+        assert main([command, "--form", str(coset_file), "--samples", "20", *extra]) == 0
+
+
 class TestCheck:
     def test_e4(self, e4_file, tmp_path):
         out = tmp_path / "check.json"
@@ -332,6 +360,16 @@ class TestConfigValidation:
         # Guard: an unreadable form file is malformed input.
         assert main(["bound", "--form", str(tmp_path / "missing.json")]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["check", "--samples", "20"], ["eval", "--z", "0;1"]])
+    def test_non_finite_coefficient_is_input_error(self, e4_file, tmp_path, capsys, command):
+        # A NaN coefficient must not reach check, where NaN > threshold is false.
+        data = json.loads(e4_file.read_text(encoding="utf-8"))
+        data["coefficients"][2]["value"] = [[math.nan, 0.0]]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([command[0], "--form", str(path), *command[1:]]) == 2
+        assert "coefficients[2]" in capsys.readouterr().err
 
     def test_bad_format_rejected_by_argparse(self, e4_file):
         with pytest.raises(SystemExit):

@@ -271,11 +271,33 @@ class TestFlags:
             ["reduce", "--z", "0;1", "--tol", "0"],
             ["bound", "--form", "f.json", "--samples", "0"],
             ["moderate", "--form", "f.json", "--tol", "-1"],
+            ["bound", "--form", "f.json", "--constant", "1e-6", "--tol", "nan"],
+            ["bound", "--form", "f.json", "--constant", "1e-6", "--tol", "inf"],
+            ["bound", "--form", "f.json", "--constant", "nan"],
+            ["bound", "--form", "f.json", "--constant", "inf"],
+            ["moderate", "--form", "f.json", "--constant", "-1"],
+            ["reduce", "--z", "0;1", "--delta", "nan"],
+            ["reduce", "--z", "0;1", "--delta", "inf"],
         ],
     )
     def test_kept_flags_still_checked(self, capsys, argv):
         assert main(argv) == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--r", "nan"],
+            ["--r", "inf"],
+            ["--constant", "1e-6", "--r", "nan"],
+            ["--w0", "nan"],
+            ["--w0", "inf"],
+        ],
+    )
+    def test_non_finite_moderate_arguments_rejected(self, forms, capsys, extra):
+        argv = ["moderate", "--form", str(forms["e4"]), "--samples", "20", *extra]
+        assert main(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_reduce_delta_and_tol(self, capsys):
         assert main(["reduce", "--z", "0;1", "--delta", "1.5", "--tol", "0.5"]) == 0
@@ -334,18 +356,16 @@ class TestNothingComputedTwice:
     @pytest.mark.parametrize("name", ["e4", "sym2"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_eval_sums_the_series_once(self, forms, tmp_path, monkeypatch, name, fmt):
-        import nhsiegel.cli
         import nhsiegel.forms
 
         calls = []
-        real = nhsiegel.forms.evaluate
+        real = nhsiegel.forms._series
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(nhsiegel.forms, "evaluate", counting)
-        monkeypatch.setattr(nhsiegel.cli, "evaluate", counting)
+        monkeypatch.setattr(nhsiegel.forms, "_series", counting)
         path = _points_file(tmp_path / "points.json", _adversarial(build_sample(name).n, 20))
         argv = ["eval", "--form", str(forms[name]), "--points", path, "--format", fmt]
         assert main(argv + ["--out", str(tmp_path / f"e.{fmt}")]) == 0

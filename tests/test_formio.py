@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,24 @@ class TestValidation:
         package = package_from_dict(data)
         assert len(package.coset_reps) == 1
         np.testing.assert_array_equal(package.coset_reps[0].mat, [[0, -1], [1, 0]])
+
+    @pytest.mark.parametrize("field, value", [("j", 0.5), ("k", 4.0), ("k", "4"), ("j", None)])
+    def test_rep_weights_must_be_integers(self, field, value):
+        # int() would truncate 0.5 to 0 and load the wrong representation.
+        data = minimal_dict()
+        data["rep"][field] = value
+        with pytest.raises(FormDataError, match="rep.j and rep.k must be integers"):
+            package_from_dict(data)
+
+    def test_non_finite_value_names_record(self, tmp_path):
+        data = minimal_dict()
+        data["coefficients"][1]["value"] = [[math.nan, 0.0]]
+        with pytest.raises(FormDataError, match=r"coefficients\[1\].*non-finite"):
+            package_from_dict(data)
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(FormDataError, match=r"coefficients\[1\]"):
+            load_form_package(path)
 
     def test_level_scales_s(self):
         data = minimal_dict()

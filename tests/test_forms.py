@@ -190,6 +190,20 @@ class TestConstructionGates:
                 },
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_values(self, bad):
+        # A NaN coefficient would pass every later check: NaN > bound is false.
+        rep = make_rep(1, 0, 4)
+        b0 = MultiIndex.from_dict(1, {})
+        terms = [(b0, [[0]], [1.0]), (b0, [[1]], [bad])]
+        with pytest.raises(FormDataError, match=r"coefficients\[1\].*non-finite"):
+            FourierExpansion.from_terms(1, 0, 1, rep, 10.0, terms)
+        with pytest.raises(FormDataError, match=r"coefficient key.*non-finite"):
+            FourierExpansion(
+                n=1, p=0, level=1, rep=rep, t_max=5.0,
+                coefficients={(b0, ((1,),)): np.array([bad], dtype=complex)},
+            )
+
     def test_growth_gate_rejects(self):
         rep = make_rep(1, 0, 4)
         b0 = MultiIndex.from_dict(1, {})

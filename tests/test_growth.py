@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nhsiegel.errors import InvalidExponentError, NotPositiveDefiniteError
+from nhsiegel.errors import FormDataError, InvalidExponentError, NotPositiveDefiniteError
 from nhsiegel.forms import phi
 from nhsiegel.growth import (
     SweepConfig,
@@ -24,6 +25,7 @@ from nhsiegel.symplectic import (
     automorphy_factor,
     compact_from_unitary,
     from_point,
+    inversion,
 )
 
 
@@ -287,6 +289,9 @@ class TestSweepConfig:
             ("safety", -1.0),
             ("safety", math.nan),
             ("safety", math.inf),
+            ("ratio_tol", 0.0),
+            ("ratio_tol", math.nan),
+            ("ratio_tol", math.inf),
         ],
     )
     def test_rejects_bad_sampling_fields(self, field, value):
@@ -296,3 +301,54 @@ class TestSweepConfig:
     def test_accepts_degenerate_ranges(self, e4_package):
         config = SweepConfig(samples=20, seed=2, eig_low=2.0, eig_high=2.0, x_scale=0.0)
         assert estimate_constant(e4_package, config) > 0
+
+
+class TestStoredExpansionOnly:
+    """The sweeps evaluate the stored expansion at infinity and nothing else."""
+
+    def test_non_identity_coset_rep_rejected(self, e4_package):
+        # F|S = F for e4, but the series at infinity, evaluated at S Z, is
+        # not F|S where Im(S Z) is small; only per-cusp data would do.
+        package = replace(
+            e4_package, coset_reps=(SymplecticMatrix.identity(1), inversion(1))
+        )
+        with pytest.raises(FormDataError, match="non-identity coset representative needs per-cusp expansions"):
+            estimate_constant(package, SweepConfig(samples=20, seed=0))
+
+    def test_identity_coset_rep_is_the_plain_sweep(self, e4_package):
+        config = SweepConfig(samples=300, seed=3)
+        package = replace(e4_package, coset_reps=(SymplecticMatrix.identity(1),))
+        assert estimate_constant(package, config) == estimate_constant(e4_package, config)
+
+    def test_given_constant_still_sweeps(self, e4_package):
+        # Only the constant estimate reads coset_reps.
+        package = replace(e4_package, coset_reps=(inversion(1),))
+        config = SweepConfig(samples=50, seed=4)
+        assert verify_growth_bound(package, 2.0, config=config).passed
+        w0 = basis_vector(package.rep, 0)
+        assert verify_moderate_growth(package, w0, 2.0, 2.0, config=config).passed
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, -1.0])
+    def test_growth_bound_constant(self, e4_package, constant):
+        with pytest.raises(ValueError, match="constant must be finite"):
+            verify_growth_bound(e4_package, constant, config=SweepConfig(samples=5))
+
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, -1.0])
+    def test_moderate_constant(self, e4_package, constant):
+        w0 = basis_vector(e4_package.rep, 0)
+        with pytest.raises(ValueError, match="constant must be finite"):
+            verify_moderate_growth(e4_package, w0, 2.0, constant, config=SweepConfig(samples=5))
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_moderate_exponent(self, e4_package, r):
+        w0 = basis_vector(e4_package.rep, 0)
+        with pytest.raises(ValueError, match="exponent r must be finite"):
+            verify_moderate_growth(e4_package, w0, r, 1.0, config=SweepConfig(samples=5))
+
+    @pytest.mark.parametrize("coord", [math.nan, math.inf])
+    def test_moderate_w0(self, e4_package, coord):
+        w0 = vector(e4_package.rep, [coord])
+        with pytest.raises(ValueError, match="w0 coordinates must be finite"):
+            verify_moderate_growth(e4_package, w0, 2.0, 1.0, config=SweepConfig(samples=5))
