@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormDataError, NhsiegelError
-from .formio import load_form_package, save_form_package
+from .formio import load_form_package, load_points, save_form_package
 from .forms import FormPackage, check_invariance, evaluate, phi
 from .growth import (
     GrowthReport,
@@ -82,20 +82,7 @@ def _load_points(args) -> PointBatch:
     a single degree."""
     named = [(f"point {spec!r}", parse_point(spec)) for spec in args.z or []]
     if args.points:
-        try:
-            data = json.loads(Path(args.points).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormDataError(f"points file {args.points}: {exc}")
-        if not isinstance(data, list):
-            raise FormDataError("points file must hold a JSON list")
-        for idx, rec in enumerate(data):
-            if not (isinstance(rec, dict) and "X" in rec and "Y" in rec):
-                raise FormDataError(f"points[{idx}]: need objects with X and Y")
-            try:
-                z = SiegelPoint(np.asarray(rec["X"], float), np.asarray(rec["Y"], float))
-            except (ValueError, NhsiegelError) as exc:
-                raise FormDataError(f"points[{idx}]: {exc}")
-            named.append((f"points[{idx}]", z))
+        named += [(f"points[{i}]", z) for i, z in enumerate(load_points(args.points))]
     if not named:
         raise FormDataError("no points given; use --z or --points")
     n = named[0][1].n

@@ -1,13 +1,13 @@
-"""Form package file format (UTF-8 JSON).
+"""Form package and points files (UTF-8 JSON).
 
-Top-level fields:
+Top-level fields of a form package:
 
     n               degree (positive integer)
-    p               near-holomorphy degree
+    p               near-holomorphy degree (non-negative integer)
     level           positive integer N
-    T_max           truncation bound on Tr(S)
-    rep             {"j": int, "k": int}
-    growth          {"A": float, "kappa": float}
+    T_max           truncation bound on Tr(S) (number)
+    rep             {"j": integer, "k": integer}
+    growth          {"A": number, "kappa": number}
     gamma_test_set  list of 2n x 2n integer matrices
     coefficients    list of records, see below
     coset_reps      optional list of 2n x 2n integer matrices; parsed and
@@ -18,9 +18,14 @@ Each coefficient record is
 
     {"beta": {"i,j": power, ...}, "S": [[...]], "value": [[re, im], ...]}
 
-where "beta" uses 1-based upper-triangular pairs, "S" holds the INTEGER
-matrix N*S (rationals are never stored as floats), and "value" lists the
-d_rho coordinates as [re, im] pairs.
+where "beta" uses 1-based upper-triangular pairs with integer powers, "S"
+holds the integer matrix N*S (rationals are never stored as floats), and
+"value" lists the d_rho coordinates as [re, im] pairs of numbers.  A points
+file is a list of {"X": [[...]], "Y": [[...]]} records of numbers.
+
+Integers are JSON numbers without fraction or exponent that fit int64, and
+numbers any JSON numbers that fit a float; true, false and strings are
+neither.  ``_read`` reads them all; the objects built check their ranges.
 """
 
 from __future__ import annotations
@@ -30,14 +35,40 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormDataError
+from .errors import FormDataError, NhsiegelError
 from .forms import FormPackage, FourierExpansion, trace_level
 from .linalg import MultiIndex
 from .reps import make_rep
-from .symplectic import SymplecticMatrix
+from .symplectic import SiegelPoint, SymplecticMatrix
 
 
-def _parse_beta(n: int, raw: dict, where: str) -> MultiIndex:
+def _read(raw, where: str, integer: bool = False, shape: tuple | None = ()) -> np.ndarray:
+    """``raw`` as an int64 (``integer``) or float64 array of ``shape`` (any if
+    None; () is a scalar); FormDataError naming ``where`` unless its leaves are
+    JSON integers (``integer``) or numbers in a rectangular nest of lists."""
+    kind = "integer" if integer else "number"
+    stack = [raw]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(reversed(x))  # the first bad leaf is named
+        elif type(x) is not int and (integer or type(x) is not float):
+            many = f"{kind}s" if isinstance(raw, list) else f"a{'n' * integer} {kind}"
+            raise FormDataError(f"{where} must be {many}, got {x!r}")
+    try:
+        arr = np.array(raw, dtype=np.int64 if integer else float)
+    except OverflowError:
+        raise FormDataError(f"{where}: a value does not fit {'int64' if integer else 'a float'}")
+    except ValueError:
+        raise FormDataError(f"{where}: nested lists must be rectangular")
+    if shape is not None and arr.shape != shape:
+        raise FormDataError(f"{where}: expected shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _parse_beta(n: int, raw, where: str) -> MultiIndex:
+    if not isinstance(raw, dict):
+        raise FormDataError(f"{where}: beta must be an object")
     entries: dict[tuple[int, int], int] = {}
     for key, power in raw.items():
         try:
@@ -45,45 +76,16 @@ def _parse_beta(n: int, raw: dict, where: str) -> MultiIndex:
             pair = (int(i_s), int(j_s))
         except (ValueError, AttributeError):
             raise FormDataError(f"{where}: malformed beta key {key!r}, expected 'i,j'")
-        if not isinstance(power, int):
-            raise FormDataError(f"{where}: beta power for {key!r} must be an integer")
-        entries[pair] = power
+        entries[pair] = _read(power, f"{where}: beta power for {key!r}", integer=True).item()
     try:
         return MultiIndex.from_dict(n, entries)
     except ValueError as exc:
         raise FormDataError(f"{where}: {exc}")
 
 
-def _parse_value(raw, dim: int, where: str) -> list[complex]:
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise FormDataError(f"{where}: value must list {dim} [re, im] pairs")
-    out = []
-    for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise FormDataError(f"{where}: value entries must be [re, im] pairs")
-        out.append(complex(float(entry[0]), float(entry[1])))
-    return out
-
-
-def _parse_s(raw, n: int, where: str) -> list[list[int]]:
-    arr = raw
-    if not (isinstance(arr, list) and len(arr) == n and all(isinstance(r, list) and len(r) == n for r in arr)):
-        raise FormDataError(f"{where}: S must be an {n}x{n} integer matrix (N*S)")
-    for row in arr:
-        for x in row:
-            if not isinstance(x, int):
-                raise FormDataError(f"{where}: S entries must be integers (store N*S, not floats)")
-    return arr
-
-
 def _parse_gamma(raw, n: int, where: str) -> SymplecticMatrix:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (2 * n, 2 * n):
-        raise FormDataError(f"{where}: expected a {2*n}x{2*n} matrix")
-    if float(np.max(np.abs(arr - np.round(arr)))) > 1e-9:
-        raise FormDataError(f"{where}: entries must be integers")
     try:
-        return SymplecticMatrix(np.round(arr))
+        return SymplecticMatrix(_read(raw, where, integer=True, shape=(2 * n, 2 * n)))
     except ValueError as exc:
         raise FormDataError(f"{where}: {exc}")
 
@@ -92,25 +94,19 @@ def package_from_dict(data: dict) -> FormPackage:
     for key in ("n", "p", "level", "T_max", "rep", "growth", "gamma_test_set", "coefficients"):
         if key not in data:
             raise FormDataError(f"missing required field {key!r}")
-    n = data["n"]
-    p = data["p"]
-    level = data["level"]
-    if not (isinstance(n, int) and n >= 1):
-        raise FormDataError("n must be a positive integer")
-    if not (isinstance(p, int) and p >= 0):
-        raise FormDataError("p must be a non-negative integer")
-    if not (isinstance(level, int) and level >= 1):
-        raise FormDataError("level must be a positive integer")
+    n, p, level = (_read(data[key], key, integer=True).item() for key in ("n", "p", "level"))
     rep_raw = data["rep"]
     if not (isinstance(rep_raw, dict) and "j" in rep_raw and "k" in rep_raw):
         raise FormDataError("rep must be an object with fields j and k")
-    if not (isinstance(rep_raw["j"], int) and isinstance(rep_raw["k"], int)):
-        raise FormDataError("rep.j and rep.k must be integers")
-    rep = make_rep(n, rep_raw["j"], rep_raw["k"])
+    j, k = _read([rep_raw["j"], rep_raw["k"]], "rep.j and rep.k", integer=True, shape=(2,)).tolist()
+    try:
+        rep = make_rep(n, j, k)
+    except (ValueError, NhsiegelError) as exc:
+        raise FormDataError(f"rep: {exc}")
     growth_raw = data["growth"]
     if not (isinstance(growth_raw, dict) and "A" in growth_raw and "kappa" in growth_raw):
         raise FormDataError("growth must be an object with fields A and kappa")
-    t_max = float(data["T_max"])
+    t_max = _read(data["T_max"], "T_max").item()
 
     terms = []
     for idx, record in enumerate(data["coefficients"]):
@@ -121,9 +117,9 @@ def package_from_dict(data: dict) -> FormPackage:
             if fld not in record:
                 raise FormDataError(f"{where}: missing field {fld!r}")
         beta = _parse_beta(n, record["beta"], where)
-        s_int = _parse_s(record["S"], n, where)
-        value = _parse_value(record["value"], rep.dim, where)
-        terms.append((beta, s_int, value))
+        s_int = _read(record["S"], f"{where}: S", integer=True, shape=None)
+        pairs = _read(record["value"], f"{where}: value", shape=(rep.dim, 2))
+        terms.append((beta, s_int, pairs.view(complex)[:, 0]))  # complex(re, im), bit for bit
     expansion = FourierExpansion.from_terms(n, p, level, rep, t_max, terms)
 
     gammas = tuple(
@@ -137,8 +133,8 @@ def package_from_dict(data: dict) -> FormPackage:
     return FormPackage(
         expansion,
         gammas,
-        growth_a=float(growth_raw["A"]),
-        growth_kappa=float(growth_raw["kappa"]),
+        growth_a=_read(growth_raw["A"], "growth.A").item(),
+        growth_kappa=_read(growth_raw["kappa"], "growth.kappa").item(),
         coset_reps=coset,
     )
 
@@ -164,30 +160,48 @@ def package_to_dict(package: FormPackage) -> dict:
         "T_max": exp_.t_max,
         "rep": {"j": exp_.rep.j, "k": exp_.rep.k},
         "growth": {"A": package.growth_a, "kappa": package.growth_kappa},
-        "gamma_test_set": [
-            [[int(x) for x in row] for row in g.mat] for g in package.gamma_test_set
-        ],
+        "gamma_test_set": [g.mat.astype(int).tolist() for g in package.gamma_test_set],
         "coefficients": records,
     }
     nontrivial_coset = [
         g for g in package.coset_reps if not np.array_equal(g.mat, np.eye(2 * exp_.n))
     ]
     if nontrivial_coset:
-        out["coset_reps"] = [
-            [[int(x) for x in row] for row in g.mat] for g in nontrivial_coset
-        ]
+        out["coset_reps"] = [g.mat.astype(int).tolist() for g in nontrivial_coset]
     return out
 
 
-def load_form_package(path) -> FormPackage:
-    text = Path(path).read_text(encoding="utf-8")
+def _read_json(path):
     try:
-        data = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormDataError(f"{path}: not valid JSON ({exc})")
+
+
+def load_form_package(path) -> FormPackage:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise FormDataError(f"{path}: top level must be a JSON object")
     return package_from_dict(data)
+
+
+def load_points(path) -> list[SiegelPoint]:
+    """The points of a points file, in order; FormDataError naming the
+    record ``points[i]`` of a malformed one."""
+    data = _read_json(path)
+    if not isinstance(data, list):
+        raise FormDataError(f"{path}: a points file must hold a JSON list")
+    points = []
+    for idx, rec in enumerate(data):
+        where = f"points[{idx}]"
+        if not (isinstance(rec, dict) and "X" in rec and "Y" in rec):
+            raise FormDataError(f"{where}: need objects with X and Y")
+        x, y = (_read(rec[part], f"{where}: {part}", shape=None) for part in "XY")
+        try:
+            points.append(SiegelPoint(x, y))
+        except (ValueError, NhsiegelError) as exc:
+            raise FormDataError(f"{where}: {exc}")
+    return points
 
 
 def save_form_package(package: FormPackage, path) -> None:

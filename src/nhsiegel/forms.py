@@ -161,6 +161,7 @@ class FourierExpansion:
         Raises FormDataError naming the offending record when a beta exceeds
         degree p, an S is not positive semidefinite, or N*S is not integral.
         """
+        cls(n, p, level, rep, t_max)  # the field checks, before any term is read
         last = last_level(level, t_max)
         coeffs = _CheckedTerms()
         for idx, (beta, s_raw, value) in enumerate(terms):

@@ -13,7 +13,6 @@ elements round-trip exactly through the reduction bookkeeping.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -35,8 +34,6 @@ from .linalg import (
     inverse,
     spectral,
 )
-
-log = logging.getLogger(__name__)
 
 SYMPLECTIC_TOL = 1e-10
 
@@ -95,10 +92,10 @@ def is_symplectic(m, tol: float = SYMPLECTIC_TOL) -> bool:
 @dataclass(frozen=True, eq=False, slots=True)
 class PointBatch:
     """N points Z = X + iY of the degree-n Siegel upper half space, stacked
-    as (N, n, n) arrays.  Construction validates every point once (X and Y
-    symmetric, Y positive definite) with one eigensolve for the stack, kept
-    as ``eigvals`` (decreasing) and ``eigvecs`` for Y^{-1}, Y^{1/2} and the
-    growth right-hand sides."""
+    as (N, n, n) arrays.  Construction validates every point once (X finite,
+    X and Y symmetric, Y positive definite) with one eigensolve for the
+    stack, kept as ``eigvals`` (decreasing) and ``eigvecs`` for Y^{-1},
+    Y^{1/2} and the growth right-hand sides."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -110,6 +107,8 @@ class PointBatch:
 
     def __post_init__(self):
         x = _require_symmetric(self.X, "X", stacked=True)
+        if not np.isfinite(x).all():
+            raise ValueError("X has non-finite entries")
         y = _require_symmetric(self.Y, "Y", stacked=True)
         if x.shape != y.shape:
             raise ValueError("X and Y must have the same shape")
@@ -558,7 +557,6 @@ def reduce_batch(
         else:
             w = num @ _adjugate(c[best] @ zc + d[best]) / den
             zc = (w + _t(w)) / 2.0
-    log.debug("reduction stabilised after %d steps", steps)
     # Exactly symmetric: the iterates are symmetrised, the translations symmetric.
     return gamma, PointBatch._made(last.real.copy(), last.imag.copy())
 

@@ -394,3 +394,64 @@ def test_console_entry_point(e4_file, tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+class TestJsonInput:
+    """Malformed numbers in form and points files, and non-finite inline
+    points, are input errors (exit 2) that name the record."""
+
+    def test_form_value_out_of_float_range(self, e4_file, tmp_path, capsys):
+        text = e4_file.read_text(encoding="utf-8")
+        data = json.loads(text)
+        data["coefficients"][1]["value"] = [[10**400, 0]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["bound", "--form", str(path), "--samples", "20"]) == 2
+        err = capsys.readouterr().err
+        assert "coefficients[1]: value" in err and "Traceback" not in err
+
+    def test_form_string_t_max(self, e4_file, tmp_path, capsys):
+        data = json.loads(e4_file.read_text(encoding="utf-8"))
+        data["T_max"] = "10"
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["bound", "--form", str(path), "--samples", "20"]) == 2
+        assert "T_max" in capsys.readouterr().err
+
+    def test_form_boolean_weight(self, e4_file, tmp_path, capsys):
+        # "k": true once loaded E4 as weight det^1, and bound reported violations.
+        data = json.loads(e4_file.read_text(encoding="utf-8"))
+        data["rep"] = {"j": 0, "k": True}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["bound", "--form", str(path), "--samples", "20"]) == 2
+        assert "rep.j and rep.k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reduce", "eval"])
+    @pytest.mark.parametrize(
+        "records, named",
+        [
+            ([{"X": [["0.1"]], "Y": [[1.0]]}], "points[0]: X"),
+            ([{"X": [[0.1]], "Y": [[True]]}], "points[0]: Y"),
+        ],
+    )
+    def test_points_file_entries(self, e4_file, tmp_path, capsys, command, records, named):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+        argv = [command, "--points", str(path)]
+        if command == "eval":
+            argv += ["--form", str(e4_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["reduce", "eval"])
+    @pytest.mark.parametrize("spec", ["nan;1", "inf;1", "0,nan,0;1,0,1"])
+    def test_non_finite_x(self, e4_file, capsys, command, spec):
+        argv = [command, "--z", spec]
+        if command == "eval":
+            argv += ["--form", str(e4_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"point {spec!r}" in captured.err and "non-finite" in captured.err
+        assert captured.out == ""

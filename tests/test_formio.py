@@ -7,10 +7,12 @@ import pytest
 from nhsiegel.errors import FormDataError
 from nhsiegel.formio import (
     load_form_package,
+    load_points,
     package_from_dict,
     package_to_dict,
     save_form_package,
 )
+from nhsiegel.linalg import MultiIndex
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
 
 
@@ -166,3 +168,121 @@ class TestValidation:
         monkeypatch.setattr(nhsiegel.linalg, "_eigh", lambda a: calls.append(a) or eigh(a))
         load_form_package(path)
         assert len(calls) == records
+
+
+def _set(data, path, value):
+    *head, last = path
+    for key in head:
+        data = data[key]
+    data[last] = value
+
+
+class TestJsonNumbers:
+    """Every number of a form file is read once: a JSON integer where the
+    format says integer, a JSON number elsewhere, never true/false or a
+    string, and within int64 or float range."""
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("T_max",), "10", "T_max"),
+            (("growth", "A"), "10", r"growth\.A"),
+            (("growth", "kappa"), "1", r"growth\.kappa"),
+            (("coefficients", 1, "value"), [["2.5", "-1"]], r"coefficients\[1\]: value"),
+            (("gamma_test_set", 0), [["1", "1"], ["0", "1"]], r"gamma_test_set\[0\]"),
+            (("n",), True, "n must be"),
+            (("p",), True, "p must be"),
+            (("level",), True, "level must be"),
+            (("rep", "k"), True, r"rep\.j and rep\.k"),
+            (("coefficients", 1, "beta"), {"1,1": True}, r"coefficients\[1\]: beta power"),
+            (("coefficients", 1, "S"), [[True]], r"coefficients\[1\]: S"),
+            (("coefficients", 1, "value"), [[True, 0]], r"coefficients\[1\]: value"),
+            (("coefficients", 1, "value"), [[10**400, 0]], r"coefficients\[1\]: value"),
+            (("T_max",), 10**400, "T_max"),
+            (("growth", "A"), 10**400, r"growth\.A"),
+            (("coefficients", 1, "S"), [[10**30]], r"coefficients\[1\]: S.*int64"),
+        ],
+        ids=[
+            "string-T_max", "string-A", "string-kappa", "string-value", "string-gamma",
+            "true-n", "true-p", "true-level", "true-rep.k", "true-beta", "true-S", "true-value",
+            "10^400-value", "10^400-T_max", "10^400-A", "10^30-S",
+        ],
+    )
+    def test_rejected_with_field_named(self, path, value, named):
+        data = minimal_dict()
+        _set(data, path, value)
+        with pytest.raises(FormDataError, match=named):
+            package_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("coefficients", 0, "value"), [[1.0, 0.0], [2.0]], r"coefficients\[0\]: value.*rectangular"),
+            (("coefficients", 0, "value"), [1.0, 0.0], r"coefficients\[0\]: value.*shape"),
+            (("coefficients", 0, "beta"), [], r"coefficients\[0\]: beta must be an object"),
+            (("gamma_test_set", 0), [[1, 0, 0], [0, 1, 0]], r"gamma_test_set\[0\].*shape"),
+            (("rep", "j"), -1, "rep:"),
+            (("n",), 0, "rep:"),
+            (("level",), 0, "level"),
+        ],
+        ids=["ragged-value", "flat-value", "list-beta", "gamma-shape", "negative-j", "n-0", "level-0"],
+    )
+    def test_other_malformed_input_is_form_data_error(self, path, value, named):
+        data = minimal_dict()
+        _set(data, path, value)
+        with pytest.raises(FormDataError, match=named):
+            package_from_dict(data)
+
+    def test_value_pairs_kept_bit_for_bit(self):
+        data = minimal_dict()
+        data["coefficients"][1]["value"] = [[-0.0, 0.1]]
+        vec = package_from_dict(data).expansion.coefficients[(MultiIndex(1, ()), ((1,),))]
+        assert math.copysign(1.0, vec[0].real) == -1.0
+        assert vec[0] == complex(-0.0, 0.1)
+        assert package_to_dict(package_from_dict(data))["coefficients"][1]["value"] == [[-0.0, 0.1]]
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_BUILDERS))
+    def test_load_save_is_byte_identical(self, name, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_form_package(build_sample(name), first)
+        save_form_package(load_form_package(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        # Every stored pair comes back as complex(re, im), signs of zero included.
+        stored = json.loads(first.read_text(encoding="utf-8"))["coefficients"]
+        loaded = package_to_dict(load_form_package(first))["coefficients"]
+        for want, got in zip(stored, loaded):
+            want = np.array(want["value"], dtype=float)
+            got = np.array(got["value"], dtype=float)
+            assert want.view(np.int64).tolist() == got.view(np.int64).tolist()
+
+
+class TestLoadPoints:
+    def test_points_in_order(self, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps([{"X": [[0.25]], "Y": [[2]]}, {"X": [[0]], "Y": [[1.5]]}]))
+        points = load_points(path)
+        assert [float(z.X[0, 0]) for z in points] == [0.25, 0.0]
+        assert [float(z.Y[0, 0]) for z in points] == [2.0, 1.5]
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('[{"X": [["0.1"]], "Y": [[1.0]]}]', r"points\[0\]: X must be numbers"),
+            ('[{"X": [[0.1]], "Y": [[1.0]]}, {"X": [[0.1]], "Y": [[true]]}]', r"points\[1\]: Y"),
+            ('[{"X": [[1%s]], "Y": [[1.0]]}]' % ("0" * 400), r"points\[0\]: X"),
+            ('[{"X": [[1e400]], "Y": [[1.0]]}]', r"points\[0\]: X has non-finite"),
+            ('[{"X": [[0.0]]}]', r"points\[0\]: need objects with X and Y"),
+        ],
+        ids=["string-X", "true-Y", "huge-int-X", "1e400-X", "no-Y"],
+    )
+    def test_malformed_record_named(self, tmp_path, text, named):
+        path = tmp_path / "points.json"
+        path.write_text(text)
+        with pytest.raises(FormDataError, match=named):
+            load_points(path)
+
+    def test_not_a_list(self, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"X": [[0.0]], "Y": [[1.0]]}))
+        with pytest.raises(FormDataError, match="JSON list"):
+            load_points(path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nhsiegel.errors import (
+    EigenIterationError,
     NonIntegralError,
     NotPositiveDefiniteError,
     ReductionBudgetError,
@@ -19,6 +20,7 @@ from nhsiegel.symplectic import (
     _LAGRANGE_TOL,
     _MOVE_BELOW,
     FUNDAMENTAL_DOMAIN_DELTA,
+    PointBatch,
     SiegelPoint,
     SymplecticMatrix,
     _candidate_dets,
@@ -449,3 +451,18 @@ class TestTypes:
     def test_symplectic_form_square(self):
         j = symplectic_form(2)
         np.testing.assert_allclose(j @ j, -np.eye(4))
+
+
+class TestNonFiniteX:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_batch_rejects_non_finite_x(self, bad):
+        x = np.zeros((3, 2, 2))
+        x[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="X has non-finite"):
+            PointBatch(x, np.broadcast_to(np.eye(2), (3, 2, 2)))
+        with pytest.raises(ValueError, match="X has non-finite"):
+            SiegelPoint(np.array([[bad]]), np.array([[1.0]]))
+
+    def test_non_finite_y_keeps_its_error(self):
+        with pytest.raises(EigenIterationError):
+            SiegelPoint(np.array([[0.0]]), np.array([[math.nan]]))
