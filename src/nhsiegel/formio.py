@@ -94,6 +94,9 @@ def package_from_dict(data: dict) -> FormPackage:
     for key in ("n", "p", "level", "T_max", "rep", "growth", "gamma_test_set", "coefficients"):
         if key not in data:
             raise FormDataError(f"missing required field {key!r}")
+    for key in ("coefficients", "gamma_test_set", "coset_reps"):
+        if not isinstance(data.get(key, []), list):
+            raise FormDataError(f"{key} must be a JSON array, got {json.dumps(data[key])[:40]}")
     n, p, level = (_read(data[key], key, integer=True).item() for key in ("n", "p", "level"))
     rep_raw = data["rep"]
     if not (isinstance(rep_raw, dict) and "j" in rep_raw and "k" in rep_raw):

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import FormDataError, TailDivergenceError
-from .linalg import MultiIndex, eigenvalues_sym, inv_stack, monomial, multi_index_count
+from .linalg import MultiIndex, eigenvalues_sym, inv_stack, multi_index_count
 from .reps import Rep, RepVector, norms, rep_matrix
 from .symplectic import (
     PointBatch,
@@ -207,8 +207,9 @@ class FourierExpansion:
         )
 
     @cached_property
-    def _stacks(self) -> list[tuple[MultiIndex, int, np.ndarray, np.ndarray]]:
-        # Per beta: its degree, the S matrices flattened to (K, n*n), the (K, dim) values.
+    def _stacks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        # Per beta: the flat indices into Y^{-1} and the powers of its monomial (empty
+        # at degree 0), the S matrices flattened to (K, n*n), the (K, dim) values.
         by_beta: dict[MultiIndex, list] = {}
         for (beta, skey), vec in self.coefficients.items():
             by_beta.setdefault(beta, []).append((skey, vec))
@@ -217,7 +218,9 @@ class FourierExpansion:
             items.sort(key=lambda kv: kv[0])
             s_stack = np.array([k for k, _ in items], dtype=float) / float(self.level)
             v_stack = np.array([v for _, v in items], dtype=complex)
-            out.append((beta, beta.degree, s_stack.reshape(len(items), -1), v_stack))
+            pairs = [((i - 1) * self.n + j - 1, b) for i, j, b in beta.powers]
+            flat, powers = np.array(pairs, dtype=int).reshape(-1, 2).T
+            out.append((flat, powers, s_stack.reshape(len(items), -1), v_stack))
         return out
 
 
@@ -243,11 +246,11 @@ def _series(f: FourierExpansion, points: PointBatch) -> np.ndarray:
     """The sum at every point, read-only.  Y^{-1} is formed only when a
     stored beta has positive degree, and then once."""
     zc, y_inv, total = points.mat.reshape(len(points), -1), None, None
-    for beta, degree, s_flat, v_stack in f._stacks:
+    for flat, powers, s_flat, v_stack in f._stacks:
         part = np.exp(2j * math.pi * (zc @ s_flat.T)) @ v_stack  # sum a exp(2 pi i Tr(S Z))
-        if degree:
-            y_inv = points.y_inv if y_inv is None else y_inv
-            part *= monomial(y_inv, beta)[:, None]
+        if flat.size:
+            y_inv = points.y_inv.reshape(len(points), -1) if y_inv is None else y_inv
+            part *= np.multiply.reduce(y_inv.take(flat, axis=1) ** powers, axis=1)[:, None]
         total = part if total is None else total + part
     if total is None:
         total = np.zeros((len(points), f.rep.dim), dtype=complex)
@@ -287,7 +290,12 @@ class FormPackage:
         if not math.isfinite(self.growth_kappa):
             raise FormDataError("growth exponent kappa must be finite")
         for beta, s, vec in self.expansion.terms():
-            bound = self.growth_a * (1.0 + float(np.trace(s))) ** self.growth_kappa
+            try:
+                bound = self.growth_a * (1.0 + float(np.trace(s))) ** self.growth_kappa
+            except OverflowError:
+                raise FormDataError(
+                    f"growth exponent kappa={self.growth_kappa:g} overflows the growth bound"
+                ) from None
             vn = float(np.sqrt(np.sum(np.abs(vec) ** 2)))
             if vn > bound * (1.0 + 1e-12):
                 raise FormDataError(
@@ -428,20 +436,27 @@ def _tail_series(package: FormPackage, delta: float) -> float:
     e_c = math.exp(-c)
     first = last_level(level, exp_.t_max) + 1
     total = 0.0
-    for m in range(first, first + 200000):
-        # The term at level m, then an upper bound for term(m'+1)/term(m')
-        # over all m' >= m.  Both polynomial ratio factors decrease toward
-        # 1, so capping the kappa factor at 1 from below keeps the bound
-        # valid for negative kappa too.
-        t = (2.0 * m + 1.0) ** r_slots * a_const * (1.0 + m / level) ** kappa * math.exp(-c * m)
-        total += t
-        poly = ((2.0 * m + 3.0) / (2.0 * m + 1.0)) ** r_slots
-        kfac = ((level + m + 1.0) / (level + m)) ** kappa
-        r_hat = poly * max(1.0, kfac) * e_c
-        if r_hat < 1.0:
-            rest = t * r_hat / (1.0 - r_hat)
-            if rest <= 1e-16 * total:
-                return multi_index_count(n, p) * max(1.0, delta ** (-p)) * (total + rest)
+    try:
+        for m in range(first, first + 200000):
+            # The term at level m, then an upper bound for term(m'+1)/term(m')
+            # over all m' >= m.  Both polynomial ratio factors decrease toward
+            # 1, so capping the kappa factor at 1 from below keeps the bound
+            # valid for negative kappa too.
+            t = (2.0 * m + 1.0) ** r_slots * a_const * (1.0 + m / level) ** kappa
+            t *= math.exp(-c * m)
+            total += t
+            poly = ((2.0 * m + 3.0) / (2.0 * m + 1.0)) ** r_slots
+            kfac = ((level + m + 1.0) / (level + m)) ** kappa
+            r_hat = poly * max(1.0, kfac) * e_c
+            if r_hat < 1.0:
+                rest = t * r_hat / (1.0 - r_hat)
+                if not rest > 1e-16 * total:  # also true once a term is inf * 0 = NaN
+                    bound = multi_index_count(n, p) * max(1.0, delta ** (-p)) * (total + rest)
+                    if bound < math.inf:  # else a product overflowed to inf or NaN
+                        return bound
+                    raise OverflowError
+    except OverflowError:
+        raise TailDivergenceError(f"tail estimate overflows a float at level {m}") from None
     raise TailDivergenceError(
         "tail estimate did not stabilise within the iteration budget "
         f"(min eigenvalue of Y is {delta:.3e}; effectively too small)"

@@ -30,7 +30,6 @@ from .linalg import (
     _require_symmetric,
     _eigh,
     _t,
-    det_stack,
     inverse,
     spectral,
 )
@@ -123,18 +122,16 @@ class PointBatch:
         return batch
 
     def _fill(self, x, y, eig=None) -> None:
+        w, q = eig or _eigh(y)
         if eig is None:
-            w, q = _eigh(y)
             low = w[:, -1] <= _posdef_floor(w)
             if low.any():
                 raise NotPositiveDefiniteError(
                     f"imaginary part is not positive definite (min eigenvalue {w[low, -1][0]:.3e})"
                 )
-            eig = w, q
-        for name, value in zip(("X", "Y", "eigvals", "eigvecs"), (x, y, *eig)):
-            value.flags.writeable = False
+        x.flags.writeable = y.flags.writeable = w.flags.writeable = q.flags.writeable = False
+        for name, value in zip(("X", "Y", "eigvals", "eigvecs", "_summed"), (x, y, w, q, None)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_summed", None)
 
     @classmethod
     def from_points(cls, points) -> "PointBatch":
@@ -406,33 +403,38 @@ _INT_J = {n: symplectic_form(n).astype(np.int64) for n in (1, 2)}
 
 
 def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
-    """Integer u with det +-1 per matrix of an (N, 2, 2) stack such that
-    u y u^T is Lagrange-reduced: 2|y12| <= y11 <= y22, to a relative
-    _LAGRANGE_TOL.  Raises ReductionBudgetError after 64 rounds."""
+    """int64 diag(u, u^-T) per matrix of an (N, 2, 2) stack, u integral with
+    det +-1 such that u y u^T is Lagrange-reduced: 2|y12| <= y11 <= y22, to
+    a relative _LAGRANGE_TOL.  A swap permutes the rows [1, 0, 3, 2]; the
+    shear (1 0; -r 1) of u is the shear (1 r; 0 1) of u^-T.  Raises
+    ReductionBudgetError after 64 rounds."""
     # The entries of u y u^T, rounded as the products t y t^T would round them.
     y11, y12, y22 = y[:, 0, 0], y[:, 0, 1], y[:, 1, 1]
-    u, live = np.repeat(_INT_EYE[2][None], len(y), axis=0), np.ones(len(y), dtype=bool)
+    m, live = np.repeat(_INT_EYE[4][None], len(y), axis=0), np.ones(len(y), dtype=bool)
     for _ in range(64):
+        # count_nonzero, not any(): on a few entries it costs a third as much.
         swap = live & (y11 > y22 * (1.0 + 1e-15))
-        swapped = swap.any()
+        swapped = np.count_nonzero(swap)
         if swapped:
             y11, y22 = np.where(swap, y22, y11), np.where(swap, y11, y22)
-            u[swap] = u[swap, ::-1]
+            m[swap] = m[swap].take([1, 0, 3, 2], axis=1)
         # The shear (1 0; -r 1) with r = round(y12 / y11); the identity once done.
         r = np.where(live, np.rint(y12 / y11), 0.0)
-        if r.any():
-            u[:, 1] -= r.astype(np.int64)[:, None] * u[:, 0]
+        if np.count_nonzero(r):
+            ri = r.astype(np.int64)[:, None]
+            m[:, 1] -= ri * m[:, 0]
+            m[:, 2] += ri * m[:, 3]
             y12, y22 = y12 - r * y11, y22 - r * y12
             y22 = y22 - r * y12  # again, with the sheared y12: t y t^T's order
         elif not swapped and (y11 > 0.0).all():
             # Then y11 <= y22 (1 + 1e-15) and |y12| <= y11 / 2: all reduced.
-            return u
+            return m
         live &= ~(
             (2.0 * np.abs(y12) <= y11 * (1.0 + _LAGRANGE_TOL))
             & (y11 <= y22 * (1.0 + _LAGRANGE_TOL))
         )
-        if not live.any():
-            return u
+        if not np.count_nonzero(live):
+            return m
     raise ReductionBudgetError("Lagrange reduction of Im(Z) did not converge within 64 rounds")
 
 
@@ -472,7 +474,7 @@ def _minors(zc: np.ndarray) -> np.ndarray:
     (z) in degree 1, (det Z, z11, z12, z22) in degree 2."""
     if zc.shape[-1] == 1:
         return zc[:, 0]
-    m = zc.reshape(-1, 4)[:, [0, 0, 1, 3]]  # z11 (for det Z), z11, z12, z22
+    m = zc.reshape(-1, 4).take([0, 0, 1, 3], axis=1)  # z11 (for det Z), z11, z12, z22
     m[:, 0] = m[:, 1] * m[:, 3] - m[:, 2] * m[:, 2]
     return m
 
@@ -505,52 +507,59 @@ def reduce_batch(
     candidates first); a point is masked out when none improves it.  Since
     det Im(gamma Z) = det Im Z / |det(C Z + D)|^2, the candidates are scored
     by det(C Z + D) alone, all of them on all moving points at once, and
-    the action is formed only for each moved point's winner.  Returns
-    (gamma, reduced): integral (N, 2n, 2n) gammas and the last iterates, on
-    which the stopping rule held, equal to act_batch(gamma, points) up to
-    rounding.  Raises ReductionBudgetError after ``budget`` steps.
+    the action is formed only for each moved point's winner.  In degree 2
+    gamma takes one integer step matrix (u  t u^-T; 0 u^-T) per step.  Only
+    on a step where some point has no primary mover (so may stop) are the
+    extended candidates scored, gamma and the point written back and the
+    live arrays compacted.  Returns (gamma, reduced): integral (N, 2n, 2n)
+    gammas and the last iterates, on which the stopping rule held, equal to
+    act_batch(gamma, points) up to rounding.  Raises ReductionBudgetError
+    after ``budget`` steps.
     """
     n = points.n
     if n not in (1, 2):
         raise ValueError(f"reduction implemented for degrees 1 and 2, got {n}")
     cands, primary, (a, b, c, d), _ = _CANDIDATES[n]
-    gamma = np.repeat(_INT_EYE[2 * n][None], len(points), axis=0)
     # live: the points still moving; g, zc: their gammas and positions;
-    # last: each point's position when the stopping rule was last evaluated.
-    live, g, zc = np.arange(len(points)), gamma.copy(), points.mat
-    last = np.empty_like(zc)
+    # gamma, last: each point's gamma and position when it stopped.
+    live, zc = np.arange(len(points)), points.mat
+    g = np.repeat(_INT_EYE[2 * n][None], len(points), axis=0)
+    gamma, last = np.empty_like(g), np.empty_like(zc)
     for steps in itertools.count(1):
         if steps > budget:
             raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
         if n == 2:
-            u = _lagrange_2x2(zc.imag)
-            uf = u.astype(float)
-            zc = uf @ zc @ _t(uf)
+            m = _lagrange_2x2(zc.imag)
+            uc = m[:, :n, :n].astype(complex)  # cast once, not in each product
+            zc = uc @ zc @ _t(uc)
             zc = (zc + _t(zc)) / 2.0
-            # (u 0; 0 u^-T) with the exact integer inverse transpose (det u = +-1).
-            g[:, :n] = u @ g[:, :n]
-            g[:, n:] = (_t(_adjugate(u)) * det_stack(u)[:, None, None]) @ g[:, n:]
-        t = -np.rint(zc.real)
-        g[:, :n] += t.astype(np.int64) @ g[:, n:]
-        zc = zc + t
+            t = -np.rint(zc.real)
+            # The step (I t; 0 I) diag(u, u^-T) = (u  t u^-T; 0 u^-T).
+            m[:, :n, n:] = t.astype(np.int64) @ m[:, n:, n:]
+            g = m if steps == 1 else m @ g
+        else:
+            t = -np.rint(zc.real)
+            g[:, :n] += t.astype(np.int64) @ g[:, n:]
+        zc += t
         dets = _candidate_dets(zc)
         det_sq = dets.real**2 + dets.imag**2  # 1 / gain
         # The first candidate with the largest gain wins, primary ones first.
         head = det_sq[:, :primary]
         best, moved = head.argmin(axis=1), head.min(axis=1) < _MOVE_BELOW
-        if len(cands) > primary:
-            tail = det_sq[:, primary:]
-            use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
-            best = np.where(use_tail, primary + tail.argmin(axis=1), best)
-            moved |= use_tail
-        gamma[live], last[live] = g, zc
-        live = live[moved]
-        if not live.size:
-            break
-        best = best[moved]
-        g = cands[best] @ g[moved]
+        if not moved.all():
+            if len(cands) > primary:
+                tail = det_sq[:, primary:]
+                use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
+                if use_tail.any():
+                    best = np.where(use_tail, primary + tail.argmin(axis=1), best)
+                    moved |= use_tail
+            gamma[live], last[live] = g, zc
+            live = live[moved]
+            if not live.size:
+                break
+            g, zc, best = g[moved], zc[moved], best[moved]
+        g, den = cands[best] @ g, dets[moved, best][:, None, None]
         # (A Z + B)(C Z + D)^{-1} = (A Z + B) adj(C Z + D) / det(C Z + D).
-        zc, den = zc[moved], dets[moved, best][:, None, None]
         num = a[best] @ zc + b[best]
         if n == 1:
             zc = num / den

@@ -371,6 +371,42 @@ class TestConfigValidation:
         assert main([command[0], "--form", str(path), *command[1:]]) == 2
         assert "coefficients[2]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["check", "--samples", "10"], ["eval", "--z", "0;1"]], ids=["check", "eval"]
+    )
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (("growth", "kappa", 1e308), "kappa"),
+            (("coefficients", None, 5), "coefficients"),
+            (("gamma_test_set", None, 7), "gamma_test_set"),
+        ],
+        ids=["kappa-1e308", "coefficients-5", "gamma_test_set-7"],
+    )
+    def test_unusable_form_file_is_input_error(self, e4_file, tmp_path, capsys, command, edit, named):
+        # Malformed input, so exit 2 with the field named, and no traceback.
+        data = json.loads(e4_file.read_text(encoding="utf-8"))
+        key, sub, value = edit
+        if sub is None:
+            data[key] = value
+        else:
+            data[key][sub] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([command[0], "--form", str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and named in err
+
+    def test_overflowing_tail_is_numerical_failure(self, e4_file, tmp_path, capsys):
+        # The package holds (1 + Tr S)^200 up to T_max; the tail series
+        # reaches a level where a float cannot, and says so.
+        data = json.loads(e4_file.read_text(encoding="utf-8"))
+        data["growth"]["kappa"] = 200
+        path = tmp_path / "kappa200.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", "--form", str(path), "--samples", "10"]) == 1
+        assert capsys.readouterr().err.startswith("numerical failure: tail estimate overflows")
+
     def test_bad_format_rejected_by_argparse(self, e4_file):
         with pytest.raises(SystemExit):
             main(["eval", "--form", str(e4_file), "--format", "xml"])

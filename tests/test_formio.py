@@ -233,6 +233,27 @@ class TestJsonNumbers:
         with pytest.raises(FormDataError, match=named):
             package_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("coefficients", 5),
+            ("coefficients", {"a": 1}),
+            ("gamma_test_set", 7),
+            ("gamma_test_set", "x"),
+            ("coset_reps", "x"),
+            ("coset_reps", {"0": [[1, 0], [0, 1]]}),
+        ],
+        ids=[
+            "coefficients-5", "coefficients-object", "gamma_test_set-7",
+            "gamma_test_set-string", "coset_reps-string", "coset_reps-object",
+        ],
+    )
+    def test_list_fields_must_be_arrays(self, key, value):
+        data = minimal_dict()
+        data[key] = value
+        with pytest.raises(FormDataError, match=f"^{key} must be a JSON array"):
+            package_from_dict(data)
+
     def test_value_pairs_kept_bit_for_bit(self):
         data = minimal_dict()
         data["coefficients"][1]["value"] = [[-0.0, 0.1]]

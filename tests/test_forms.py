@@ -211,6 +211,10 @@ class TestConstructionGates:
         with pytest.raises(FormDataError, match="exceeds declared growth bound"):
             FormPackage(exp_, (translation(np.array([[1.0]])),), growth_a=1.0, growth_kappa=0.0)
 
+    def test_overflowing_growth_bound_names_kappa(self, e4_package):
+        with pytest.raises(FormDataError, match=r"kappa=1e\+308 overflows the growth bound"):
+            FormPackage(e4_package.expansion, (), growth_a=300.0, growth_kappa=1e308)
+
     def test_gamma_must_be_integral(self, e4_package):
         from nhsiegel.symplectic import from_point
 
@@ -334,6 +338,18 @@ class TestTailBound:
     def test_divergence_error(self, e4_package):
         with pytest.raises(TailDivergenceError):
             tail_bound(e4_package, np.array([[-1.0]]))
+
+    @pytest.mark.parametrize(
+        "a_const, kappa, y",
+        [(300.0, 200.0, 1.0), (1e307, 3.0, 1.0), (1e307, 3.0, 200.0)],
+        ids=["kappa", "A", "A-large-Y"],
+    )
+    def test_overflowing_term_is_divergence(self, e4_package, a_const, kappa, y):
+        # A raised power that overflows, a product that becomes inf, and
+        # one that becomes inf * exp(-c m) = inf * 0 = NaN.
+        package = FormPackage(e4_package.expansion, (), growth_a=a_const, growth_kappa=kappa)
+        with pytest.raises(TailDivergenceError, match="overflows a float"):
+            tail_bound(package, np.array([[y]]))
 
     def test_rejects_y_of_another_degree(self, e4_package, sym2_package):
         with pytest.raises(ValueError, match=r"Y of shape \(2, 2\) does not match form degree 1"):

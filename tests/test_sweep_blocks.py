@@ -150,7 +150,7 @@ def _reference_reduce(points):
     live, g, zc = np.arange(len(points)), gamma.copy(), points.mat
     while live.size:
         if n == 2:
-            u = _lagrange_2x2(zc.imag)
+            u = _lagrange_2x2(zc.imag)[:, :2, :2]
             uf = u.astype(float)
             zc = uf @ zc @ _t(uf)
             zc = (zc + _t(zc)) / 2.0
@@ -204,10 +204,25 @@ def test_reduction_matches_reference(n):
     np.testing.assert_array_equal(gamma, _reference_reduce(points))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_batch_reduction_matches_each_point_alone(n):
+    # Points stop at different steps, so the batch drops some and carries
+    # the others on; each must end as it ends on its own.
+    x, y = _reference_points(n, 60 + n, 2000)
+    edge = _edge_points(n)
+    points = PointBatch(np.concatenate([x, edge.X]), np.concatenate([y, edge.Y]))
+    gamma, reduced = reduce_batch(points)
+    for i in range(len(points)):
+        alone_gamma, alone = reduce_batch(points.point(i).batch)
+        np.testing.assert_array_equal(gamma[i], alone_gamma[0])
+        for name in ("X", "Y", "eigvals"):
+            np.testing.assert_array_equal(getattr(reduced, name)[i], getattr(alone, name)[0])
+
+
 def test_lagrange_reduction_raises_when_it_cannot_finish():
     # An indefinite matrix is never Lagrange-reduced.
     with pytest.raises(ReductionBudgetError):
-        _lagrange_2x2(np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+        _lagrange_2x2(np.array([[[1.0, 0.0], [0.0, -1.0]]]))[:, :2, :2]
 
 
 # -- CSV rows ----------------------------------------------------------------

@@ -310,6 +310,14 @@ def _lagrange_by_products(y):
     raise AssertionError("reference Lagrange reduction did not terminate")
 
 
+def _u_of_step(m):
+    # u of the step matrices diag(u, u^-T), checked to be of that form.
+    u = m[:, :2, :2]
+    np.testing.assert_array_equal(m[:, 2:, 2:], np.round(np.linalg.inv(u).swapaxes(-1, -2)))
+    assert not m[:, :2, 2:].any() and not m[:, 2:, :2].any()
+    return u
+
+
 @pytest.fixture
 def reduction_work(monkeypatch):
     """Counts the matrices the symplectic module decomposes and the
@@ -379,7 +387,7 @@ class TestReducedPoint:
         eig = np.stack([low, low * 10.0 ** rng.uniform(0.0, 8.0, count)], axis=-1)
         y = (q * eig[:, None, :]) @ np.swapaxes(q, -1, -2)
         y = (y + np.swapaxes(y, -1, -2)) / 2.0
-        np.testing.assert_array_equal(_lagrange_2x2(y), _lagrange_by_products(y))
+        np.testing.assert_array_equal(_u_of_step(_lagrange_2x2(y)), _lagrange_by_products(y))
 
     def test_lagrange_matches_the_product_form_at_ties(self):
         # After the first shear y22 lies within 8 ulps of y11 / (1 + 1e-12),
@@ -394,7 +402,7 @@ class TestReducedPoint:
         y12 = sheared + r * y11
         y22 = target + r * y12 + r * sheared
         y = np.stack([np.stack([y11, y12], axis=-1), np.stack([y12, y22], axis=-1)], axis=-2)
-        np.testing.assert_array_equal(_lagrange_2x2(y), _lagrange_by_products(y))
+        np.testing.assert_array_equal(_u_of_step(_lagrange_2x2(y)), _lagrange_by_products(y))
 
     def test_gamma_checked_exactly(self):
         gamma, _ = reduce_to_fundamental(SiegelPoint(np.array([[0.3]]), np.array([[0.2]])))
