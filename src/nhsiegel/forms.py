@@ -488,8 +488,10 @@ def check_invariance(
     Samples must satisfy Im(Z) >= identity/2, which keeps the truncation
     tail estimable; the per-sample threshold is the tail bound at Z and at
     gamma Z (scaled through the automorphy factor) plus a fixed
-    floating-point allowance.
+    floating-point allowance.  FormDataError if gamma_test_set is empty.
     """
+    if not package.gamma_test_set:
+        raise FormDataError("gamma_test_set is empty: no transformation law to check")
     points = samples if isinstance(samples, PointBatch) else PointBatch.from_points(samples)
     if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
         raise ValueError("invariance samples must have Im(Z) >= identity/2")

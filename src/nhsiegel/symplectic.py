@@ -501,45 +501,71 @@ def reduce_batch(
     """Move every point of a batch into an approximate fundamental domain
     for the integral group.
 
-    Highest-point iteration: repeatedly Lagrange-reduce Y by a unimodular
-    congruence, translate X into [-1/2, 1/2], and apply the inversion
-    candidate raising det(Im) most, by a factor above 1 + 1e-9 (primary
-    candidates first); a point is masked out when none improves it.  Since
-    det Im(gamma Z) = det Im Z / |det(C Z + D)|^2, the candidates are scored
-    by det(C Z + D) alone, all of them on all moving points at once, and
-    the action is formed only for each moved point's winner.  In degree 2
-    gamma takes one integer step matrix (u  t u^-T; 0 u^-T) per step.  Only
-    on a step where some point has no primary mover (so may stop) are the
-    extended candidates scored, gamma and the point written back and the
-    live arrays compacted.  Returns (gamma, reduced): integral (N, 2n, 2n)
-    gammas and the last iterates, on which the stopping rule held, equal to
-    act_batch(gamma, points) up to rounding.  Raises ReductionBudgetError
-    after ``budget`` steps.
+    Degree 1 runs the classical loop on complex numbers: translate x into
+    [-1/2, 1/2], then invert z -> -1/z while that raises y by a factor above
+    1 + 1e-9.  Degree 2 runs highest-point iteration: Lagrange-reduce Y by
+    a unimodular congruence, translate X into [-1/2, 1/2], and apply the
+    inversion candidate raising det(Im) most by such a factor (primary
+    candidates first).  Since det Im(gamma Z) = det Im Z / |det(C Z + D)|^2,
+    the candidates are scored by det(C Z + D) alone, all of them on all
+    moving points at once; the action is formed only for each moved point's
+    winner, gamma takes one integer step matrix (u  t u^-T; 0 u^-T) per
+    step, and the extended candidates are scored only on a step where some
+    point has no primary mover.  Gamma and the point are written back only
+    on a step where some point stops.  Returns (gamma, reduced): integral
+    (N, 2n, 2n) gammas and the last iterates, on which the stopping rule
+    held, equal to act_batch(gamma, points) up to rounding.  Raises
+    ReductionBudgetError after ``budget`` steps; an empty batch takes none.
     """
     n = points.n
     if n not in (1, 2):
         raise ValueError(f"reduction implemented for degrees 1 and 2, got {n}")
-    cands, primary, (a, b, c, d), _ = _CANDIDATES[n]
-    # live: the points still moving; g, zc: their gammas and positions;
-    # gamma, last: each point's gamma and position when it stopped.
-    live, zc = np.arange(len(points)), points.mat
-    g = np.repeat(_INT_EYE[2 * n][None], len(points), axis=0)
-    gamma, last = np.empty_like(g), np.empty_like(zc)
-    for steps in itertools.count(1):
-        if steps > budget:
+    gamma, last = (_reduce_1 if n == 1 else _reduce_2)(points.mat, budget)
+    # Exactly symmetric: the iterates are symmetrised, the translations symmetric.
+    return gamma, PointBatch._made(last.real.copy(), last.imag.copy())
+
+
+def _reduce_1(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    # The (N,) complex vector z of an (N, 1, 1) stack zc; names as in _reduce_2.
+    live, z = np.arange(len(zc)), zc.reshape(-1)
+    g = np.repeat(_INT_EYE[2][None], len(z), axis=0)
+    gamma, last, steps = np.empty_like(g), np.empty_like(z), 0
+    while live.size:
+        if steps >= budget:
             raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
-        if n == 2:
-            m = _lagrange_2x2(zc.imag)
-            uc = m[:, :n, :n].astype(complex)  # cast once, not in each product
-            zc = uc @ zc @ _t(uc)
-            zc = (zc + _t(zc)) / 2.0
-            t = -np.rint(zc.real)
-            # The step (I t; 0 I) diag(u, u^-T) = (u  t u^-T; 0 u^-T).
-            m[:, :n, n:] = t.astype(np.int64) @ m[:, n:, n:]
-            g = m if steps == 1 else m @ g
-        else:
-            t = -np.rint(zc.real)
-            g[:, :n] += t.astype(np.int64) @ g[:, n:]
+        steps += 1
+        t = -np.rint(z.real)
+        g[:, 0] += t.astype(np.int64)[:, None] * g[:, 1]
+        z += t
+        moved = z.real**2 + z.imag**2 < _MOVE_BELOW  # |z|^2, the inversion's 1 / gain
+        if not moved.all():
+            gamma[live], last[live] = g, z
+            live = live[moved]
+            if not live.size:
+                break
+            g, z = g[moved], z[moved]
+        g, z = _INT_J[1].T @ g, -1.0 / z
+    return gamma, last[:, None, None]
+
+
+def _reduce_2(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    cands, primary, (a, b, c, d), _ = _CANDIDATES[2]
+    # live: the points still moving; g, zc: their int64 gammas and complex
+    # positions; gamma, last: each point's gamma and position when it stopped.
+    live, g = np.arange(len(zc)), np.repeat(_INT_EYE[4][None], len(zc), axis=0)
+    gamma, last, steps = np.empty_like(g), np.empty_like(zc), 0
+    while live.size:
+        if steps >= budget:
+            raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
+        steps += 1
+        m = _lagrange_2x2(zc.imag)
+        uc = m[:, :2, :2].astype(complex)  # cast once, not in each product
+        zc = uc @ zc @ _t(uc)
+        zc = (zc + _t(zc)) / 2.0
+        t = -np.rint(zc.real)
+        # The step (I t; 0 I) diag(u, u^-T) = (u  t u^-T; 0 u^-T).
+        m[:, :2, 2:] = t.astype(np.int64) @ m[:, 2:, 2:]
+        g = m if steps == 1 else m @ g
         zc += t
         dets = _candidate_dets(zc)
         det_sq = dets.real**2 + dets.imag**2  # 1 / gain
@@ -547,12 +573,11 @@ def reduce_batch(
         head = det_sq[:, :primary]
         best, moved = head.argmin(axis=1), head.min(axis=1) < _MOVE_BELOW
         if not moved.all():
-            if len(cands) > primary:
-                tail = det_sq[:, primary:]
-                use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
-                if use_tail.any():
-                    best = np.where(use_tail, primary + tail.argmin(axis=1), best)
-                    moved |= use_tail
+            tail = det_sq[:, primary:]
+            use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
+            if use_tail.any():
+                best = np.where(use_tail, primary + tail.argmin(axis=1), best)
+                moved |= use_tail
             gamma[live], last[live] = g, zc
             live = live[moved]
             if not live.size:
@@ -560,14 +585,9 @@ def reduce_batch(
             g, zc, best = g[moved], zc[moved], best[moved]
         g, den = cands[best] @ g, dets[moved, best][:, None, None]
         # (A Z + B)(C Z + D)^{-1} = (A Z + B) adj(C Z + D) / det(C Z + D).
-        num = a[best] @ zc + b[best]
-        if n == 1:
-            zc = num / den
-        else:
-            w = num @ _adjugate(c[best] @ zc + d[best]) / den
-            zc = (w + _t(w)) / 2.0
-    # Exactly symmetric: the iterates are symmetrised, the translations symmetric.
-    return gamma, PointBatch._made(last.real.copy(), last.imag.copy())
+        w = (a[best] @ zc + b[best]) @ _adjugate(c[best] @ zc + d[best]) / den
+        zc = (w + _t(w)) / 2.0
+    return gamma, last
 
 
 def reduce_to_fundamental(

@@ -351,6 +351,17 @@ class TestCheck:
         argv = ["check", "--form", str(e4_file), "--samples", "100", "--tmax", "4.9999999999"]
         assert main(argv) == 0
 
+    def test_empty_gamma_set_is_input_error(self, e4_file, tmp_path, capsys):
+        # With no gamma there is no transformation law to check, so no pass.
+        data = json.loads(e4_file.read_text(encoding="utf-8"))
+        data["gamma_test_set"] = []
+        path = tmp_path / "no_gammas.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", "--form", str(path), "--samples", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "gamma_test_set" in err
+        assert main(["eval", "--form", str(path), "--z", "0;1"]) == 0
+
 
 class TestConfigValidation:
     def test_bad_samples(self, e4_file):

@@ -294,6 +294,11 @@ class TestInvariance:
         assert report.max_deviation <= 1e-6
         assert report.violations == 0
 
+    def test_empty_gamma_set_rejected(self, e4_package):
+        package = FormPackage(e4_package.expansion, (), growth_a=300.0, growth_kappa=3.0)
+        with pytest.raises(FormDataError, match="gamma_test_set"):
+            check_invariance(package, [point1(0.0, 1.0)])
+
     def test_low_samples_rejected(self, e4_package):
         with pytest.raises(ValueError, match="identity/2"):
             check_invariance(e4_package, [point1(0.0, 0.3)])

@@ -40,6 +40,7 @@ from nhsiegel.symplectic import (
     _IMPROVE_TOL,
     _candidate_dets,
     _lagrange_2x2,
+    REDUCTION_BUDGET,
     PointBatch,
     act_batch,
     from_point,
@@ -202,6 +203,41 @@ def test_reduction_matches_reference(n):
     points = PointBatch(np.concatenate([points.X, edge.X]), np.concatenate([points.Y, edge.Y]))
     gamma, _ = reduce_batch(points)
     np.testing.assert_array_equal(gamma, _reference_reduce(points))
+
+
+def _complex_reduce(z):
+    """Degree-1 reduction of one Python complex number: translate by
+    round(x), invert z -> -1/z while |z|^2 < 1/(1 + 1e-9).  Returns
+    (gamma, z) with gamma = ((a, b), (c, d))."""
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        t = -round(z.real)
+        a, b, z = a + t * c, b + t * d, z + t
+        if not abs(z) ** 2 < 1.0 / (1.0 + 1e-9):
+            return ((a, b), (c, d)), z
+        a, b, c, d, z = -c, -d, a, b, -1 / z
+
+
+def test_degree_one_reduction_matches_complex_scalars():
+    x, y = _reference_points(1, 71, 2000)
+    edge = _edge_points(1)
+    points = PointBatch(np.concatenate([x, edge.X]), np.concatenate([y, edge.Y]))
+    gamma, reduced = reduce_batch(points)
+    want = [_complex_reduce(complex(xi, yi)) for xi, yi in zip(points.X.ravel(), points.Y.ravel())]
+    np.testing.assert_array_equal(gamma, [g for g, _ in want])
+    # CPython divides complex numbers by another formula than numpy, so the
+    # points differ by a few ulp of |z| (9 at most in 8 * 10^4 tried); X
+    # alone can differ by hundreds of its own ulp when a translation cancels.
+    np.testing.assert_allclose(reduced.mat.ravel(), [z for _, z in want], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_empty_batch_reduces_without_a_step(n):
+    empty = PointBatch(np.zeros((0, n, n)), np.zeros((0, n, n)))
+    for budget in (REDUCTION_BUDGET, 0):
+        gamma, reduced = reduce_batch(empty, budget)
+        assert gamma.dtype == np.int64 and gamma.shape == (0, 2 * n, 2 * n)
+        assert len(reduced) == 0 and reduced.n == n and reduced.eigvals.shape == (0, n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
