@@ -25,7 +25,6 @@ from .forms import (
     FourierExpansion,
     InvarianceReport,
     PointEvaluator,
-    as_evaluator,
     check_invariance,
     evaluate,
     phi,

@@ -163,14 +163,14 @@ def package_to_dict(package: FormPackage) -> dict:
         "T_max": exp_.t_max,
         "rep": {"j": exp_.rep.j, "k": exp_.rep.k},
         "growth": {"A": package.growth_a, "kappa": package.growth_kappa},
-        "gamma_test_set": [g.mat.astype(int).tolist() for g in package.gamma_test_set],
+        "gamma_test_set": [np.rint(g.mat).astype(int).tolist() for g in package.gamma_test_set],
         "coefficients": records,
     }
     nontrivial_coset = [
         g for g in package.coset_reps if not np.array_equal(g.mat, np.eye(2 * exp_.n))
     ]
     if nontrivial_coset:
-        out["coset_reps"] = [g.mat.astype(int).tolist() for g in nontrivial_coset]
+        out["coset_reps"] = [np.rint(g.mat).astype(int).tolist() for g in nontrivial_coset]
     return out
 
 

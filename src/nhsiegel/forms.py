@@ -181,8 +181,12 @@ class FourierExpansion:
 
     def with_t_max(self, t_max: float) -> "FourierExpansion":
         """Re-truncate to a new trace bound.  The stored terms are checked
-        already, so only their levels are read again."""
+        already, so only their levels are read again.  FormDataError if the
+        bound keeps a level above the stored ones: the tail would then skip
+        levels that were never stored."""
         last = last_level(self.level, t_max)
+        if last > last_level(self.level, self.t_max):
+            raise FormDataError(f"truncation bound {t_max} exceeds the stored T_max {self.t_max}")
         kept = _CheckedTerms(
             (key, vec) for key, vec in self.coefficients.items() if trace_level(key[1]) <= last
         )
@@ -330,39 +334,31 @@ class PointEvaluator:
         return RepVector(self.rep, self.func(z.batch)[0])
 
 
-FormLike = FourierExpansion | FormPackage | PointEvaluator
-
-
-def as_evaluator(f: FormLike) -> PointEvaluator:
-    if isinstance(f, PointEvaluator):
-        return f
-    if isinstance(f, FormPackage):
-        f = f.expansion
-    return PointEvaluator(f.rep, f.n, partial(evaluate, f))
-
-
-def slash_values(f: FormLike, g, points: PointBatch) -> np.ndarray:
+def slash_values(f: FourierExpansion | FormPackage, g, points: PointBatch) -> np.ndarray:
     """rho(C Z + D)^{-1} F(gZ) as an (N, dim) array, for g one 2n x 2n
     matrix or an (N, 2n, 2n) stack and a batch of points (either side may
     have one element)."""
-    return _slash_parts(as_evaluator(f), g, points)[2]
+    f = f.expansion if isinstance(f, FormPackage) else f
+    return _slash_parts(f.rep, partial(evaluate, f), g, points)[2]
 
 
-def _slash_parts(ev: PointEvaluator, g, points: PointBatch):
-    """(rho(C Z + D)^{-1}, gZ, rho(C Z + D)^{-1} F(gZ)) as in ``slash_values``."""
-    j_inv = rep_matrix(ev.rep, inv_stack(automorphy_factor_batch(g, points)))
+def _slash_parts(rep: Rep, values: Callable[[PointBatch], np.ndarray], g, points: PointBatch):
+    """(rho(C Z + D)^{-1}, gZ, rho(C Z + D)^{-1} F(gZ)) as in ``slash_values``,
+    for the F that ``values`` maps a PointBatch to."""
+    j_inv = rep_matrix(rep, inv_stack(automorphy_factor_batch(g, points)))
     moved = act_batch(g, points)
-    return j_inv, moved, (j_inv @ ev.func(moved)[..., None])[..., 0]
+    return j_inv, moved, (j_inv @ values(moved)[..., None])[..., 0]
 
 
-def slash(f: FormLike, g: SymplecticMatrix) -> PointEvaluator:
-    """The weight-rho slash action: Z -> rho(C Z + D)^{-1} F(gZ).
-
-    The result is a point evaluator; no re-expansion into Fourier data is
-    performed.
-    """
-    ev = as_evaluator(f)
-    return PointEvaluator(ev.rep, ev.n, partial(slash_values, ev, g.mat))
+def slash(
+    f: FourierExpansion | FormPackage | PointEvaluator, g: SymplecticMatrix
+) -> PointEvaluator:
+    """The weight-rho slash action: Z -> rho(C Z + D)^{-1} F(gZ), for F an
+    expansion, a package or an earlier slash.  The result is a point
+    evaluator; no re-expansion into Fourier data is performed."""
+    if isinstance(f, PointEvaluator):
+        return PointEvaluator(f.rep, f.n, lambda w: _slash_parts(f.rep, f.func, g.mat, w)[2])
+    return PointEvaluator(f.rep, f.n, partial(slash_values, f, g.mat))
 
 
 def phi(f: FourierExpansion | FormPackage, z: SiegelPoint | PointBatch):
@@ -495,12 +491,12 @@ def check_invariance(
     points = samples if isinstance(samples, PointBatch) else PointBatch.from_points(samples)
     if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
         raise ValueError("invariance samples must have Im(Z) >= identity/2")
-    rep, ev = package.rep, as_evaluator(package)
-    base = ev.func(points)
+    rep, values = package.rep, partial(evaluate, package.expansion)
+    base = evaluate(package.expansion, points)
     base_tail = tail_bound(package, points)
     devs, thrs = [], []
     for g in package.gamma_test_set:
-        j_inv, moved, slashed = _slash_parts(ev, g.mat, points)
+        j_inv, moved, slashed = _slash_parts(rep, values, g.mat, points)
         devs.append(norms(rep, slashed - base) / (1.0 + norms(rep, base)))
         amp = np.sqrt(np.sum(np.abs(j_inv) ** 2, axis=(1, 2)))
         thrs.append(base_tail + amp * tail_bound(package, moved) + FLOAT_FLOOR)

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import FormDataError, InvalidExponentError
-from .forms import FormLike, FormPackage, phi, slash_values
+from .forms import FormPackage, FourierExpansion, phi, slash_values
 from .reps import RepVector, norm
 from .sampling import random_group_samples, random_siegel_points
 from .symplectic import (
@@ -206,12 +206,12 @@ def verify_growth_bound(
     return _report(kind, constant, exponent, parts, _config_dict(config, package))
 
 
-def lift_batch(f: FormLike, elements) -> np.ndarray:
+def lift_batch(f: FourierExpansion | FormPackage, elements) -> np.ndarray:
     """The lift at every element of an (N, 2n, 2n) stack, as (N, dim)."""
     return slash_values(f, elements, SiegelPoint.base_point(f.n).batch)
 
 
-def lift(f: FormLike, g: SymplecticMatrix) -> RepVector:
+def lift(f: FourierExpansion | FormPackage, g: SymplecticMatrix) -> RepVector:
     """The lifted function on the group: rho(J(g, iI))^{-1} F(g . iI)."""
     return RepVector(f.rep, lift_batch(f, g.mat[None])[0])
 
@@ -232,10 +232,10 @@ def verify_moderate_growth(
     """Check |<lift(F, g), w0>| <= C (Tr(g^T g))^r over group samples.
 
     ``constant`` is the certified eigenvalue-bound constant; the moderate
-    growth constant is ||w0|| * constant * safety.  The exponent must be at
-    least n * lambda1 / 2.  Given ``elements`` are swept as one block in
-    place of the configured draws, and the report's config then keeps only
-    the fields that applied to them.
+    growth constant is ||w0|| * constant * safety, for a finite, non-zero
+    w0.  The exponent must be at least n * lambda1 / 2.  Given ``elements``
+    are swept as one block in place of the configured draws, and the
+    report's config then keeps only the fields that applied to them.
     """
     lam1 = package.lambda1
     min_r = package.n * lam1 / 2.0
@@ -247,6 +247,8 @@ def verify_moderate_growth(
         raise ValueError(f"bound constant must be finite and non-negative, got {constant}")
     if not np.all(np.isfinite(w0.coords)):
         raise ValueError(f"w0 coordinates must be finite, got {w0.coords.tolist()}")
+    if not w0.coords.any():
+        raise ValueError("w0 must be non-zero: for w0 = 0 both sides vanish and nothing is checked")
     config = config or SweepConfig()
     c_mod = norm(w0) * constant * config.safety
     settings = _config_dict(config, package)

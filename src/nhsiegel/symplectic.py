@@ -438,29 +438,26 @@ def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
     raise ReductionBudgetError("Lagrange reduction of Im(Z) did not converge within 64 rounds")
 
 
-def _build_candidates(n: int):
-    # The full inversion and, for n = 2, the embedded degree-1 inversions
-    # (the primary candidates), then for n = 2 the inversion composed with
-    # unit translations, Z -> -(Z + T)^{-1}.  The latter are consulted only
-    # when no primary candidate improves; they sharpen the degree-2 domain.
-    j = inversion(n).mat
-    primary = [j] + [embedded_inversion(n, i).mat for i in range(1, n + 1) if n > 1]
-    units = itertools.product((-1, 0, 1), repeat=3) if n == 2 else ()
+def _build_candidates():
+    # The full inversion and the embedded degree-1 inversions (the primary
+    # candidates), then the inversion composed with unit translations,
+    # Z -> -(Z + T)^{-1}.  The latter are consulted only when no primary
+    # candidate improves; they sharpen the degree-2 domain.
+    j = inversion(2).mat
+    primary = [j] + [embedded_inversion(2, i).mat for i in (1, 2)]
+    units = itertools.product((-1, 0, 1), repeat=3)
     extended = [j @ translation([[a, b], [b, c]]).mat for a, b, c in units if a or b or c]
     cands = np.array(primary + extended).astype(np.int64)
-    blocks = tuple(blk.astype(complex) for blk in _blocks(cands, n))
-    return cands, len(primary), blocks, _det_form(cands, n)
+    blocks = tuple(blk.astype(complex) for blk in _blocks(cands, 2))
+    return cands, len(primary), blocks, _det_form(cands)
 
 
-def _det_form(cands: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _det_form(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, p0) with det(C Z + D) = _minors(Z) @ p + p0 for every (C, D) of
-    a stack of elements and every symmetric Z."""
-    _, _, c, d = _blocks(cands, n)
-    if n == 1:
-        return c[:, 0].T.astype(complex), d[:, 0, 0].astype(complex)
+    a stack of degree-2 elements and every symmetric Z."""
     # Cauchy-Binet on [C D] [Z; I]: the 2x2 minors of [Z; I] on rows
     # (01, 02, 03, 12, 13, 23) are (det Z, -z12, z11, -z22, z12, 1).
-    cd = np.concatenate([c, d], axis=-1)
+    cd = np.concatenate(_blocks(cands, 2)[2:], axis=-1)
     q = {
         (i, j): cd[:, 0, i] * cd[:, 1, j] - cd[:, 0, j] * cd[:, 1, i]
         for i, j in itertools.combinations(range(4), 2)
@@ -470,22 +467,20 @@ def _det_form(cands: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _minors(zc: np.ndarray) -> np.ndarray:
-    """Per point, the minors of [Z; I] that det(C Z + D) is linear in:
-    (z) in degree 1, (det Z, z11, z12, z22) in degree 2."""
-    if zc.shape[-1] == 1:
-        return zc[:, 0]
+    """Per point of a degree-2 stack, the minors (det Z, z11, z12, z22) of
+    [Z; I] that det(C Z + D) is linear in."""
     m = zc.reshape(-1, 4).take([0, 0, 1, 3], axis=1)  # z11 (for det Z), z11, z12, z22
     m[:, 0] = m[:, 1] * m[:, 3] - m[:, 2] * m[:, 2]
     return m
 
 
-_CANDIDATES = {n: _build_candidates(n) for n in (1, 2)}
+_CANDIDATES = _build_candidates()
 
 
 def _candidate_dets(zc: np.ndarray) -> np.ndarray:
-    """det(C Z + D) for every point of a complex (N, n, n) stack and every
+    """det(C Z + D) for every point of a complex (N, 2, 2) stack and every
     inversion candidate, as an (N, K) array."""
-    p, p0 = _CANDIDATES[zc.shape[-1]][3]
+    p, p0 = _CANDIDATES[3]
     return _minors(zc) @ p + p0
 
 
@@ -549,7 +544,7 @@ def _reduce_1(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce_2(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    cands, primary, (a, b, c, d), _ = _CANDIDATES[2]
+    cands, primary, (a, b, c, d), _ = _CANDIDATES
     # live: the points still moving; g, zc: their int64 gammas and complex
     # positions; gamma, last: each point's gamma and position when it stopped.
     live, g = np.arange(len(zc)), np.repeat(_INT_EYE[4][None], len(zc), axis=0)

@@ -299,6 +299,28 @@ class TestFlags:
         assert main(argv) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w0", ["0", "-0.0"])
+    def test_zero_w0_rejected(self, forms, capsys, w0):
+        argv = ["moderate", "--form", str(forms["e4"]), "--samples", "20", "--w0", w0]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "w0 must be non-zero" in captured.err
+
+    def test_tmax_above_the_stored_levels_rejected(self, forms, capsys):
+        # e4.json stores the levels up to T_max = 20: a bound of 50 would
+        # start the tail at level 51 and skip the unstored levels 21-50.
+        argv = ["check", "--form", str(forms["e4"]), "--samples", "20"]
+        assert main(argv + ["--tmax", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "T_max" in captured.err
+        # A bound that keeps the same levels is accepted, with the same report.
+        assert main(argv + ["--tmax", "20"]) == 0
+        kept = capsys.readouterr().out
+        assert main(argv + ["--tmax", "20.5"]) == 0
+        assert capsys.readouterr().out == kept
+
     def test_reduce_delta_and_tol(self, capsys):
         assert main(["reduce", "--z", "0;1", "--delta", "1.5", "--tol", "0.5"]) == 0
         rec = json.loads(capsys.readouterr().out)["results"][0]
@@ -413,10 +435,11 @@ class TestWithTMax:
     )
     def test_keeps_what_from_terms_keeps(self, expansion):
         traces = sorted({float(np.trace(s)) for _, s, _ in expansion.terms()})
-        for t_max in [0.0, *traces, *(t + 1e-9 for t in traces), expansion.t_max + 1.0]:
+        for t_max in [0.0, *traces, *(t + 1e-9 for t in traces)]:
             got = expansion.with_t_max(t_max)
             want = _retruncated_by_from_terms(expansion, t_max)
             assert got == want
             assert list(got.coefficients) == list(want.coefficients)
-        with pytest.raises(FormDataError):
-            expansion.with_t_max(-1.0)
+        for t_max in [-1.0, expansion.t_max + 1.0]:
+            with pytest.raises(FormDataError):
+                expansion.with_t_max(t_max)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nhsiegel.formio import (
 )
 from nhsiegel.linalg import MultiIndex
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
+from nhsiegel.symplectic import SymplecticMatrix
 
 
 def minimal_dict():
@@ -57,6 +59,20 @@ class TestRoundTrip:
         package = build_sample("sym2")
         again = package_from_dict(package_to_dict(package))
         assert again.expansion == package.expansion
+
+    @pytest.mark.parametrize("entry", [1.0 - 1e-10, -1.0 + 1e-10])
+    def test_near_integral_gamma_is_rounded_not_truncated(self, entry):
+        # FormPackage accepts entries within 1e-9 of an integer; the writer
+        # must keep the integer they stand for.
+        package = package_from_dict(minimal_dict())
+        gamma = SymplecticMatrix(np.array([[1.0, entry], [0.0, 1.0]]))
+        package = replace(package, gamma_test_set=(gamma,), coset_reps=(gamma,))
+        data = package_to_dict(package)
+        want = [[1, round(entry)], [0, 1]]
+        assert data["gamma_test_set"] == [want]
+        assert data["coset_reps"] == [want]
+        again = package_from_dict(data)
+        np.testing.assert_array_equal(again.gamma_test_set[0].mat, want)
 
 
 class TestValidation:

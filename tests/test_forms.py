@@ -7,7 +7,6 @@ from nhsiegel.errors import FormDataError, TailDivergenceError
 from nhsiegel.forms import (
     FormPackage,
     FourierExpansion,
-    as_evaluator,
     check_invariance,
     evaluate,
     phi,
@@ -523,9 +522,3 @@ class TestVectorValued:
         base = evaluate(sym2_package.expansion, z)
         moved = slash(sym2_package, inversion(2))(z)
         assert norm(moved - base) > 1e-3
-
-
-def test_point_evaluator_preserves_rep(e4_package):
-    ev = as_evaluator(e4_package)
-    assert ev.rep == e4_package.rep
-    assert ev.n == 1

@@ -264,6 +264,15 @@ class TestModerateGrowth:
         for g in group_samples(2, SweepConfig(samples=10, seed=45)):
             assert is_symplectic(g.mat)
 
+    @pytest.mark.parametrize("name", ["e4_package", "sym2_package"])
+    def test_zero_w0_rejected(self, request, name):
+        # For w0 = 0 both sides of the inequality vanish: nothing is checked.
+        package = request.getfixturevalue(name)
+        w0 = vector(package.rep, [0.0] * package.rep.dim)
+        r = package.n * package.lambda1 / 2.0
+        with pytest.raises(ValueError, match="w0 must be non-zero"):
+            verify_moderate_growth(package, w0, r, 1.0, config=SweepConfig(samples=5))
+
 
 class TestSweepConfig:
     def test_validation(self):

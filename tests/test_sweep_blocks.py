@@ -129,7 +129,7 @@ def test_group_blocks_match_per_sample_reference(n):
 # -- candidate scoring -------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [2])
 @pytest.mark.parametrize("reduced", [False, True])
 def test_candidate_det_gives_the_gain(n, reduced):
     points = random_siegel_points(n, np.random.default_rng(21), 200, 0.1, 10.0)
@@ -137,7 +137,7 @@ def test_candidate_det_gives_the_gain(n, reduced):
         points = reduce_batch(points)[1]
     dets = _candidate_dets(points.mat)
     base = np.prod(points.eigvals, axis=-1)
-    for k, cand in enumerate(_CANDIDATES[n][0]):
+    for k, cand in enumerate(_CANDIDATES[0]):
         gain = np.prod(act_batch(cand.astype(float), points).eigvals, axis=-1) / base
         np.testing.assert_allclose(1.0 / np.abs(dets[:, k]) ** 2, gain, rtol=1e-12)
 
@@ -146,7 +146,11 @@ def _reference_reduce(points):
     """The reduction with every candidate's gamma Z formed and its gain read
     off det Im(gamma Z) / det Im Z; returns the gammas."""
     n = points.n
-    cands, primary, (a, b, c, d), _ = _CANDIDATES[n]
+    if n == 1:  # the inversion (0 -1; 1 0) alone
+        cands, primary = np.array([[[0, -1], [1, 0]]], dtype=np.int64), 1
+        a, b, c, d = (np.full((1, 1, 1), v, dtype=complex) for v in (0, -1, 1, 0))
+    else:
+        cands, primary, (a, b, c, d), _ = _CANDIDATES
     gamma = np.zeros((len(points), 2 * n, 2 * n), dtype=np.int64) + np.eye(2 * n, dtype=np.int64)
     live, g, zc = np.arange(len(points)), gamma.copy(), points.mat
     while live.size:
