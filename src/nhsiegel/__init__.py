@@ -47,7 +47,6 @@ from .linalg import (
     eigh_sym,
     in_V_delta,
     inverse,
-    max_abs_entry,
     monomial,
     sqrt_posdef,
 )
@@ -72,7 +71,6 @@ from .symplectic import (
     automorphy_factor,
     delta_for_degree,
     from_point,
-    group_norm,
     is_in_principal_congruence,
     is_symplectic,
     reduce_batch,

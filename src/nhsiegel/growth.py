@@ -216,11 +216,6 @@ def lift(f: FourierExpansion | FormPackage, g: SymplecticMatrix) -> RepVector:
     return RepVector(f.rep, lift_batch(f, g.mat[None])[0])
 
 
-def group_samples(n: int, config: SweepConfig) -> Iterator[SymplecticMatrix]:
-    """Samples g = from_point(Z) k with adversarial Z and random compact k."""
-    return (SymplecticMatrix(g) for block in group_blocks(n, config) for g in block)
-
-
 def verify_moderate_growth(
     package: FormPackage,
     w0: RepVector,
@@ -250,7 +245,11 @@ def verify_moderate_growth(
     if not w0.coords.any():
         raise ValueError("w0 must be non-zero: for w0 = 0 both sides vanish and nothing is checked")
     config = config or SweepConfig()
-    c_mod = norm(w0) * constant * config.safety
+    # ||w0|| as s ||w0 / s|| with s the largest |entry|, so that squaring
+    # the entries neither underflows nor overflows; for s = 1 it is exactly
+    # norm(w0).
+    s = float(np.abs(w0.coords).max())
+    c_mod = s * norm(RepVector(w0.rep, w0.coords / s)) * constant * config.safety
     settings = _config_dict(config, package)
     if elements is None:
         blocks = group_blocks(package.n, config)

@@ -10,10 +10,9 @@ N = 1 case of the same call.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -57,12 +56,6 @@ def _require_symmetric(a, name: str = "matrix", stacked: bool = False) -> np.nda
     return (a + at) / 2.0
 
 
-def max_abs_entry(y) -> float:
-    """Largest absolute value among the entries of a matrix."""
-    y = np.asarray(y)
-    return float(np.max(np.abs(y)))
-
-
 def eigh_sym(y) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a real
     symmetric matrix, or of each matrix of an (N, n, n) stack.
@@ -99,11 +92,6 @@ def spectral(w: np.ndarray, q: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (r + _t(r)) / 2.0
 
 
-def is_positive_definite(y) -> bool:
-    w = eigenvalues_sym(y)
-    return bool(w[-1] > _posdef_floor(w))
-
-
 def sqrt_posdef(y) -> np.ndarray:
     """Unique symmetric positive-definite square root of an SPD matrix."""
     w, q = eigh_sym(y)
@@ -116,8 +104,10 @@ def sqrt_posdef(y) -> np.ndarray:
 
 def in_V_delta(y, delta: float, tol: float = 1e-12) -> bool:
     """Whether y >= delta * identity, i.e. min eigenvalue >= delta (up to tol)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     w = eigenvalues_sym(y)
     return float(w[-1]) >= delta - tol
 
@@ -214,9 +204,6 @@ class MultiIndex:
     def degree(self) -> int:
         return sum(b for _, _, b in self.powers)
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): b for i, j, b in self.powers}
-
 
 def monomial(v, beta: MultiIndex):
     """Product of powers of upper-triangular entries of v prescribed by beta.
@@ -238,13 +225,3 @@ def multi_index_count(n: int, p: int) -> int:
     r = n * (n + 1) // 2
     return math.comb(r + p, p)
 
-
-def multi_indices(n: int, p: int) -> Iterator[MultiIndex]:
-    """All multi-indices with total degree <= p, in a fixed order."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    for total in range(p + 1):
-        for combo in itertools.combinations_with_replacement(pairs, total):
-            counts: dict[tuple[int, int], int] = {}
-            for pair in combo:
-                counts[pair] = counts.get(pair, 0) + 1
-            yield MultiIndex.from_dict(n, counts)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _t, det
+from .linalg import _t
 from .symplectic import (
     PointBatch,
     SiegelPoint,
@@ -29,9 +29,6 @@ from .symplectic import (
     compact_from_unitary,
     compact_from_unitary_batch,
     from_point_batch,
-    gl_embedding,
-    inversion,
-    translation,
 )
 
 
@@ -51,20 +48,10 @@ def _spd(log_mu: np.ndarray, gauss: np.ndarray) -> np.ndarray:
     return (y + _t(y)) / 2.0
 
 
-def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar random orthogonal matrix: the Gram-Schmidt Q of a Gaussian draw."""
-    return _orthonormal(rng.standard_normal((1, n, n)))[0]
-
-
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar random unitary matrix: the Gram-Schmidt Q of a complex Gaussian
     draw (real part first)."""
     return _orthonormal(rng.standard_normal((1, n, n)) + 1j * rng.standard_normal((1, n, n)))[0]
-
-
-def random_symmetric(n: int, rng: np.random.Generator, scale: float = 5.0) -> np.ndarray:
-    a = rng.uniform(-scale, scale, size=(n, n))
-    return (a + a.T) / 2.0
 
 
 def _draw_block(n, rng, count, eig_low, eig_high, x_scale, extra=0):
@@ -133,24 +120,3 @@ def random_compact(n: int, rng: np.random.Generator) -> SymplecticMatrix:
     """Random element of the standard maximal compact subgroup."""
     return compact_from_unitary(random_unitary(n, rng))
 
-
-def random_symplectic(
-    n: int,
-    rng: np.random.Generator,
-    factors: int = 4,
-) -> SymplecticMatrix:
-    """Product of random translations, GL-embeddings, and inversions."""
-    g = SymplecticMatrix.identity(n)
-    for _ in range(factors):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            g = g @ translation(random_symmetric(n, rng, scale=2.0))
-        elif kind == 1:
-            while True:
-                u = rng.uniform(-2.0, 2.0, size=(n, n))
-                if abs(float(det(u))) > 0.1:
-                    break
-            g = g @ gl_embedding(u)
-        else:
-            g = g @ inversion(n)
-    return g

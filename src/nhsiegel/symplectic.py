@@ -1,12 +1,12 @@
 """The real symplectic group of rank n, its action on the Siegel upper half
-space H_n, automorphy factors, a matrix norm on the group, and reduction of
-points of H_n into an approximate fundamental domain for the integral group.
+space H_n, automorphy factors, and reduction of points of H_n into an
+approximate fundamental domain for the integral group.
 
 Points Z = X + iY are kept as pairs of real symmetric matrices with Y
 positive definite, stacked N at a time in a ``PointBatch``; the kernels
 work on batches, and a ``SiegelPoint`` with the scalar functions is their
 N = 1 case.  Group elements are stored as full 2n x 2n real arrays; the
-block decomposition g = (A B; C D) is derived on access, so integral
+block decomposition g = (A B; C D) is sliced out by the kernels, so integral
 elements round-trip exactly through the reduction bookkeeping.
 """
 
@@ -24,15 +24,7 @@ from .errors import (
     ReductionBudgetError,
     SingularMatrixError,
 )
-from .linalg import (
-    _as_square,
-    _posdef_floor,
-    _require_symmetric,
-    _eigh,
-    _t,
-    inverse,
-    spectral,
-)
+from .linalg import _eigh, _posdef_floor, _require_symmetric, _t, spectral
 
 SYMPLECTIC_TOL = 1e-10
 
@@ -217,11 +209,6 @@ class SiegelPoint:
         return self.batch.mat[0]
 
     @classmethod
-    def from_complex(cls, z) -> "SiegelPoint":
-        z = np.asarray(z, dtype=complex)
-        return cls(z.real.copy(), z.imag.copy())
-
-    @classmethod
     def base_point(cls, n: int) -> "SiegelPoint":
         """The point i * identity."""
         return cls(np.zeros((n, n)), np.eye(n))
@@ -255,12 +242,6 @@ class SymplecticMatrix:
     def n(self) -> int:
         return self.mat.shape[0] // 2
 
-    # The blocks of g = (A B; C D).
-    A = property(lambda self: _blocks(self.mat, self.n)[0])
-    B = property(lambda self: _blocks(self.mat, self.n)[1])
-    C = property(lambda self: _blocks(self.mat, self.n)[2])
-    D = property(lambda self: _blocks(self.mat, self.n)[3])
-
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         return SymplecticMatrix(self.mat @ other.mat)
 
@@ -275,17 +256,6 @@ def translation(b) -> SymplecticMatrix:
     n = b.shape[0]
     m = np.eye(2 * n)
     m[:n, n:] = b
-    return SymplecticMatrix(m)
-
-
-def gl_embedding(u) -> SymplecticMatrix:
-    """The element (u 0; 0 u^-T) acting by Z -> u Z u^T, for invertible u."""
-    u = np.asarray(u, dtype=float)
-    u = _as_square(u, "gl block")
-    n = u.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = u
-    m[n:, n:] = inverse(u).T
     return SymplecticMatrix(m)
 
 
@@ -366,11 +336,6 @@ def from_point(z: SiegelPoint) -> SymplecticMatrix:
     """The upper-triangular element sending i*identity to Z = X + iY,
     namely (Y^{1/2}  X Y^{-1/2}; 0  Y^{-1/2})."""
     return SymplecticMatrix(from_point_batch(z.batch)[0])
-
-
-def group_norm(g: SymplecticMatrix) -> float:
-    """sqrt(Tr(g^T g)), the Frobenius norm of the matrix."""
-    return float(np.sqrt(np.sum(g.mat * g.mat)))
 
 
 def is_in_principal_congruence(g: SymplecticMatrix, level: int) -> bool:

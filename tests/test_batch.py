@@ -19,7 +19,7 @@ from nhsiegel.growth import (
     corollary_rhs,
     corollary_rhs_batch,
     estimate_constant,
-    group_samples,
+    group_blocks,
     lift,
     sturm_rhs,
     sturm_rhs_batch,
@@ -28,7 +28,7 @@ from nhsiegel.growth import (
 )
 from nhsiegel.reps import basis_vector, inner
 from nhsiegel.sampling import random_siegel_point, random_siegel_points
-from nhsiegel.symplectic import PointBatch, reduce_batch, reduce_to_fundamental
+from nhsiegel.symplectic import PointBatch, SymplecticMatrix, reduce_batch, reduce_to_fundamental
 
 FORMS = ["e4_package", "e2star_package", "sym2_package"]
 
@@ -124,9 +124,10 @@ def test_moderate_sweep_across_a_block_boundary(e4_package):
     config = SweepConfig(samples=SWEEP_BLOCK + 1, seed=9)
     w0 = basis_vector(e4_package.rep, 0)
     report = verify_moderate_growth(e4_package, w0, 2.0, 1.0, config=config)
+    gs = [SymplecticMatrix(g) for block in group_blocks(1, config) for g in block]
     ratios = [
         abs(inner(lift(e4_package, g), w0)) / (config.safety * float(np.sum(g.mat * g.mat)) ** 2.0)
-        for g in group_samples(1, config)
+        for g in gs
     ]
     assert report.samples == len(ratios) == SWEEP_BLOCK + 1
     assert report.worst_ratio == pytest.approx(max(ratios), rel=1e-12)

@@ -283,6 +283,20 @@ class TestModerate:
         assert main([*base, "--w0", "1", "--out", str(outs[1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_w0_scale_scales_the_report(self, e4_file, capsys, scale):
+        # The report for a --w0 whose squared norm underflows or overflows is
+        # that for --w0 1 with the constant scaled along.
+        base = ["moderate", "--form", str(e4_file), "--samples", "20"]
+        reports = []
+        for w0 in ("1", scale):
+            assert main([*base, "--w0", w0]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        unit, scaled = reports
+        assert scaled.pop("constant") == pytest.approx(unit.pop("constant") * float(scale), rel=1e-15)
+        assert scaled.pop("worst_ratio") == pytest.approx(unit.pop("worst_ratio"), rel=1e-12)
+        assert scaled == unit
+
     @pytest.mark.parametrize("w0", ["x", "1,2"])
     def test_bad_w0(self, e4_file, capsys, w0):
         # Guard: a non-numeric or wrong-length --w0 is malformed input.

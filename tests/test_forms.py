@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gl_embedding, random_symplectic
 from nhsiegel.errors import FormDataError, TailDivergenceError
 from nhsiegel.forms import (
     FormPackage,
@@ -16,7 +17,7 @@ from nhsiegel.forms import (
 from nhsiegel.linalg import MultiIndex, inverse, monomial
 from nhsiegel.reps import make_rep, norm
 from nhsiegel.samples import divisor_power_sum, eisenstein4
-from nhsiegel.sampling import random_siegel_point, random_symplectic
+from nhsiegel.sampling import random_siegel_point
 from nhsiegel.symplectic import PointBatch, SiegelPoint, inversion, translation
 
 # Frozen from the direct 400-term summation oracle below at 50-digit
@@ -253,12 +254,12 @@ class TestSlash:
         # For g = (u 0; 0 u^-T) the factor is u^-T, so the slashed value is
         # rho(u^T) F(u Z u^T).  Pins the inverse/transpose conventions.
         from nhsiegel.reps import apply as rep_apply
-        from nhsiegel.symplectic import gl_embedding
 
         u = np.array([[1.0, 2.0], [0.0, 1.0]])
         z = SiegelPoint(np.array([[0.1, 0.0], [0.0, -0.2]]), 1.5 * np.eye(2))
         lhs = slash(sym2_package, gl_embedding(u))(z)
-        moved = SiegelPoint.from_complex(u @ z.mat @ u.T)
+        m = u @ z.mat @ u.T
+        moved = SiegelPoint(m.real, m.imag)
         rhs = rep_apply(
             sym2_package.rep, u.T, evaluate(sym2_package.expansion, moved)
         )

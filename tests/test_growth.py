@@ -10,7 +10,7 @@ from nhsiegel.growth import (
     SweepConfig,
     corollary_rhs,
     estimate_constant,
-    group_samples,
+    group_blocks,
     lift,
     sturm_rhs,
     verify_growth_bound,
@@ -261,8 +261,37 @@ class TestModerateGrowth:
     def test_group_samples_are_symplectic(self):
         from nhsiegel.symplectic import is_symplectic
 
-        for g in group_samples(2, SweepConfig(samples=10, seed=45)):
-            assert is_symplectic(g.mat)
+        for block in group_blocks(2, SweepConfig(samples=10, seed=45)):
+            for g in block:
+                assert is_symplectic(g)
+
+    @pytest.mark.parametrize(
+        "name, coords",
+        [
+            ("e4_package", [1.0]),
+            ("sym2_package", [1.0, 0.0, 0.0]),
+            ("sym2_package", [0.5, 1.0, -0.25]),
+        ],
+    )
+    def test_tiny_w0_scales_the_report(self, request, name, coords):
+        # ||w0|| is formed from w0 over its largest entry, so a w0 whose
+        # squared norm underflows still gives the report of the unscaled w0,
+        # with the constant scaled along.
+        package = request.getfixturevalue(name)
+        r = package.n * package.lambda1 / 2.0
+        c = estimate_constant(package, SweepConfig(samples=200, seed=47))
+        config = SweepConfig(samples=100, seed=48)
+        unit, tiny = (
+            verify_moderate_growth(package, vector(package.rep, w0), r, c, config=config)
+            for w0 in (coords, np.multiply(1e-200, coords))
+        )
+        assert unit.passed
+        assert tiny.constant == pytest.approx(unit.constant * 1e-200, rel=1e-15)
+        assert tiny.worst_ratio == pytest.approx(unit.worst_ratio, rel=1e-12)
+        np.testing.assert_array_equal(tiny.records.where, unit.records.where)
+        np.testing.assert_allclose(tiny.records.ratio, unit.records.ratio, rtol=1e-12)
+        for key in ("kind", "exponent_r", "samples", "violations", "worst_point", "config"):
+            assert getattr(tiny, key) == getattr(unit, key)
 
     @pytest.mark.parametrize("name", ["e4_package", "sym2_package"])
     def test_zero_w0_rejected(self, request, name):

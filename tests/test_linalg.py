@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import multi_indices
 from nhsiegel.errors import (
     EigenIterationError,
     NotPositiveDefiniteError,
@@ -16,11 +17,8 @@ from nhsiegel.linalg import (
     eigh_sym,
     in_V_delta,
     inverse,
-    is_positive_definite,
-    max_abs_entry,
     monomial,
     multi_index_count,
-    multi_indices,
     solve_gauss,
     sqrt_posdef,
 )
@@ -172,24 +170,14 @@ class TestSqrt:
             y = a @ a.T + 0.1 * np.eye(n)
             r = sqrt_posdef(y)
             assert np.max(np.abs(r @ r - y)) <= 1e-10 * (1.0 + np.max(np.abs(y)))
-            assert is_positive_definite(r)
+            w = eigenvalues_sym(r)
+            assert w[-1] > 1e-12 * (1.0 + w[0])
 
     def test_not_posdef(self):
         with pytest.raises(NotPositiveDefiniteError):
             sqrt_posdef(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefiniteError):
             sqrt_posdef(np.zeros((2, 2)))
-
-
-class TestMaxAbsEntry:
-    def test_half(self):
-        assert max_abs_entry(np.diag([0.5, 0.5])) == 0.5
-
-    def test_offdiag(self):
-        assert max_abs_entry([[1.0, -3.0], [-3.0, 2.0]]) == 3.0
-
-    def test_zero(self):
-        assert max_abs_entry(np.zeros((3, 3))) == 0.0
 
 
 class TestMonomial:
@@ -217,7 +205,7 @@ class TestMultiIndex:
 
     def test_zero_powers_dropped(self):
         beta = MultiIndex.from_dict(2, {(1, 1): 0, (2, 2): 1})
-        assert beta.as_dict() == {(2, 2): 1}
+        assert beta.powers == ((2, 2, 1),)
 
     def test_bad_pair(self):
         with pytest.raises(ValueError):
@@ -252,6 +240,16 @@ class TestVDelta:
         with pytest.raises(ValueError):
             in_V_delta(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_delta_not_finite(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            in_V_delta(np.eye(2), delta)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
+    def test_tol_not_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            in_V_delta(np.eye(2), 1.0, tol=tol)
+
 
 class TestInverseBound:
     """Entries of the inverse of Y >= delta*I are bounded by 1/delta."""
@@ -263,7 +261,7 @@ class TestInverseBound:
             a = rng.uniform(-2, 2, size=(n, n))
             y = delta * np.eye(n) + a.T @ a
             assert in_V_delta(y, delta, tol=1e-10)
-            assert max_abs_entry(inverse(y)) <= 1.0 / delta + 1e-12
+            assert np.abs(inverse(y)).max() <= 1.0 / delta + 1e-12
 
     @pytest.mark.parametrize("delta", [0.1, 1.0])
     def test_monomial_of_inverse_bound(self, rng, delta):
