@@ -92,6 +92,18 @@ def _load_points(args) -> PointBatch:
     return PointBatch.from_points(z for _, z in named)
 
 
+def _finite_or_null(value):
+    """A JSON payload with every non-finite float replaced by None, which
+    is written as null: strict JSON has no token for inf or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
     if csv_rows is not None and args.fmt == "csv":
         buf = io.StringIO()
@@ -100,7 +112,7 @@ def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import FormDataError, TailDivergenceError
 from .linalg import MultiIndex, eigenvalues_sym, inv_stack, multi_index_count
-from .reps import Rep, RepVector, norms, rep_matrix
+from .reps import Rep, RepVector, highest_weight, norms, rep_matrix
 from .symplectic import (
     PointBatch,
     SiegelPoint,
@@ -317,7 +317,7 @@ class FormPackage:
 
     @property
     def lambda1(self) -> int:
-        return self.rep.j + self.rep.k
+        return highest_weight(self.rep)[0]
 
 
 @dataclass(frozen=True)

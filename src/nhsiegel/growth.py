@@ -268,11 +268,12 @@ def verify_moderate_growth(
 
 def _report(kind, constant, exponent_r, parts, settings) -> GrowthReport:
     """The report of a sweep from its (where, value, rhs) blocks and its
-    config dict ``settings``; the ratio reads 0/0 as 0 and x/0 as inf."""
+    config dict ``settings``; the ratio reads 0/0 as 0, and x/0 and a
+    quotient that overflows as inf."""
     if not parts:
         raise ValueError("a sweep needs at least one sample")
     where, value, rhs = map(np.concatenate, zip(*parts))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(rhs == 0.0, np.where(value == 0.0, 0.0, math.inf), value / rhs)
     records = SampleRecords(where, value, rhs, ratio)
     # The first largest ratio is the witness; NaN ratios never are.

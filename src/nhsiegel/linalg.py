@@ -47,11 +47,12 @@ def _require_symmetric(a, name: str = "matrix", stacked: bool = False) -> np.nda
     at = _t(a)
     # Every array this package builds, and most input, is exactly symmetric:
     # one comparison passes it, and the copy is returned as it is.
-    if (a == at).all():
+    # count_nonzero, not all() or any(): on a few entries it costs a fraction.
+    if not np.count_nonzero(a != at):
         return a
     skew = np.abs(a - at)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
-    if (skew > 1e-12 * scale).any():
+    if np.count_nonzero(skew > 1e-12 * scale):
         raise ValueError(f"{name} is not symmetric")
     return (a + at) / 2.0
 
@@ -68,10 +69,12 @@ def eigh_sym(y) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # eigh_sym on input already checked to be symmetric.
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) < a.size:
         raise EigenIterationError("eigensolver given non-finite entries")
     if a.shape[-1] == 1:  # the 1x1 problem needs no solver
-        return a[..., 0].copy(), np.ones(a.shape)
+        q = np.empty(a.shape)
+        q.fill(1.0)  # as np.ones, without its Python-level wrapper
+        return a[..., 0].copy(), q
     w, q = np.linalg.eigh(a)
     return w[..., ::-1], q[..., ::-1]
 

@@ -98,7 +98,7 @@ class PointBatch:
 
     def __post_init__(self):
         x = _require_symmetric(self.X, "X", stacked=True)
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) < x.size:
             raise ValueError("X has non-finite entries")
         y = _require_symmetric(self.Y, "Y", stacked=True)
         if x.shape != y.shape:
@@ -117,13 +117,16 @@ class PointBatch:
         w, q = eig or _eigh(y)
         if eig is None:
             low = w[:, -1] <= _posdef_floor(w)
-            if low.any():
+            if np.count_nonzero(low):
                 raise NotPositiveDefiniteError(
                     f"imaginary part is not positive definite (min eigenvalue {w[low, -1][0]:.3e})"
                 )
         x.flags.writeable = y.flags.writeable = w.flags.writeable = q.flags.writeable = False
-        for name, value in zip(("X", "Y", "eigvals", "eigvecs", "_summed"), (x, y, w, q, None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "X", x)
+        object.__setattr__(self, "Y", y)
+        object.__setattr__(self, "eigvals", w)
+        object.__setattr__(self, "eigvecs", q)
+        object.__setattr__(self, "_summed", None)
 
     @classmethod
     def from_points(cls, points) -> "PointBatch":
@@ -231,7 +234,7 @@ class SymplecticMatrix:
     @classmethod
     def _integral(cls, g: np.ndarray) -> "SymplecticMatrix":
         """The element of an int64 matrix g, checked exactly: g^T J g = J."""
-        if not (g.T @ _INT_J[len(g) // 2] @ g == _INT_J[len(g) // 2]).all():
+        if np.count_nonzero(g.T @ _INT_J[len(g) // 2] @ g != _INT_J[len(g) // 2]):
             raise ValueError("matrix does not satisfy the symplectic relations")
         m = object.__new__(cls)
         object.__setattr__(m, "mat", g.astype(float))
@@ -365,6 +368,8 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
 
 _INT_EYE = {k: np.eye(k, dtype=np.int64) for k in (2, 4)}
 _INT_J = {n: symplectic_form(n).astype(np.int64) for n in (1, 2)}
+# J^T g = (-g_2; g_1) for a 2 x 2 g: its rows reversed, the first negated.
+_INVERT_ROWS = np.array([[-1], [1]])
 
 
 def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
@@ -375,7 +380,7 @@ def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
     ReductionBudgetError after 64 rounds."""
     # The entries of u y u^T, rounded as the products t y t^T would round them.
     y11, y12, y22 = y[:, 0, 0], y[:, 0, 1], y[:, 1, 1]
-    m, live = np.repeat(_INT_EYE[4][None], len(y), axis=0), np.ones(len(y), dtype=bool)
+    m, live = _INT_EYE[4][None].repeat(len(y), axis=0), np.ones(len(y), dtype=bool)
     for _ in range(64):
         # count_nonzero, not any(): on a few entries it costs a third as much.
         swap = live & (y11 > y22 * (1.0 + 1e-15))
@@ -391,7 +396,7 @@ def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
             m[:, 2] += ri * m[:, 3]
             y12, y22 = y12 - r * y11, y22 - r * y12
             y22 = y22 - r * y12  # again, with the sheared y12: t y t^T's order
-        elif not swapped and (y11 > 0.0).all():
+        elif not swapped and np.count_nonzero(y11 > 0.0) == len(y11):
             # Then y11 <= y22 (1 + 1e-15) and |y12| <= y11 / 2: all reduced.
             return m
         live &= ~(
@@ -488,7 +493,7 @@ def reduce_batch(
 def _reduce_1(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
     # The (N,) complex vector z of an (N, 1, 1) stack zc; names as in _reduce_2.
     live, z = np.arange(len(zc)), zc.reshape(-1)
-    g = np.repeat(_INT_EYE[2][None], len(z), axis=0)
+    g = _INT_EYE[2][None].repeat(len(z), axis=0)
     gamma, last, steps = np.empty_like(g), np.empty_like(z), 0
     while live.size:
         if steps >= budget:
@@ -498,13 +503,13 @@ def _reduce_1(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
         g[:, 0] += t.astype(np.int64)[:, None] * g[:, 1]
         z += t
         moved = z.real**2 + z.imag**2 < _MOVE_BELOW  # |z|^2, the inversion's 1 / gain
-        if not moved.all():
+        if np.count_nonzero(moved) < len(moved):
             gamma[live], last[live] = g, z
             live = live[moved]
             if not live.size:
                 break
             g, z = g[moved], z[moved]
-        g, z = _INT_J[1].T @ g, -1.0 / z
+        g, z = g[:, ::-1] * _INVERT_ROWS, -1.0 / z
     return gamma, last[:, None, None]
 
 
@@ -512,16 +517,19 @@ def _reduce_2(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
     cands, primary, (a, b, c, d), _ = _CANDIDATES
     # live: the points still moving; g, zc: their int64 gammas and complex
     # positions; gamma, last: each point's gamma and position when it stopped.
-    live, g = np.arange(len(zc)), np.repeat(_INT_EYE[4][None], len(zc), axis=0)
+    live, g = np.arange(len(zc)), _INT_EYE[4][None].repeat(len(zc), axis=0)
     gamma, last, steps = np.empty_like(g), np.empty_like(zc), 0
     while live.size:
         if steps >= budget:
             raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
         steps += 1
         m = _lagrange_2x2(zc.imag)
-        uc = m[:, :2, :2].astype(complex)  # cast once, not in each product
-        zc = uc @ zc @ _t(uc)
-        zc = (zc + _t(zc)) / 2.0
+        # The congruence is skipped when u is the identity at every point:
+        # it would only change signs of zeros, which the translation resets.
+        if np.count_nonzero(m[:, :2, :2] != _INT_EYE[2]):
+            uc = m[:, :2, :2].astype(complex)  # cast once, not in each product
+            zc = uc @ zc @ _t(uc)
+            zc = (zc + _t(zc)) / 2.0
         t = -np.rint(zc.real)
         # The step (I t; 0 I) diag(u, u^-T) = (u  t u^-T; 0 u^-T).
         m[:, :2, 2:] = t.astype(np.int64) @ m[:, 2:, 2:]
@@ -532,10 +540,10 @@ def _reduce_2(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
         # The first candidate with the largest gain wins, primary ones first.
         head = det_sq[:, :primary]
         best, moved = head.argmin(axis=1), head.min(axis=1) < _MOVE_BELOW
-        if not moved.all():
+        if np.count_nonzero(moved) < len(moved):
             tail = det_sq[:, primary:]
             use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
-            if use_tail.any():
+            if np.count_nonzero(use_tail):
                 best = np.where(use_tail, primary + tail.argmin(axis=1), best)
                 moved |= use_tail
             gamma[live], last[live] = g, zc

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,43 @@ class TestBound:
         col = header.split(",").index("ratio")
         assert len(rows) == 20
         assert all(float(row.split(",")[col]) == 0.0 for row in rows)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON token")
+
+
+class TestStrictJson:
+    # Each report kind parses as strict JSON: Infinity, -Infinity and NaN
+    # are not tokens of RFC 8259, so json.loads must never meet them.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--form", "E4", "--z", "0;1", "--z", "0.3;0.02"],
+            ["reduce", "--z", "0.3;0.2", "--z", "0.4999;0.0003"],
+            ["reduce", "--z", "0.1,0,-0.2;1,0.1,1.2"],
+            ["check", "--form", "E4", "--samples", "20"],
+            ["bound", "--form", "E4", "--samples", "20"],
+            ["bound", "--form", "E4", "--samples", "20", "--kind", "corollary"],
+            ["moderate", "--form", "E4", "--samples", "20"],
+        ],
+        ids=["eval", "reduce", "reduce-deg2", "check", "bound", "corollary", "moderate"],
+    )
+    def test_report_is_strict_json(self, e4_file, capsys, argv):
+        assert main([str(e4_file) if a == "E4" else a for a in argv]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+    def test_infinite_ratio_is_null(self, e4_file, capsys):
+        # rhs = 1e-320 * prod(...) is subnormal, so phi / rhs overflows: the
+        # ratio is inf, written as null, and no overflow warning is printed.
+        argv = ["bound", "--form", str(e4_file), "--samples", "20", "--constant", "1e-320"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["worst_ratio"] is None
+        assert report["violations"] == 20
+        assert report["worst_point"]["Y"][0][0] > 0
 
 
 class TestModerate:

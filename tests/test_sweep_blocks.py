@@ -201,6 +201,32 @@ def _edge_points(n):
     return PointBatch(x, y)
 
 
+def _domain_points(n):
+    """Points already in the domain: |x| <= 1/2 and no inversion gains; in
+    degree 2 Y is Lagrange-reduced, so the first step's u is the identity
+    and the congruence by it is skipped.  Signed zeros are among the
+    entries, since the JSON of ``reduce`` prints -0.0 and 0.0 apart."""
+    if n == 1:
+        return PointBatch([[[0.3]], [[-0.0]], [[-0.5]]], [[[1.5]], [[2.0]], [[1.2]]])
+    x = [[[0.3, -0.2], [-0.2, 0.45]], [[-0.0, -0.0], [-0.0, 0.0]], [[-0.5, 0.5], [0.5, 0.25]]]
+    y = [[[1.5, 0.4], [0.4, 2.0]], [[2.0, -0.0], [-0.0, 3.0]], [[1.2, -0.6], [-0.6, 1.3]]]
+    return PointBatch(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_points_in_the_domain_come_back_unchanged(n):
+    points = _domain_points(n)
+    if n == 2:
+        np.testing.assert_array_equal(_lagrange_2x2(points.Y), np.eye(4)[None].repeat(3, axis=0))
+    gamma, reduced = reduce_batch(points)
+    np.testing.assert_array_equal(gamma, np.eye(2 * n)[None].repeat(3, axis=0))
+    np.testing.assert_array_equal(reduced.X, points.X)
+    np.testing.assert_array_equal(reduced.Y, points.Y)
+    # The translation by -round(x) = 0 leaves every zero +0.0.
+    assert not np.signbit(reduced.X[reduced.X == 0.0]).any()
+    assert not np.signbit(reduced.Y[reduced.Y == 0.0]).any()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_reduction_matches_reference(n):
     points = random_siegel_points(n, np.random.default_rng(50 + n), 1000)
@@ -249,15 +275,25 @@ def test_empty_batch_reduces_without_a_step(n):
 def test_batch_reduction_matches_each_point_alone(n):
     # Points stop at different steps, so the batch drops some and carries
     # the others on; each must end as it ends on its own.
+    # In degree 2 the points already in the domain skip the congruence when
+    # alone, but take it in the batch, whose first step changes u elsewhere.
     x, y = _reference_points(n, 60 + n, 2000)
-    edge = _edge_points(n)
-    points = PointBatch(np.concatenate([x, edge.X]), np.concatenate([y, edge.Y]))
+    edge, inside = _edge_points(n), _domain_points(n)
+    points = PointBatch(
+        np.concatenate([x, edge.X, inside.X]), np.concatenate([y, edge.Y, inside.Y])
+    )
+    if n == 2:
+        assert (_lagrange_2x2(points.Y)[:, :2, :2] != np.eye(2)).any()
     gamma, reduced = reduce_batch(points)
     for i in range(len(points)):
         alone_gamma, alone = reduce_batch(points.point(i).batch)
         np.testing.assert_array_equal(gamma[i], alone_gamma[0])
         for name in ("X", "Y", "eigvals"):
             np.testing.assert_array_equal(getattr(reduced, name)[i], getattr(alone, name)[0])
+        for name in ("X", "Y"):
+            np.testing.assert_array_equal(
+                np.signbit(getattr(reduced, name)[i]), np.signbit(getattr(alone, name)[0])
+            )
 
 
 def test_lagrange_reduction_raises_when_it_cannot_finish():
