@@ -213,7 +213,8 @@ class FourierExpansion:
     @cached_property
     def _stacks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         # Per beta: the flat indices into Y^{-1} and the powers of its monomial (empty
-        # at degree 0), the S matrices flattened to (K, n*n), the (K, dim) values.
+        # at degree 0), the S matrices flattened and transposed to a complex (n*n, K)
+        # array, cast once here rather than by every product, the (K, dim) values.
         by_beta: dict[MultiIndex, list] = {}
         for (beta, skey), vec in self.coefficients.items():
             by_beta.setdefault(beta, []).append((skey, vec))
@@ -224,7 +225,8 @@ class FourierExpansion:
             v_stack = np.array([v for _, v in items], dtype=complex)
             pairs = [((i - 1) * self.n + j - 1, b) for i, j, b in beta.powers]
             flat, powers = np.array(pairs, dtype=int).reshape(-1, 2).T
-            out.append((flat, powers, s_stack.reshape(len(items), -1), v_stack))
+            s_t = np.ascontiguousarray(s_stack.reshape(len(items), -1).T, dtype=complex)
+            out.append((flat, powers, s_t, v_stack))
         return out
 
 
@@ -250,8 +252,8 @@ def _series(f: FourierExpansion, points: PointBatch) -> np.ndarray:
     """The sum at every point, read-only.  Y^{-1} is formed only when a
     stored beta has positive degree, and then once."""
     zc, y_inv, total = points.mat.reshape(len(points), -1), None, None
-    for flat, powers, s_flat, v_stack in f._stacks:
-        part = np.exp(2j * math.pi * (zc @ s_flat.T)) @ v_stack  # sum a exp(2 pi i Tr(S Z))
+    for flat, powers, s_t, v_stack in f._stacks:
+        part = np.exp(2j * math.pi * (zc @ s_t)) @ v_stack  # sum a exp(2 pi i Tr(S Z))
         if flat.size:
             y_inv = points.y_inv.reshape(len(points), -1) if y_inv is None else y_inv
             part *= np.multiply.reduce(y_inv.take(flat, axis=1) ** powers, axis=1)[:, None]
@@ -376,13 +378,16 @@ def magnitudes(rep: Rep, points: PointBatch, values: np.ndarray) -> np.ndarray:
     With Y = Q diag(mu) Q^T, rho(Y^{1/2}) = rho(Q) D(mu) rho(Q^T), where D(mu)
     scales e^a by prod_i mu_i^{(a_i + k)/2} (``Rep.half_weights``).  For real
     orthogonal Q, rho(Q) is unitary for the invariant product and det(Q)^k is
-    +-1, so the norm is ||D(mu) Sym^j(Q^T) v||, with Sym^0(Q^T) = 1."""
+    +-1, so the norm is ||D(mu) Sym^j(Q^T) v||, with Sym^0(Q^T) = 1.  Where a
+    factor of D(mu) overflows, inf times a zero part of v is NaN; such a
+    norm, and any other NaN one, is returned as +inf."""
     if points.n != rep.n:
         raise ValueError(f"point degree {points.n} does not match representation rank {rep.n}")
     if rep.dim > 1:
         q_t = points.eigvecs.swapaxes(-1, -2)
         values = (rep_matrix(_sym_part(rep), q_t) @ values[..., None])[..., 0]
-    return norms(rep, np.exp(np.log(points.eigvals) @ rep.half_weights) * values)
+    out = norms(rep, np.exp(np.log(points.eigvals) @ rep.half_weights) * values)
+    return np.fmin(out, np.inf)  # NaN to +inf; every other value as it is
 
 
 @cache

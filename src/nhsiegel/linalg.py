@@ -4,8 +4,9 @@ entries.
 
 Everything here operates on plain numpy arrays at desk scale (n <= 8).  The
 eigensolver and ``monomial`` also take (N, n, n) stacks: the batched point
-path runs one ``numpy.linalg.eigh`` per batch, and a single matrix is the
-N = 1 case of the same call.
+path runs one symmetric eigensolve per batch, and a single matrix is the
+N = 1 case of the same call.  The eigensolve is the LAPACK kernel inside
+``numpy.linalg.eigh``, called without that function's Python layer.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+# The gufunc that numpy.linalg.eigh runs (UPLO="L"; checked on numpy 2.4),
+# with the same outputs bit for bit.  Its module is private, so it is bound
+# here: a numpy without it fails at import, not in the middle of a sweep.
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .errors import (
     EigenIterationError,
@@ -62,7 +67,8 @@ def eigh_sym(y) -> tuple[np.ndarray, np.ndarray]:
     symmetric matrix, or of each matrix of an (N, n, n) stack.
 
     Returns (w, q) with y = q @ diag(w) @ q.T and w[..., 0] >= ... >= w[..., n-1].
-    Raises EigenIterationError on non-finite entries.
+    Raises EigenIterationError on non-finite entries or if the solver does
+    not converge.
     """
     return _eigh(_require_symmetric(y, "eigh_sym input", stacked=np.ndim(y) == 3))
 
@@ -75,7 +81,12 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = np.empty(a.shape)
         q.fill(1.0)  # as np.ones, without its Python-level wrapper
         return a[..., 0].copy(), q
-    w, q = np.linalg.eigh(a)
+    # a is a finite float64 stack: all that eigh's wrapper checks or casts.
+    # On a 2x2 problem its errstate block costs more than LAPACK; the one
+    # guarantee it adds, an error on non-convergence, is the NaN test here.
+    w, q = _eigh_lo(a, signature="d->dd")
+    if np.count_nonzero(np.isnan(w)):
+        raise EigenIterationError("eigensolver did not converge")
     return w[..., ::-1], q[..., ::-1]
 
 

@@ -481,10 +481,14 @@ def reduce_batch(
     (N, 2n, 2n) gammas and the last iterates, on which the stopping rule
     held, equal to act_batch(gamma, points) up to rounding.  Raises
     ReductionBudgetError after ``budget`` steps; an empty batch takes none.
+    ValueError if an entry of X has magnitude 2^52 or more.
     """
     n = points.n
     if n not in (1, 2):
         raise ValueError(f"reduction implemented for degrees 1 and 2, got {n}")
+    # Below 2^52, rint of an entry of X is exact and fits an int64 translation.
+    if np.count_nonzero(np.abs(points.X) >= 2.0**52):
+        raise ValueError("reduction needs every entry of X below 2^52 in magnitude")
     gamma, last = (_reduce_1 if n == 1 else _reduce_2)(points.mat, budget)
     # Exactly symmetric: the iterates are symmetrised, the translations symmetric.
     return gamma, PointBatch._made(last.real.copy(), last.imag.copy())

@@ -158,6 +158,19 @@ class TestReduce:
     def test_no_point(self):
         assert main(["reduce"]) == 2
 
+    @pytest.mark.parametrize("z", ["1e20;1", "1e308,0,0;1,0,1"])
+    def test_huge_x_is_input_error(self, capsys, z):
+        # Beyond 2^52 the translation would wrap in int64: a wrong gamma.
+        assert main(["reduce", "--z", z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "below 2^52" in captured.err
+
+    def test_largest_allowed_x(self, capsys):
+        assert main(["reduce", "--z", "4503599627370495;1"]) == 0
+        rec = json.loads(capsys.readouterr().out)["results"][0]
+        assert rec["gamma"] == [[1, -4503599627370495], [0, 1]]
+        assert rec["z_red"] == {"X": [[0.0]], "Y": [[1.0]]}
+
 
 class TestBound:
     def test_e4_passes(self, e4_file, tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import multi_indices
+import nhsiegel.linalg
 from nhsiegel.errors import (
     EigenIterationError,
     NotPositiveDefiniteError,
@@ -11,6 +12,7 @@ from nhsiegel.errors import (
 )
 from nhsiegel.linalg import (
     MultiIndex,
+    _eigh,
     _require_symmetric,
     det,
     eigenvalues_sym,
@@ -353,3 +355,44 @@ class TestPointCopies:
     def test_large_skew_rejected(self):
         with pytest.raises(ValueError, match="^Y is not symmetric$"):
             SiegelPoint(np.zeros((2, 2)), np.array([[2.0, 0.5 + 1e-9], [0.5, 1.0]]))
+
+
+def _symmetric_stack(rng, count, n):
+    a = rng.standard_normal((count, n, n))
+    return (a + a.swapaxes(1, 2)) / 2.0
+
+
+class TestLapackKernel:
+    """``_eigh`` calls the gufunc inside ``numpy.linalg.eigh`` directly: the
+    same eigenvalues and eigenvectors, bit for bit, in decreasing order."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_bit_identical_to_numpy_eigh(self, rng, n, count, scale):
+        a = _symmetric_stack(rng, count, n) * scale
+        ties = np.array([np.eye(n), 2.0 * np.eye(n)]) * scale
+        # The last two are views that are not C-contiguous.
+        for stack in (a, ties, a[::-1], a.swapaxes(1, 2)):
+            w, q = _eigh(stack)
+            want_w, want_q = np.linalg.eigh(stack)
+            assert np.array_equal(w, want_w[..., ::-1])
+            assert np.array_equal(q, want_q[..., ::-1])
+            assert np.all(w[..., :-1] >= w[..., 1:])
+
+    def test_read_only_input(self, rng):
+        a = _symmetric_stack(rng, 5, 2)
+        a.flags.writeable = False
+        w, q = _eigh(a)
+        want_w, want_q = np.linalg.eigh(a)
+        assert np.array_equal(w, want_w[..., ::-1]) and np.array_equal(q, want_q[..., ::-1])
+
+    def test_non_convergence_raises(self, rng, monkeypatch):
+        def diverging(a, signature):
+            w, q = np.linalg.eigh(a)
+            w[-1, 0] = np.nan  # as LAPACK leaves a stack entry it gave up on
+            return w, q
+
+        monkeypatch.setattr(nhsiegel.linalg, "_eigh_lo", diverging)
+        with pytest.raises(EigenIterationError, match="did not converge"):
+            eigh_sym(_symmetric_stack(rng, 3, 2))

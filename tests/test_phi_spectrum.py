@@ -13,7 +13,7 @@ from nhsiegel.linalg import MultiIndex, monomial, multi_index_count
 from nhsiegel.reps import make_rep, norms, rep_matrix
 from nhsiegel.samples import _beta0, divisor_power_sum
 from nhsiegel.sampling import random_siegel_point, random_siegel_points
-from nhsiegel.symplectic import PointBatch
+from nhsiegel.symplectic import PointBatch, SiegelPoint
 
 _TWO_PI = 2.0 * math.pi
 
@@ -21,6 +21,14 @@ _TWO_PI = 2.0 * math.pi
 def magnitudes_reference(rep, points, values):
     """||rho(Y^{1/2}) v|| through the matrix square root and the full rho."""
     return norms(rep, (rep_matrix(rep, points.y_sqrt) @ values[..., None])[..., 0])
+
+
+def magnitudes_without_inf(rep, points, values):
+    """``magnitudes`` before an overflowed weight factor gave +inf: a NaN
+    stayed NaN."""
+    q_t = points.eigvecs.swapaxes(-1, -2)
+    values = (rep_matrix(forms._sym_part(rep), q_t) @ values[..., None])[..., 0]
+    return norms(rep, np.exp(np.log(points.eigvals) @ rep.half_weights) * values)
 
 
 def evaluate_zeros_plus_add(f, points):
@@ -40,6 +48,20 @@ def evaluate_zeros_plus_add(f, points):
         if beta.degree:
             part *= monomial(points.y_inv, beta)[:, None]
         total += part
+    return total
+
+
+def series_float_stacks(f, points):
+    """``forms._series`` as written before its S stacks were stored complex:
+    the float (K, n*n) stack of each beta, cast by the product on each call."""
+    zc, y_inv, total = points.mat.reshape(len(points), -1), None, None
+    for flat, powers, s_t, v_stack in f._stacks:
+        s_flat = np.ascontiguousarray(s_t.real.T)
+        part = np.exp(2j * math.pi * (zc @ s_flat.T)) @ v_stack
+        if flat.size:
+            y_inv = points.y_inv.reshape(len(points), -1) if y_inv is None else y_inv
+            part *= np.multiply.reduce(y_inv.take(flat, axis=1) ** powers, axis=1)[:, None]
+        total = part if total is None else total + part
     return total
 
 
@@ -213,6 +235,33 @@ class TestEvaluateAccumulation:
         if count == 1:
             z = points.point(0)
             assert np.array_equal(evaluate(package.expansion, z).coords, want[0])
+
+    @pytest.mark.parametrize("name", ["e2star_package", "sym2_package"])
+    @pytest.mark.parametrize("count", [1, 1000])
+    def test_complex_stacks_bit_identical_to_float_stacks(self, name, count, request, rng):
+        expansion = request.getfixturevalue(name).expansion
+        for _, _, s_t, _ in expansion._stacks:
+            assert s_t.dtype == complex and s_t.flags.c_contiguous
+        points = random_siegel_points(expansion.n, rng, count, 0.05, 5.0)
+        got = forms._series(expansion, points)
+        assert np.array_equal(got, series_float_stacks(expansion, points))
+
+
+class TestOverflowingWeightFactor:
+    def test_phi_is_inf_not_nan(self, e4_package):
+        # Y = 1e300: the factor y^2 overflows, and inf times the zero
+        # imaginary part of F = 1 + 0i is NaN; numpy still warns of both.
+        z = SiegelPoint(np.zeros((1, 1)), np.array([[1e300]]))
+        with pytest.warns(RuntimeWarning):
+            assert phi(e4_package, z) == math.inf
+
+    def test_finite_values_unchanged(self, sym2_package, rng):
+        points = random_siegel_points(2, rng, 200)
+        values = evaluate(sym2_package.expansion, points)
+        assert np.array_equal(
+            magnitudes(sym2_package.rep, points, values),
+            magnitudes_without_inf(sym2_package.rep, points, values),
+        )
 
 
 TAIL_PACKAGES = [

@@ -464,3 +464,35 @@ class TestNonFiniteX:
     def test_non_finite_y_keeps_its_error(self):
         with pytest.raises(EigenIterationError):
             SiegelPoint(np.array([[0.0]]), np.array([[math.nan]]))
+
+
+class TestHugeX:
+    """An entry of X of 2^52 or more is rejected before any step: beyond it
+    rint is not exact and the int64 translation can wrap."""
+
+    @pytest.mark.parametrize(
+        "x", [[[1e20]], [[1e308, 0.0], [0.0, 0.0]], [[0.0, -(2.0**52)], [-(2.0**52), 0.0]]]
+    )
+    def test_rejected(self, x):
+        x = np.array(x)
+        y = np.eye(len(x))
+        with pytest.raises(ValueError, match=r"below 2\^52"):
+            reduce_to_fundamental(SiegelPoint(x, y))
+        # One point of a batch is enough.
+        batch = PointBatch(np.array([np.zeros_like(x), x]), np.array([y, y]))
+        with pytest.raises(ValueError, match=r"below 2\^52"):
+            reduce_batch(batch)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_largest_allowed_entry_reduces_exactly(self, sign):
+        b = sign * (2**52 - 1)
+        gamma, z = reduce_to_fundamental(SiegelPoint(np.array([[float(b)]]), np.eye(1)))
+        np.testing.assert_array_equal(gamma.mat, [[1, -b], [0, 1]])
+        assert z.X[0, 0] == 0.0 and z.Y[0, 0] == 1.0
+        x = np.array([[b, -b], [-b, b]], dtype=float)
+        gamma, z = reduce_to_fundamental(SiegelPoint(x, np.eye(2)))
+        want = np.eye(4, dtype=np.int64)
+        want[:2, 2:] = -x.astype(np.int64)
+        np.testing.assert_array_equal(gamma.mat, want)
+        np.testing.assert_array_equal(z.X, np.zeros((2, 2)))
+        np.testing.assert_array_equal(z.Y, np.eye(2))
