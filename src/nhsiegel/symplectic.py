@@ -47,7 +47,8 @@ _LAGRANGE_TOL = 1e-12
 #     (1 + e)/2), the smaller factor of the two, so
 #     lambda_min >= h (1/(1 + e) - (1 + e)/2), sqrt(3)/4 less about 3e-10.
 # The returned point is that stopping point, the last iterate, so the floors
-# hold for it as returned; it equals gamma . Z up to rounding.
+# hold for it as returned.  It is gamma . Z up to rounding errors that grow
+# with the condition of Y and the size of X.
 _FLOOR_H = math.sqrt(1.0 / (1.0 + _IMPROVE_TOL) - 0.25)
 FUNDAMENTAL_DOMAIN_DELTA = {
     1: _FLOOR_H,
@@ -370,26 +371,36 @@ _INT_EYE = {k: np.eye(k, dtype=np.int64) for k in (2, 4)}
 _INT_J = {n: symplectic_form(n).astype(np.int64) for n in (1, 2)}
 # J^T g = (-g_2; g_1) for a 2 x 2 g: its rows reversed, the first negated.
 _INVERT_ROWS = np.array([[-1], [1]])
+_SWAP_ROWS = np.array([1, 0, 3, 2])
 
 
 def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
     """int64 diag(u, u^-T) per matrix of an (N, 2, 2) stack, u integral with
     det +-1 such that u y u^T is Lagrange-reduced: 2|y12| <= y11 <= y22, to
-    a relative _LAGRANGE_TOL.  A swap permutes the rows [1, 0, 3, 2]; the
-    shear (1 0; -r 1) of u is the shear (1 r; 0 1) of u^-T.  Raises
+    a relative _LAGRANGE_TOL; the identity where y already is.  A swap
+    permutes the rows [1, 0, 3, 2]; the shear (1 0; -r 1) of u is the shear
+    (1 r; 0 1) of u^-T.  Every point takes part in the first round; later
+    rounds mask out the points already reduced.  A round in which every
+    point swaps swaps the arrays themselves, with no mask.  Raises
     ReductionBudgetError after 64 rounds."""
     # The entries of u y u^T, rounded as the products t y t^T would round them.
     y11, y12, y22 = y[:, 0, 0], y[:, 0, 1], y[:, 1, 1]
-    m, live = _INT_EYE[4][None].repeat(len(y), axis=0), np.ones(len(y), dtype=bool)
+    m, live = _INT_EYE[4][None].repeat(len(y), axis=0), None  # None: all live
     for _ in range(64):
+        swap = y11 > y22 * (1.0 + 1e-15)
+        if live is not None:
+            swap &= live
         # count_nonzero, not any(): on a few entries it costs a third as much.
-        swap = live & (y11 > y22 * (1.0 + 1e-15))
         swapped = np.count_nonzero(swap)
-        if swapped:
+        if swapped == len(swap):
+            y11, y22, m = y22, y11, m.take(_SWAP_ROWS, axis=1)
+        elif swapped:
             y11, y22 = np.where(swap, y22, y11), np.where(swap, y11, y22)
-            m[swap] = m[swap].take([1, 0, 3, 2], axis=1)
+            m[swap] = m[swap].take(_SWAP_ROWS, axis=1)
         # The shear (1 0; -r 1) with r = round(y12 / y11); the identity once done.
-        r = np.where(live, np.rint(y12 / y11), 0.0)
+        r = np.rint(y12 / y11)
+        if live is not None:
+            r = np.where(live, r, 0.0)
         if np.count_nonzero(r):
             ri = r.astype(np.int64)[:, None]
             m[:, 1] -= ri * m[:, 0]
@@ -399,10 +410,10 @@ def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
         elif not swapped and np.count_nonzero(y11 > 0.0) == len(y11):
             # Then y11 <= y22 (1 + 1e-15) and |y12| <= y11 / 2: all reduced.
             return m
-        live &= ~(
-            (2.0 * np.abs(y12) <= y11 * (1.0 + _LAGRANGE_TOL))
-            & (y11 <= y22 * (1.0 + _LAGRANGE_TOL))
+        done = (2.0 * np.abs(y12) <= y11 * (1.0 + _LAGRANGE_TOL)) & (
+            y11 <= y22 * (1.0 + _LAGRANGE_TOL)
         )
+        live = ~done if live is None else live & ~done
         if not np.count_nonzero(live):
             return m
     raise ReductionBudgetError("Lagrange reduction of Im(Z) did not converge within 64 rounds")
@@ -445,6 +456,12 @@ def _minors(zc: np.ndarray) -> np.ndarray:
 
 
 _CANDIDATES = _build_candidates()
+# Per candidate, the stacked blocks ([A; C], [B; D]) as one (K, 2, 4, 2)
+# array, so that one gather and one product give A Z + B over C Z + D.
+_STACKED_BLOCKS = np.stack(
+    [np.concatenate(_CANDIDATES[2][0::2], axis=1), np.concatenate(_CANDIDATES[2][1::2], axis=1)],
+    axis=1,
+)
 
 
 def _candidate_dets(zc: np.ndarray) -> np.ndarray:
@@ -474,14 +491,17 @@ def reduce_batch(
     candidates first).  Since det Im(gamma Z) = det Im Z / |det(C Z + D)|^2,
     the candidates are scored by det(C Z + D) alone, all of them on all
     moving points at once; the action is formed only for each moved point's
-    winner, gamma takes one integer step matrix (u  t u^-T; 0 u^-T) per
-    step, and the extended candidates are scored only on a step where some
-    point has no primary mover.  Gamma and the point are written back only
-    on a step where some point stops.  Returns (gamma, reduced): integral
-    (N, 2n, 2n) gammas and the last iterates, on which the stopping rule
-    held, equal to act_batch(gamma, points) up to rounding.  Raises
-    ReductionBudgetError after ``budget`` steps; an empty batch takes none.
-    ValueError if an entry of X has magnitude 2^52 or more.
+    winner, gamma is multiplied by diag(u, u^-T) only on a step where u is
+    not the identity everywhere and is translated in place, and the
+    extended candidates are scored only on a step where some point has no
+    primary mover.  Gamma and the point are written back only on a step
+    where some points stop and others move on.  Returns (gamma, reduced):
+    integral (N, 2n, 2n) gammas and the last iterates, on which the
+    stopping rule held.  A last iterate is act_batch(gamma, points) up to
+    rounding errors that grow with the condition of Y and the size of X.
+    Raises ReductionBudgetError after ``budget`` steps; an empty batch takes
+    none.  ValueError if an entry of X, or of a degree-2 translation, has
+    magnitude 2^52 or more.
     """
     n = points.n
     if n not in (1, 2):
@@ -498,7 +518,8 @@ def _reduce_1(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
     # The (N,) complex vector z of an (N, 1, 1) stack zc; names as in _reduce_2.
     live, z = np.arange(len(zc)), zc.reshape(-1)
     g = _INT_EYE[2][None].repeat(len(z), axis=0)
-    gamma, last, steps = np.empty_like(g), np.empty_like(z), 0
+    gamma = last = None
+    steps = 0
     while live.size:
         if steps >= budget:
             raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
@@ -508,36 +529,50 @@ def _reduce_1(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
         z += t
         moved = z.real**2 + z.imag**2 < _MOVE_BELOW  # |z|^2, the inversion's 1 / gain
         if np.count_nonzero(moved) < len(moved):
+            if gamma is None:
+                if not np.count_nonzero(moved):
+                    break  # every point stops on this first stopping step
+                gamma, last = np.empty_like(g), np.empty_like(z)
             gamma[live], last[live] = g, z
             live = live[moved]
             if not live.size:
                 break
             g, z = g[moved], z[moved]
         g, z = g[:, ::-1] * _INVERT_ROWS, -1.0 / z
+    if gamma is None:
+        return g, z[:, None, None]
     return gamma, last[:, None, None]
 
 
 def _reduce_2(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    cands, primary, (a, b, c, d), _ = _CANDIDATES
+    cands, primary, _, _ = _CANDIDATES
     # live: the points still moving; g, zc: their int64 gammas and complex
-    # positions; gamma, last: each point's gamma and position when it stopped.
+    # positions; gamma, last: each point's gamma and position when it
+    # stopped, allocated on the first step where some point stops and
+    # others move on.
     live, g = np.arange(len(zc)), _INT_EYE[4][None].repeat(len(zc), axis=0)
-    gamma, last, steps = np.empty_like(g), np.empty_like(zc), 0
+    gamma = last = None
+    steps = 0
     while live.size:
         if steps >= budget:
             raise ReductionBudgetError(f"reduction did not stabilise within {budget} steps")
         steps += 1
         m = _lagrange_2x2(zc.imag)
-        # The congruence is skipped when u is the identity at every point:
-        # it would only change signs of zeros, which the translation resets.
+        # The congruence and the step diag(u, u^-T) are skipped when u is the
+        # identity at every point: the congruence would only change signs of
+        # zeros, which the translation resets.
         if np.count_nonzero(m[:, :2, :2] != _INT_EYE[2]):
             uc = m[:, :2, :2].astype(complex)  # cast once, not in each product
             zc = uc @ zc @ _t(uc)
             zc = (zc + _t(zc)) / 2.0
+            g = m if steps == 1 else m @ g
         t = -np.rint(zc.real)
-        # The step (I t; 0 I) diag(u, u^-T) = (u  t u^-T; 0 u^-T).
-        m[:, :2, 2:] = t.astype(np.int64) @ m[:, 2:, 2:]
-        g = m if steps == 1 else m @ g
+        # Below 2^52 rint is exact and t fits an int64.  X below 2^52 does not
+        # ensure it: the congruence by u can carry u X u^T past it.
+        if np.count_nonzero(np.abs(t) >= 2.0**52):
+            raise ValueError("reduction needs every translation below 2^52 in magnitude")
+        # (I t; 0 I) g = (g_top + t g_bottom; g_bottom), exactly in integers.
+        g[:, :2] += t.astype(np.int64) @ g[:, 2:]
         zc += t
         dets = _candidate_dets(zc)
         det_sq = dets.real**2 + dets.imag**2  # 1 / gain
@@ -550,6 +585,10 @@ def _reduce_2(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
             if np.count_nonzero(use_tail):
                 best = np.where(use_tail, primary + tail.argmin(axis=1), best)
                 moved |= use_tail
+            if gamma is None:
+                if not np.count_nonzero(moved):
+                    break  # every point stops on this first stopping step
+                gamma, last = np.empty_like(g), np.empty_like(zc)
             gamma[live], last[live] = g, zc
             live = live[moved]
             if not live.size:
@@ -557,8 +596,12 @@ def _reduce_2(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
             g, zc, best = g[moved], zc[moved], best[moved]
         g, den = cands[best] @ g, dets[moved, best][:, None, None]
         # (A Z + B)(C Z + D)^{-1} = (A Z + B) adj(C Z + D) / det(C Z + D).
-        w = (a[best] @ zc + b[best]) @ _adjugate(c[best] @ zc + d[best]) / den
+        blocks = _STACKED_BLOCKS[best]
+        w = blocks[:, 0] @ zc + blocks[:, 1]  # (A Z + B; C Z + D)
+        w = w[:, :2] @ _adjugate(w[:, 2:]) / den
         zc = (w + _t(w)) / 2.0
+    if gamma is None:
+        return g, zc
     return gamma, last
 
 
@@ -568,6 +611,7 @@ def reduce_to_fundamental(
 ) -> tuple[SymplecticMatrix, SiegelPoint]:
     """Move Z into an approximate fundamental domain for the integral group:
     the N = 1 case of ``reduce_batch``.  Returns (gamma, z_red): gamma integral
-    and exactly symplectic, z_red the last iterate, act(gamma, z) up to rounding."""
+    and exactly symplectic, z_red the last iterate: act(gamma, z) up to
+    rounding errors that grow with the condition of Y and the size of X."""
     gamma, reduced = reduce_batch(z.batch, budget)
     return SymplecticMatrix._integral(gamma[0]), reduced.point(0)

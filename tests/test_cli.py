@@ -165,6 +165,16 @@ class TestReduce:
         captured = capsys.readouterr()
         assert captured.out == "" and "below 2^52" in captured.err
 
+    def test_huge_translation_is_input_error(self, capsys):
+        # X below 2^52, but u X u^T past it after the Lagrange congruence.
+        z = (
+            "4503599627370495.0,2251799813685247.5,-4503599627370495.0;"
+            "8.736950273789637,-235.11608326192285,6327.842072432943"
+        )
+        assert main(["reduce", f"--z={z}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "translation below 2^52" in captured.err
+
     def test_largest_allowed_x(self, capsys):
         assert main(["reduce", "--z", "4503599627370495;1"]) == 0
         rec = json.loads(capsys.readouterr().out)["results"][0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -496,3 +497,47 @@ class TestHugeX:
         np.testing.assert_array_equal(gamma.mat, want)
         np.testing.assert_array_equal(z.X, np.zeros((2, 2)))
         np.testing.assert_array_equal(z.Y, np.eye(2))
+
+
+# X below 2^52 whose reduction takes, after the congruence by the Lagrange
+# matrix u, a translation -round(u X u^T) past 2^52 (entries near 1.2e17).
+FAR_TRANSLATION = (
+    [[4503599627370495.0, 2251799813685247.5], [2251799813685247.5, -4503599627370495.0]],
+    [[8.736950273789637, -235.11608326192285], [-235.11608326192285, 6327.842072432943]],
+)
+
+
+class TestHugeTranslation:
+    """A degree-2 step whose translation reaches 2^52 is rejected: beyond it
+    rint is not exact and the int64 cast can wrap, so gamma would be wrong."""
+
+    def test_rejected(self):
+        x, y = (np.array(a) for a in FAR_TRANSLATION)
+        assert np.abs(x).max() < 2.0**52
+        with pytest.raises(ValueError, match=r"translation below 2\^52"):
+            reduce_to_fundamental(SiegelPoint(x, y))
+        batch = PointBatch(np.array([np.zeros((2, 2)), x]), np.array([np.eye(2), y]))
+        with pytest.raises(ValueError, match=r"translation below 2\^52"):
+            reduce_batch(batch)
+
+    def test_seeded_draws_are_rejected_or_reduce_without_a_cast_warning(self):
+        # X entries +-(2^52 - 1), Y of condition 1e6 to 1e11 under a random
+        # rotation: unguarded, most of these cast a translation past 2^63.
+        rng = np.random.default_rng(7)
+        rejected = 0
+        for _ in range(300):
+            s = rng.choice([-1.0, 1.0], 3) * (2.0**52 - 1.0)
+            x = np.array([[s[0], s[1]], [s[1], s[2]]])
+            theta = rng.uniform(0.0, np.pi)
+            q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            low = 10.0 ** rng.uniform(-1.0, 1.0)
+            y = (q * [low, low * 10.0 ** rng.uniform(6.0, 11.0)]) @ q.T
+            z = SiegelPoint(x, (y + y.T) / 2.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    reduce_to_fundamental(z)
+                except ValueError as exc:
+                    assert "2^52" in str(exc)
+                    rejected += 1
+        assert rejected > 250
