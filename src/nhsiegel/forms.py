@@ -65,6 +65,24 @@ class _CheckedTerms(dict):
     """A coefficient map every term of which passed ``_checked_term``."""
 
 
+def _checked_terms(n, p, level, rep, t_max, records, drop_above) -> _CheckedTerms:
+    """The checked map of (where, beta, N*S, vector) ``records``; a record
+    that is malformed or repeats the (beta, S) key of an earlier one raises
+    FormDataError prefixed with its ``where``, and one above
+    ``last_level(level, t_max)`` is dropped if ``drop_above``, else raises."""
+    last = last_level(level, t_max)
+    coeffs = _CheckedTerms()
+    for where, beta, s_raw, value in records:
+        key, vec = _checked_term(n, p, level, rep, beta, s_raw, value, where)
+        if key in coeffs:
+            raise FormDataError(f"{where}: duplicate (beta, S) record")
+        if trace_level(key[1]) <= last:
+            coeffs[key] = vec
+        elif not drop_above:
+            raise FormDataError(f"{where}: Tr(S) exceeds the truncation bound {t_max}")
+    return coeffs
+
+
 def _checked_term(n, p, level, rep, beta, s_raw, value, where: str):
     """The validated term (beta, N*S, vector) as (key, read-only vector);
     FormDataError prefixed with ``where`` if it is malformed."""
@@ -107,7 +125,7 @@ class FourierExpansion:
     coordinate vectors in ``rep``.  The constructor rejects a term whose
     level Tr(N*S) exceeds ``last_level(level, t_max)``, as it rejects an S
     that fails positive semidefiniteness; ``from_terms`` drops such terms
-    instead.
+    instead.  Both reject two keys whose S round to the same N*S.
     """
 
     n: int
@@ -128,21 +146,11 @@ class FourierExpansion:
             raise FormDataError(
                 f"representation rank {self.rep.n} does not match degree {self.n}"
             )
-        last = last_level(self.level, self.t_max)
         coeffs = self.coefficients
         if not isinstance(coeffs, _CheckedTerms):
             # The invariants hold no matter how the map was assembled.
-            checked = _CheckedTerms()
-            for key, value in dict(coeffs).items():
-                where = f"coefficient key {key!r}"
-                beta, skey = key
-                key, vec = _checked_term(
-                    self.n, self.p, self.level, self.rep, beta, skey, value, where
-                )
-                if trace_level(key[1]) > last:
-                    raise FormDataError(f"{where}: Tr(S) exceeds the truncation bound {self.t_max}")
-                checked[key] = vec
-            coeffs = checked
+            records = ((f"coefficient key {k!r}", *k, v) for k, v in dict(coeffs).items())
+            coeffs = _checked_terms(self.n, self.p, self.level, self.rep, self.t_max, records, False)
         object.__setattr__(self, "coefficients", dict(coeffs))
 
     @classmethod
@@ -162,15 +170,8 @@ class FourierExpansion:
         degree p, an S is not positive semidefinite, or N*S is not integral.
         """
         cls(n, p, level, rep, t_max)  # the field checks, before any term is read
-        last = last_level(level, t_max)
-        coeffs = _CheckedTerms()
-        for idx, (beta, s_raw, value) in enumerate(terms):
-            where = f"coefficients[{idx}]"
-            key, vec = _checked_term(n, p, level, rep, beta, s_raw, value, where)
-            if key in coeffs:
-                raise FormDataError(f"{where}: duplicate (beta, S) record")
-            if trace_level(key[1]) <= last:
-                coeffs[key] = vec
+        records = ((f"coefficients[{idx}]", *term) for idx, term in enumerate(terms))
+        coeffs = _checked_terms(n, p, level, rep, t_max, records, True)
         return cls(n=n, p=p, level=level, rep=rep, t_max=t_max, coefficients=coeffs)
 
     def terms(self) -> Iterable[tuple[MultiIndex, np.ndarray, np.ndarray]]:

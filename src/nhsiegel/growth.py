@@ -9,10 +9,13 @@ where l is the largest entry of the highest weight and mu_i are the
 eigenvalues of Y = Im(Z), together with the moderate-growth inequality
 |Phi(g)| <= C (Tr(g^T g))^r for the function lifted to the group.
 
-Constants are estimated empirically: the invariant magnitude phi is swept
-over reduced (fundamental-domain) points, its worst ratio against the
-eigenvalue bound is inflated by a safety factor, and the resulting constant
-is then validated on fresh adversarial sweeps.
+The eigenvalue-bound constant C is estimated empirically: the invariant
+magnitude phi is swept over reduced (fundamental-domain) points, and its
+worst ratio against the eigenvalue bound is inflated by a safety factor.
+The other constants follow from C by proof (see the README): C times
+max(1, 2^{1-l})^n for the trace/determinant bound, and ||w0|| C times
+max(1, 2^{1-l/2})^n n^{-nl/2} for moderate growth at every r >= nl/2.
+Each constant is then validated on fresh adversarial sweeps.
 
 Sweeps run blocks of SWEEP_BLOCK points through the batched kernels.
 Each block is drawn as one stack (see ``sampling``), with the generator
@@ -95,7 +98,9 @@ class GrowthReport:
     per-sample stream behind the summary; it is not part of ``to_dict``."""
 
     kind: str
-    constant: float
+    constant: float  # the multiplier of the rhs: theorem_constant * factor (* ||w0||)
+    theorem_constant: float
+    factor: float
     exponent_r: float
     samples: int
     violations: int
@@ -158,23 +163,16 @@ group_blocks = partial(_seeded_blocks, random_group_samples)
 
 
 def estimate_constant(package: FormPackage, config: SweepConfig) -> float:
-    """Empirical constant for the eigenvalue product bound.
-
-    Sweeps phi over fundamental-domain points, takes the worst ratio
-    against the eigenvalue bound, and inflates it by the configured safety
-    factor.  Only the expansion at infinity is stored, so a non-identity
-    coset representative is rejected.
+    """Empirical constant for the eigenvalue product bound: the configured
+    safety factor times the worst ratio of the theorem sweep over
+    fundamental-domain points, with constant 1.  Only the expansion at
+    infinity is stored, so a non-identity coset representative is rejected.
     """
     identity = np.eye(2 * package.n)
     if any(not np.array_equal(g.mat, identity) for g in package.coset_reps):
         raise FormDataError("a non-identity coset representative needs per-cusp expansions")
-    worst = 0.0
-    for points in adversarial_blocks(package.n, config):
-        _, reduced = reduce_batch(points)
-        ratio = phi(package, reduced) / sturm_rhs_batch(reduced, package.lambda1)
-        # fmax skips NaN ratios, as a scan keeping the largest would.
-        worst = float(np.fmax.reduce(ratio, initial=worst))
-    return config.safety * worst
+    reduced = (reduce_batch(points)[1] for points in adversarial_blocks(package.n, config))
+    return config.safety * _phi_sweep(package, 1.0, "theorem", config, reduced).worst_ratio
 
 
 def verify_growth_bound(
@@ -190,20 +188,27 @@ def verify_growth_bound(
     product, "corollary" for the trace/determinant form.  Violations are
     recorded, not raised; the report's ``records`` hold every sample.
     """
-    rhs_fn = {"theorem": sturm_rhs_batch, "corollary": corollary_rhs_batch}.get(kind)
-    if rhs_fn is None:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    if not (math.isfinite(constant) and constant >= 0):
-        raise ValueError(f"bound constant must be finite and non-negative, got {constant}")
     config = config or SweepConfig()
-    lam1 = package.lambda1
-    parts = []
-    for batch in adversarial_blocks(package.n, config):
-        value = phi(package, batch)
-        rhs = constant * rhs_fn(batch, lam1)
-        parts.append((batch.mat, value, rhs))
-    exponent = lam1 / 2.0 if kind == "theorem" else float(package.n * lam1)
-    return _report(kind, constant, exponent, parts, _config_dict(config, package))
+    return _phi_sweep(package, constant, kind, config, adversarial_blocks(package.n, config))
+
+
+def _phi_sweep(package, constant, kind, config, blocks) -> GrowthReport:
+    """The sweep of phi against the ``kind`` right-hand side over ``blocks``
+    of points."""
+    lam1, n = package.lambda1, package.n
+    # The right-hand side, the factor on C, and the exponent of each kind.
+    sides = {
+        "theorem": (sturm_rhs_batch, 1.0, lam1 / 2.0),
+        "corollary": (corollary_rhs_batch, max(1.0, 2.0 ** (1 - lam1)) ** n, float(n * lam1)),
+    }
+    if kind not in sides:
+        raise ValueError(f"unknown bound kind {kind!r}")
+    rhs_fn, factor, exponent = sides[kind]
+
+    def score(points):
+        return points.mat, phi(package, points), rhs_fn(points, lam1)
+
+    return _sweep(kind, constant, factor, exponent, blocks, score, _config_dict(config, package))
 
 
 def lift_batch(f: FourierExpansion | FormPackage, elements) -> np.ndarray:
@@ -226,20 +231,18 @@ def verify_moderate_growth(
 ) -> GrowthReport:
     """Check |<lift(F, g), w0>| <= C (Tr(g^T g))^r over group samples.
 
-    ``constant`` is the certified eigenvalue-bound constant; the moderate
-    growth constant is ||w0|| * constant * safety, for a finite, non-zero
-    w0.  The exponent must be at least n * lambda1 / 2.  Given ``elements``
-    are swept as one block in place of the configured draws, and the
-    report's config then keeps only the fields that applied to them.
+    ``constant`` is the certified eigenvalue-bound constant C; the moderate
+    growth constant is ||w0|| C max(1, 2^{1-s})^n n^{-ns}, with s = lambda1/2,
+    for a finite, non-zero w0.  The exponent must be at least ns.  Given
+    ``elements`` are swept as one block in place of the configured draws,
+    and the report's config then keeps only the fields that applied to them.
     """
-    lam1 = package.lambda1
-    min_r = package.n * lam1 / 2.0
+    lam1, n = package.lambda1, package.n
+    min_r = n * lam1 / 2.0
     if not math.isfinite(r):
         raise ValueError(f"exponent r must be finite, got {r}")
     if r < min_r:
         raise InvalidExponentError(f"exponent {r} below the certified threshold {min_r}")
-    if not (math.isfinite(constant) and constant >= 0):
-        raise ValueError(f"bound constant must be finite and non-negative, got {constant}")
     if not np.all(np.isfinite(w0.coords)):
         raise ValueError(f"w0 coordinates must be finite, got {w0.coords.tolist()}")
     if not w0.coords.any():
@@ -249,30 +252,37 @@ def verify_moderate_growth(
     # the entries neither underflows nor overflows; for s = 1 it is exactly
     # norm(w0).
     s = float(np.abs(w0.coords).max())
-    c_mod = s * norm(RepVector(w0.rep, w0.coords / s)) * constant * config.safety
+    w0_norm = s * norm(RepVector(w0.rep, w0.coords / s))
+    factor = max(1.0, 2.0 ** (1 - lam1 / 2.0)) ** n * float(n) ** -min_r
     settings = _config_dict(config, package)
     if elements is None:
-        blocks = group_blocks(package.n, config)
+        blocks = group_blocks(n, config)
     else:
         mats = [g.mat for g in elements]
         blocks = [np.stack(mats)] if mats else []
-        settings = {k: settings[k] for k in ("safety", "ratio_tol", "delta", "t_max")}
+        settings = {k: settings[k] for k in ("ratio_tol", "delta", "t_max")}
     weights = np.conj(w0.coords) * package.rep.basis_sq_norms
-    parts = []
-    for gs in blocks:
+
+    def score(gs):
         value = np.abs(np.sum(lift_batch(package, gs) * weights, axis=-1))
-        rhs = c_mod * np.sum(gs * gs, axis=(1, 2)) ** r
-        parts.append((gs, value, rhs))
-    return _report("moderate-growth", c_mod, float(r), parts, settings)
+        return gs, value, np.sum(gs * gs, axis=(1, 2)) ** r
+
+    return _sweep("moderate-growth", constant, factor, float(r), blocks, score, settings, w0_norm)
 
 
-def _report(kind, constant, exponent_r, parts, settings) -> GrowthReport:
-    """The report of a sweep from its (where, value, rhs) blocks and its
-    config dict ``settings``; the ratio reads 0/0 as 0, and x/0 and a
-    quotient that overflows as inf."""
+def _sweep(kind, theorem_constant, factor, exponent_r, blocks, score, settings, scale=1.0):
+    """The report of ``score``, which maps a block to its (where, value,
+    rhs / constant) arrays, over ``blocks``, with config dict ``settings``
+    and constant ``scale * theorem_constant * factor``; the ratio reads 0/0
+    as 0, and x/0 and a quotient that overflows as inf."""
+    constant = scale * theorem_constant * factor
+    if not (math.isfinite(constant) and constant >= 0):
+        raise ValueError(f"bound constant must be finite and non-negative, got {constant}")
+    parts = [score(block) for block in blocks]
     if not parts:
         raise ValueError("a sweep needs at least one sample")
     where, value, rhs = map(np.concatenate, zip(*parts))
+    rhs = constant * rhs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(rhs == 0.0, np.where(value == 0.0, 0.0, math.inf), value / rhs)
     records = SampleRecords(where, value, rhs, ratio)
@@ -290,6 +300,8 @@ def _report(kind, constant, exponent_r, parts, settings) -> GrowthReport:
     return GrowthReport(
         kind=kind,
         constant=constant,
+        theorem_constant=theorem_constant,
+        factor=factor,
         exponent_r=exponent_r,
         samples=len(ratio),
         violations=int(np.sum(records.ratio > 1.0 + settings["ratio_tol"])),

@@ -21,6 +21,13 @@ def e4_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def constant_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("forms") / "constant.json"
+    save_form_package(build_sample("constant"), path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def zero_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("forms") / "zero.json"
     save_form_package(build_sample("zero"), path)
@@ -231,6 +238,14 @@ class TestBound:
         )
         assert rc == 0
 
+    def test_corollary_below_lambda_one(self, constant_file, capsys):
+        # lambda1 = 0: the corollary constant is twice the theorem's.
+        argv = ["bound", "--form", str(constant_file), "--samples", "200", "--kind", "corollary"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["factor"] == 2.0
+        assert report["constant"] == 2.0 * report["theorem_constant"]
+
     def test_determinism(self, e4_file, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["bound", "--form", str(e4_file), "--samples", "100", "--seed", "3"]
@@ -315,6 +330,13 @@ class TestModerate:
             ["moderate", "--form", str(e4_file), "--samples", "100", "--r", "2.0"]
         )
         assert rc == 0
+
+    def test_constant_form_passes(self, constant_file, capsys):
+        # lambda1 = 0 at n = 1: the proved factor is 2, not safety.
+        assert main(["moderate", "--form", str(constant_file), "--samples", "200"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["factor"] == 2.0
+        assert report["violations"] == 0
 
     def test_csv_rows(self, e4_file, tmp_path):
         out = tmp_path / "mod.csv"

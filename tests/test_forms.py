@@ -190,6 +190,21 @@ class TestConstructionGates:
                 },
             )
 
+    def test_both_constructors_reject_keys_that_round_together(self):
+        # S = 1 and S = 1.0000000001 round to the same integral N*S: the raw
+        # constructor must not keep only the later value, as from_terms
+        # does not.
+        rep = make_rep(1, 0, 4)
+        b0 = MultiIndex.from_dict(1, {})
+        terms = [(b0, ((1,),), [1.0]), (b0, ((1.0000000001,),), [2.0])]
+        with pytest.raises(FormDataError, match=r"coefficients\[1\]: duplicate \(beta, S\) record"):
+            FourierExpansion.from_terms(1, 0, 1, rep, 5.0, terms)
+        with pytest.raises(FormDataError, match=r"coefficient key .*: duplicate \(beta, S\) record"):
+            FourierExpansion(
+                n=1, p=0, level=1, rep=rep, t_max=5.0,
+                coefficients={(beta, s): np.array(v, dtype=complex) for beta, s, v in terms},
+            )
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_rejects_non_finite_values(self, bad):
         # A NaN coefficient would pass every later check: NaN > bound is false.

@@ -61,15 +61,19 @@ class TestCorollaryRhs:
         assert corollary_rhs(np.array([[1.0]]), 4) == pytest.approx(16.0)
 
     def test_dominates_sturm(self, rng):
-        # (1 + Tr Y)^(n l) (det Y)^(-l/2) >= prod (mu^(l/2) + mu^(-l/2)),
-        # which is why a constant certified for the eigenvalue bound also
-        # certifies the trace form.
+        # max(1, 2^(1-l))^n (1 + Tr Y)^(n l) (det Y)^(-l/2) >= prod (mu^(l/2) +
+        # mu^(-l/2)), which is why a constant certified for the eigenvalue
+        # bound, times that factor, certifies the trace form.  The factor is
+        # 1 for l >= 1; at l = 0 the trace form is 1 and the eigenvalue
+        # bound 2^n.
         for _ in range(200):
             n = int(rng.integers(1, 4))
             a = rng.uniform(-2, 2, size=(n, n))
             y = a @ a.T + np.exp(rng.uniform(-2, 2)) * np.eye(n)
-            for lam in (1, 2, 4):
-                assert corollary_rhs(y, lam) >= sturm_rhs(y, lam) * (1.0 - 1e-12)
+            for lam in (0, 1, 2, 4):
+                factor = max(1.0, 2.0 ** (1 - lam)) ** n
+                assert factor * corollary_rhs(y, lam) >= sturm_rhs(y, lam) * (1.0 - 1e-12)
+        assert corollary_rhs(np.eye(2), 0) == 1.0 and sturm_rhs(np.eye(2), 0) == 4.0
 
 
 class TestElementaryInequality:
@@ -84,13 +88,29 @@ class TestElementaryInequality:
         assert lhs <= rhs
 
     def test_random_tuples(self, rng):
+        # 1 + y^l <= max(1, 2^(1-l)) (1 + y)^l for every l >= 0; the factor
+        # is 1 for l >= 1, and below that it carries the product inequality
+        # down to lambda1 = 0.
         for _ in range(2000):
             n = int(rng.integers(1, 5))
             ys = np.exp(rng.uniform(-4, 4, size=n))
-            for lam in range(1, 7):
+            for lam in (0, 0.5, 1, 2, 3, 4, 5, 6):
                 lhs = float(np.prod(1.0 + ys ** lam))
-                rhs = (1.0 + float(np.sum(ys))) ** (n * lam)
+                rhs = max(1.0, 2.0 ** (1 - lam)) ** n * (1.0 + float(np.sum(ys))) ** (n * lam)
                 assert lhs <= rhs * (1.0 + 1e-12)
+
+    def test_moderate_chain(self, rng):
+        # prod_i (mu_i^s + mu_i^-s) <= max(1, 2^(1-s))^n n^(-ns) Tr(g^T g)^(ns)
+        # for g = from_point(Z) k, whose Y = Im(g . iI) has eigenvalues mu_i.
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            z = random_siegel_point(n, rng)
+            g = (from_point(z) @ random_compact(n, rng)).mat
+            for lam in range(0, 7):
+                s = lam / 2.0
+                factor = max(1.0, 2.0 ** (1 - s)) ** n * float(n) ** (-n * s)
+                bound = factor * float(np.sum(g * g)) ** (n * s)
+                assert sturm_rhs(z.Y, lam) <= bound * (1.0 + 1e-9)
 
 
 class TestEstimateConstant:
@@ -111,6 +131,18 @@ class TestEstimateConstant:
 
 
 class TestVerifyGrowthBound:
+    def test_report_names_the_factor(self, constant_package, e4_package):
+        # The corollary constant is C max(1, 2^(1-lambda1))^n: 2C for the
+        # constant form (lambda1 = 0), C for e4 (lambda1 = 4).
+        config = SweepConfig(samples=200, seed=6)
+        for package, factor in ((constant_package, 2.0), (e4_package, 1.0)):
+            c = estimate_constant(package, config)
+            for kind, f in (("theorem", 1.0), ("corollary", factor)):
+                report = verify_growth_bound(package, c, kind, config=config)
+                assert (report.theorem_constant, report.factor) == (c, f)
+                assert report.constant == c * f
+                assert report.passed
+
     def test_zero_form_never_violates(self, zero_package):
         report = verify_growth_bound(
             zero_package, 1.0, "theorem", config=SweepConfig(samples=100, seed=5)
@@ -154,6 +186,8 @@ class TestVerifyGrowthBound:
         assert set(d) == {
             "kind",
             "constant",
+            "theorem_constant",
+            "factor",
             "exponent_r",
             "samples",
             "violations",
@@ -229,18 +263,36 @@ class TestModerateGrowth:
         assert report.samples == 6
 
     def test_given_elements_config(self, e4_package):
-        # Nothing is drawn, so the config keeps only the fields that applied.
+        # Nothing is drawn and the constant is not scaled by safety, so the
+        # config keeps only the fields that applied.
         w0 = basis_vector(e4_package.rep, 0)
         rays = [SymplecticMatrix(np.diag([float(t), 1.0 / t])) for t in (2, 4, 8, 16, 32)]
         report = verify_moderate_growth(e4_package, w0, 2.0, 1.0, elements=rays)
         assert report.samples == 5
-        assert set(report.config) == {"safety", "ratio_tol", "delta", "t_max"}
+        assert set(report.config) == {"ratio_tol", "delta", "t_max"}
 
     def test_no_elements(self, e4_package):
         # Guard: an empty element list is not a sweep.
         w0 = basis_vector(e4_package.rep, 0)
         with pytest.raises(ValueError, match="a sweep needs at least one sample"):
             verify_moderate_growth(e4_package, w0, 2.0, 1.0, elements=[])
+
+    @pytest.mark.parametrize(
+        "name, factor",
+        [("constant_package", 2.0), ("e4_package", 1.0), ("sym2_package", 2.0 ** -4)],
+    )
+    def test_constant_by_proof(self, request, name, factor):
+        # ||w0|| C max(1, 2^(1-s))^n n^(-ns), s = lambda1 / 2, with no safety
+        # factor: lambda1 = 0 and n = 1 give 2, sym2 (n = 2, lambda1 = 4)
+        # gives 2^-4.
+        package = request.getfixturevalue(name)
+        c = estimate_constant(package, SweepConfig(samples=300, seed=46))
+        w0 = basis_vector(package.rep, 0)
+        r = package.n * package.lambda1 / 2.0
+        report = verify_moderate_growth(package, w0, r, c, config=SweepConfig(samples=300, seed=47))
+        assert (report.theorem_constant, report.factor) == (c, factor)
+        assert report.constant == pytest.approx(norm(w0) * c * factor, rel=1e-15)
+        assert report.passed
 
     def test_exponent_floor(self, e4_package):
         w0 = basis_vector(e4_package.rep, 0)
@@ -378,6 +430,12 @@ class TestNonFiniteArguments:
         w0 = basis_vector(e4_package.rep, 0)
         with pytest.raises(ValueError, match="constant must be finite"):
             verify_moderate_growth(e4_package, w0, 2.0, constant, config=SweepConfig(samples=5))
+
+    def test_moderate_constant_that_overflows(self, e4_package):
+        # The check reads the constant the sweep uses, ||w0|| C = inf here.
+        w0 = vector(e4_package.rep, [1e300])
+        with pytest.raises(ValueError, match="constant must be finite"):
+            verify_moderate_growth(e4_package, w0, 2.0, 1e300, config=SweepConfig(samples=5))
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_moderate_exponent(self, e4_package, r):
