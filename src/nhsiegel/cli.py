@@ -33,7 +33,7 @@ from .growth import (
 )
 from .reps import basis_vector, vector
 from .samples import SAMPLE_BUILDERS, build_sample
-from .sampling import random_siegel_points
+from .sampling import CHECK_BOX, random_siegel_points
 from .symplectic import PointBatch, SiegelPoint, delta_for_degree, reduce_batch
 
 EXIT_OK = 0
@@ -178,9 +178,7 @@ def cmd_reduce(args) -> int:
 def cmd_check(args) -> int:
     package = _load_package(args)
     rng = np.random.default_rng(args.seed)
-    samples = random_siegel_points(
-        package.n, rng, args.samples, eig_low=0.75, eig_high=10.0, x_scale=2.0
-    )
+    samples = random_siegel_points(package.n, rng, args.samples, *CHECK_BOX)
     report = check_invariance(package, samples)
     _emit(asdict(report), args)
     return EXIT_OK if report.passed else EXIT_VIOLATION

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import FormDataError, InvalidExponentError
 from .forms import FormPackage, FourierExpansion, phi, slash_values
 from .reps import RepVector, norm
-from .sampling import random_group_samples, random_siegel_points
+from .sampling import EIG_HIGH, EIG_LOW, X_SCALE, random_group_samples, random_siegel_points
 from .symplectic import (
     FUNDAMENTAL_DOMAIN_DELTA,
     PointBatch,
@@ -60,9 +60,6 @@ class SweepConfig:
 
     samples: int = 1000
     seed: int = 0
-    eig_low: float = 1e-2
-    eig_high: float = 1e2
-    x_scale: float = 5.0
     safety: float = DEFAULT_SAFETY
     ratio_tol: float = DEFAULT_RATIO_TOL
 
@@ -71,12 +68,6 @@ class SweepConfig:
             raise ValueError("samples must be >= 1")
         if not (math.isfinite(self.ratio_tol) and self.ratio_tol > 0):
             raise ValueError(f"ratio_tol must be finite and positive, got {self.ratio_tol}")
-        if not (math.isfinite(self.eig_low) and self.eig_low > 0):
-            raise ValueError(f"eig_low must be finite and positive, got {self.eig_low}")
-        if not (math.isfinite(self.eig_high) and self.eig_high >= self.eig_low):
-            raise ValueError(f"eig_high must be finite and at least eig_low, got {self.eig_high}")
-        if not (math.isfinite(self.x_scale) and self.x_scale >= 0):
-            raise ValueError(f"x_scale must be finite and non-negative, got {self.x_scale}")
         if not (math.isfinite(self.safety) and self.safety > 0):
             raise ValueError(f"safety must be finite and positive, got {self.safety}")
 
@@ -152,7 +143,7 @@ def _seeded_blocks(draw, n: int, config: SweepConfig) -> Iterator:
     rng = np.random.default_rng(config.seed)
     for start in range(0, config.samples, SWEEP_BLOCK):
         size = min(SWEEP_BLOCK, config.samples - start)
-        yield draw(n, rng, size, config.eig_low, config.eig_high, config.x_scale)
+        yield draw(n, rng, size)
 
 
 # The configured adversarial points as PointBatches, and the configured
@@ -315,6 +306,7 @@ def _sweep(kind, theorem_constant, factor, exponent_r, blocks, score, settings, 
 def _config_dict(config: SweepConfig, package: FormPackage) -> dict:
     return {
         **asdict(config),
+        "eig_low": EIG_LOW, "eig_high": EIG_HIGH, "x_scale": X_SCALE,
         "delta": FUNDAMENTAL_DOMAIN_DELTA.get(package.n),
         "t_max": package.expansion.t_max,
     }

@@ -31,6 +31,14 @@ from .symplectic import (
     from_point_batch,
 )
 
+# The adversarial box of the growth sweeps: Y eigenvalues log-uniform in
+# [EIG_LOW, EIG_HIGH], X entries uniform in [-X_SCALE, X_SCALE].
+EIG_LOW, EIG_HIGH, X_SCALE = 1e-2, 1e2, 5.0
+
+# The box of ``check`` as (eig_low, eig_high, x_scale).  Its least Y
+# eigenvalue 0.75 keeps Im Z >= 1/2, which ``check_invariance`` requires.
+CHECK_BOX = (0.75, 10.0, 2.0)
+
 
 def _orthonormal(a: np.ndarray) -> np.ndarray:
     """The Gram-Schmidt Q of each matrix of a real or complex stack."""
@@ -80,9 +88,9 @@ def random_siegel_points(
     n: int,
     rng: np.random.Generator,
     count: int,
-    eig_low: float = 1e-2,
-    eig_high: float = 1e2,
-    x_scale: float = 5.0,
+    eig_low: float = EIG_LOW,
+    eig_high: float = EIG_HIGH,
+    x_scale: float = X_SCALE,
 ) -> PointBatch:
     """``count`` adversarial points: Y eigenvalues log-uniform, X entries
     uniform."""
@@ -93,9 +101,9 @@ def random_siegel_points(
 def random_siegel_point(
     n: int,
     rng: np.random.Generator,
-    eig_low: float = 1e-2,
-    eig_high: float = 1e2,
-    x_scale: float = 5.0,
+    eig_low: float = EIG_LOW,
+    eig_high: float = EIG_HIGH,
+    x_scale: float = X_SCALE,
 ) -> SiegelPoint:
     """Adversarial point: Y eigenvalues log-uniform, X entries uniform."""
     return random_siegel_points(n, rng, 1, eig_low, eig_high, x_scale).point(0)
@@ -105,9 +113,9 @@ def random_group_samples(
     n: int,
     rng: np.random.Generator,
     count: int,
-    eig_low: float = 1e-2,
-    eig_high: float = 1e2,
-    x_scale: float = 5.0,
+    eig_low: float = EIG_LOW,
+    eig_high: float = EIG_HIGH,
+    x_scale: float = X_SCALE,
 ) -> np.ndarray:
     """``count`` samples g = from_point(Z) k with adversarial Z and random
     compact k, as an (N, 2n, 2n) stack."""

@@ -71,14 +71,13 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
-def is_symplectic(m, tol: float = SYMPLECTIC_TOL) -> bool:
-    """Whether m^T J m = J holds entrywise within tol."""
+def is_symplectic(m) -> bool:
+    """Whether m^T J m = J holds entrywise within SYMPLECTIC_TOL."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0 or m.shape[0] == 0:
         return False
-    n = m.shape[0] // 2
-    j = symplectic_form(n)
-    return float(np.max(np.abs(m.T @ j @ m - j))) <= tol
+    j = symplectic_form(m.shape[0] // 2)
+    return float(np.max(np.abs(m.T @ j @ m - j))) <= SYMPLECTIC_TOL
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -27,7 +27,7 @@ from nhsiegel.growth import (
     verify_moderate_growth,
 )
 from nhsiegel.reps import basis_vector, inner
-from nhsiegel.sampling import random_siegel_point, random_siegel_points
+from nhsiegel.sampling import EIG_HIGH, EIG_LOW, X_SCALE, random_siegel_point, random_siegel_points
 from nhsiegel.symplectic import PointBatch, SymplecticMatrix, reduce_batch, reduce_to_fundamental
 
 FORMS = ["e4_package", "e2star_package", "sym2_package"]
@@ -83,7 +83,7 @@ def _reference_constant(package, config):
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     for _ in range(config.samples):
-        z = random_siegel_point(package.n, rng, config.eig_low, config.eig_high, config.x_scale)
+        z = random_siegel_point(package.n, rng, EIG_LOW, EIG_HIGH, X_SCALE)
         _, z_red = reduce_to_fundamental(z)
         worst = max(worst, phi(package, z_red) / sturm_rhs(z_red.Y, package.lambda1))
     return config.safety * worst
@@ -93,7 +93,7 @@ def _reference_bound(package, constant, rhs_fn, config):
     rng = np.random.default_rng(config.seed)
     ratios, points = [], []
     for _ in range(config.samples):
-        z = random_siegel_point(package.n, rng, config.eig_low, config.eig_high, config.x_scale)
+        z = random_siegel_point(package.n, rng, EIG_LOW, EIG_HIGH, X_SCALE)
         ratios.append(phi(package, z) / (constant * rhs_fn(z.Y, package.lambda1)))
         points.append({"X": z.X.tolist(), "Y": z.Y.tolist()})
     worst = int(np.argmax(ratios))

@@ -31,7 +31,7 @@ from nhsiegel.forms import (
 from nhsiegel.linalg import MultiIndex, eigenvalues_sym, in_V_delta, inv_stack
 from nhsiegel.reps import make_rep, norms, rep_matrix
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
-from nhsiegel.sampling import random_siegel_points
+from nhsiegel.sampling import CHECK_BOX, random_siegel_points
 from nhsiegel.symplectic import (
     PointBatch,
     SiegelPoint,
@@ -231,9 +231,7 @@ def _reference_check(package, points):
 @pytest.mark.parametrize("name", ["e4", "e2star", "sym2"])
 def test_check_invariance_matches_point_by_point_reference(name):
     package = build_sample(name)
-    points = random_siegel_points(
-        package.n, np.random.default_rng(3), 60, eig_low=0.75, eig_high=10.0, x_scale=2.0
-    )
+    points = random_siegel_points(package.n, np.random.default_rng(3), 60, *CHECK_BOX)
     report = check_invariance(package, points)
     assert (report.max_deviation, report.threshold, report.violations) == _reference_check(
         package, points

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,12 +13,13 @@ from nhsiegel.growth import (
     group_blocks,
     lift,
     sturm_rhs,
+    sturm_rhs_batch,
     verify_growth_bound,
     verify_moderate_growth,
 )
 from nhsiegel.linalg import inverse
 from nhsiegel.reps import basis_vector, inner, norm, vector
-from nhsiegel.sampling import random_compact, random_siegel_point, random_unitary
+from nhsiegel.sampling import random_compact, random_siegel_point, random_siegel_points, random_unitary
 from nhsiegel.symplectic import (
     SiegelPoint,
     SymplecticMatrix,
@@ -196,6 +197,20 @@ class TestVerifyGrowthBound:
             "config",
         }
         assert d["config"]["delta"] == pytest.approx(math.sqrt(3) / 2)
+        # A drawn sweep's config names every setting, the sampling box included.
+        assert set(d["config"]) == {
+            "samples",
+            "seed",
+            "safety",
+            "ratio_tol",
+            "eig_low",
+            "eig_high",
+            "x_scale",
+            "delta",
+            "t_max",
+        }
+        box = (d["config"]["eig_low"], d["config"]["eig_high"], d["config"]["x_scale"])
+        assert box == (0.01, 100.0, 5.0)
 
 
 class TestLift:
@@ -365,16 +380,6 @@ class TestSweepConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("eig_low", 0.0),
-            ("eig_low", -1.0),
-            ("eig_low", math.nan),
-            ("eig_low", math.inf),
-            ("eig_high", 5e-3),
-            ("eig_high", math.inf),
-            ("eig_high", math.nan),
-            ("x_scale", -1.0),
-            ("x_scale", math.nan),
-            ("x_scale", math.inf),
             ("safety", 0.0),
             ("safety", -1.0),
             ("safety", math.nan),
@@ -388,9 +393,18 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=field):
             SweepConfig(**{field: value})
 
+    def test_fields(self):
+        assert [f.name for f in fields(SweepConfig)] == ["samples", "seed", "safety", "ratio_tol"]
+
     def test_accepts_degenerate_ranges(self, e4_package):
-        config = SweepConfig(samples=20, seed=2, eig_low=2.0, eig_high=2.0, x_scale=0.0)
-        assert estimate_constant(e4_package, config) > 0
+        # The sampling box is an argument of the samplers, not a config
+        # field; a degenerate one (one eigenvalue, X = 0) still draws valid
+        # points with a positive bound ratio.
+        points = random_siegel_points(1, np.random.default_rng(2), 20, 2.0, 2.0, 0.0)
+        assert not points.X.any()
+        np.testing.assert_allclose(points.Y, 2.0, rtol=1e-14)
+        ratios = phi(e4_package, points) / sturm_rhs_batch(points, e4_package.lambda1)
+        assert np.all(ratios > 0)
 
 
 class TestStoredExpansionOnly:

@@ -28,6 +28,9 @@ from nhsiegel.linalg import _t, det_stack
 from nhsiegel.reps import basis_vector
 from nhsiegel.samples import build_sample
 from nhsiegel.sampling import (
+    EIG_HIGH,
+    EIG_LOW,
+    X_SCALE,
     _orthonormal,
     random_compact,
     random_group_samples,
@@ -121,7 +124,7 @@ def test_group_blocks_match_per_sample_reference(n):
     rng = np.random.default_rng(config.seed)
     want = []
     for _ in range(config.samples):
-        z = random_siegel_point(n, rng, config.eig_low, config.eig_high, config.x_scale)
+        z = random_siegel_point(n, rng, EIG_LOW, EIG_HIGH, X_SCALE)
         want.append((from_point(z) @ random_compact(n, rng)).mat)
     got = np.concatenate(list(group_blocks(n, config)))
     assert _max_rel(got, np.array(want)) <= 1e-12

@@ -21,6 +21,7 @@ from nhsiegel.symplectic import (
     _LAGRANGE_TOL,
     _MOVE_BELOW,
     FUNDAMENTAL_DOMAIN_DELTA,
+    SYMPLECTIC_TOL,
     PointBatch,
     SiegelPoint,
     SymplecticMatrix,
@@ -79,6 +80,11 @@ class TestIsSymplectic:
     def test_not_symplectic(self):
         assert not is_symplectic(2.0 * np.eye(4))
         assert not is_symplectic(np.eye(3))
+
+    def test_tolerance_is_symplectic_tol(self):
+        # diag(1 + e, 1) has m^T J m - J = e J: off by e in two entries.
+        assert is_symplectic(np.diag([1.0 + SYMPLECTIC_TOL / 2, 1.0]))
+        assert not is_symplectic(np.diag([1.0 + 2 * SYMPLECTIC_TOL, 1.0]))
 
 
 class TestAct:
