@@ -6,7 +6,6 @@ from .errors import (
     FormDataError,
     InvalidExponentError,
     NhsiegelError,
-    NonIntegralError,
     NotPositiveDefiniteError,
     ReductionBudgetError,
     RepMismatchError,
@@ -71,7 +70,6 @@ from .symplectic import (
     automorphy_factor,
     delta_for_degree,
     from_point,
-    is_in_principal_congruence,
     is_symplectic,
     reduce_batch,
     reduce_to_fundamental,

@@ -6,7 +6,7 @@ class NhsiegelError(Exception):
 
 
 class EigenIterationError(NhsiegelError):
-    """A symmetric eigensolve was given non-finite entries."""
+    """A symmetric eigensolve was given non-finite entries or did not converge."""
 
 
 class NotPositiveDefiniteError(NhsiegelError):
@@ -19,10 +19,6 @@ class SingularMatrixError(NhsiegelError):
 
 class ReductionBudgetError(NhsiegelError):
     """Fundamental-domain reduction exceeded its step budget."""
-
-
-class NonIntegralError(NhsiegelError):
-    """A matrix expected to have integer entries does not."""
 
 
 class UnsupportedWeightError(NhsiegelError):

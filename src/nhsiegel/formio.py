@@ -10,9 +10,7 @@ Top-level fields of a form package:
     growth          {"A": number, "kappa": number}
     gamma_test_set  list of 2n x 2n integer matrices
     coefficients    list of records, see below
-    coset_reps      optional list of 2n x 2n integer matrices; parsed and
-                    kept, but sweeps that estimate a constant reject a
-                    non-identity one until per-cusp expansions exist
+    coset_reps      rejected: only the expansion at infinity is stored
 
 Each coefficient record is
 
@@ -83,19 +81,14 @@ def _parse_beta(n: int, raw, where: str) -> MultiIndex:
         raise FormDataError(f"{where}: {exc}")
 
 
-def _parse_gamma(raw, n: int, where: str) -> SymplecticMatrix:
-    try:
-        return SymplecticMatrix(_read(raw, where, integer=True, shape=(2 * n, 2 * n)))
-    except ValueError as exc:
-        raise FormDataError(f"{where}: {exc}")
-
-
 def package_from_dict(data: dict) -> FormPackage:
     for key in ("n", "p", "level", "T_max", "rep", "growth", "gamma_test_set", "coefficients"):
         if key not in data:
             raise FormDataError(f"missing required field {key!r}")
-    for key in ("coefficients", "gamma_test_set", "coset_reps"):
-        if not isinstance(data.get(key, []), list):
+    if "coset_reps" in data:
+        raise FormDataError("coset_reps: per-cusp expansions are not supported")
+    for key in ("coefficients", "gamma_test_set"):
+        if not isinstance(data[key], list):
             raise FormDataError(f"{key} must be a JSON array, got {json.dumps(data[key])[:40]}")
     n, p, level = (_read(data[key], key, integer=True).item() for key in ("n", "p", "level"))
     rep_raw = data["rep"]
@@ -125,20 +118,18 @@ def package_from_dict(data: dict) -> FormPackage:
         terms.append((beta, s_int, pairs.view(complex)[:, 0]))  # complex(re, im), bit for bit
     expansion = FourierExpansion.from_terms(n, p, level, rep, t_max, terms)
 
-    gammas = tuple(
-        _parse_gamma(raw, n, f"gamma_test_set[{i}]")
-        for i, raw in enumerate(data["gamma_test_set"])
-    )
-    coset = tuple(
-        _parse_gamma(raw, n, f"coset_reps[{i}]")
-        for i, raw in enumerate(data.get("coset_reps", []))
-    )
+    gammas = []
+    for i, raw in enumerate(data["gamma_test_set"]):
+        where = f"gamma_test_set[{i}]"
+        try:
+            gammas.append(SymplecticMatrix(_read(raw, where, integer=True, shape=(2 * n, 2 * n))))
+        except ValueError as exc:
+            raise FormDataError(f"{where}: {exc}")
     return FormPackage(
         expansion,
         gammas,
         growth_a=_read(growth_raw["A"], "growth.A").item(),
         growth_kappa=_read(growth_raw["kappa"], "growth.kappa").item(),
-        coset_reps=coset,
     )
 
 
@@ -156,7 +147,7 @@ def package_to_dict(package: FormPackage) -> dict:
                 "value": [[float(z.real), float(z.imag)] for z in vec],
             }
         )
-    out = {
+    return {
         "n": exp_.n,
         "p": exp_.p,
         "level": exp_.level,
@@ -166,12 +157,6 @@ def package_to_dict(package: FormPackage) -> dict:
         "gamma_test_set": [np.rint(g.mat).astype(int).tolist() for g in package.gamma_test_set],
         "coefficients": records,
     }
-    nontrivial_coset = [
-        g for g in package.coset_reps if not np.array_equal(g.mat, np.eye(2 * exp_.n))
-    ]
-    if nontrivial_coset:
-        out["coset_reps"] = [np.rint(g.mat).astype(int).tolist() for g in nontrivial_coset]
-    return out
 
 
 def _read_json(path):

@@ -271,18 +271,13 @@ class FormPackage:
     coefficient-growth constants.
 
     ``gamma_test_set`` holds integral symplectic matrices against which the
-    transformation law is checked; ``coset_reps`` are representatives for
-    an invariance group that is a proper subgroup of the full integral
-    group (default: just the identity).  They are kept, but only the
-    expansion at infinity is stored, so ``estimate_constant`` rejects a
-    non-identity one until per-cusp expansions exist.
+    transformation law is checked.
     """
 
     expansion: FourierExpansion
     gamma_test_set: tuple[SymplecticMatrix, ...]
     growth_a: float
     growth_kappa: float
-    coset_reps: tuple[SymplecticMatrix, ...] = ()
 
     def __post_init__(self):
         gammas = tuple(self.gamma_test_set)
@@ -290,8 +285,6 @@ class FormPackage:
             if float(np.max(np.abs(g.mat - np.round(g.mat)))) > 1e-9:
                 raise FormDataError("gamma_test_set entries must be integral")
         object.__setattr__(self, "gamma_test_set", gammas)
-        reps_ = tuple(self.coset_reps) or (SymplecticMatrix.identity(self.expansion.n),)
-        object.__setattr__(self, "coset_reps", reps_)
         if not (self.growth_a >= 0.0 and math.isfinite(self.growth_a)):
             raise FormDataError("growth constant A must be finite and non-negative")
         if not math.isfinite(self.growth_kappa):

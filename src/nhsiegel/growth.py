@@ -32,9 +32,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import FormDataError, InvalidExponentError
+from .errors import InvalidExponentError, RepMismatchError
 from .forms import FormPackage, FourierExpansion, phi, slash_values
-from .reps import RepVector, norm
+from .reps import RepVector, _as_int, norm
 from .sampling import EIG_HIGH, EIG_LOW, X_SCALE, random_group_samples, random_siegel_points
 from .symplectic import (
     FUNDAMENTAL_DOMAIN_DELTA,
@@ -47,10 +47,11 @@ from .symplectic import (
 DEFAULT_SAFETY = 1.25
 DEFAULT_RATIO_TOL = 1e-9
 
-# Points per block of a sweep.  Blocks of 256 keep a sweep process's peak
-# memory near that of the scalar path (one block of 1000 sym2 points raised
-# it by about 9 MB) while costing about as little per point as one block
-# holding the whole sweep.
+# Points per block of a sweep.  A block's arrays grow with its size, so the
+# block bounds a sweep process's peak memory whatever the sample count (one
+# block of 1000 sym2 points took about 9 MB more than blocks of 256), while
+# blocks of 256 cost about as little per point as one block holding the
+# whole sweep.
 SWEEP_BLOCK = 256
 
 
@@ -64,8 +65,11 @@ class SweepConfig:
     ratio_tol: float = DEFAULT_RATIO_TOL
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        for name, least in (("samples", 1), ("seed", 0)):
+            value = _as_int(getattr(self, name))
+            if value is None or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if not (math.isfinite(self.ratio_tol) and self.ratio_tol > 0):
             raise ValueError(f"ratio_tol must be finite and positive, got {self.ratio_tol}")
         if not (math.isfinite(self.safety) and self.safety > 0):
@@ -156,12 +160,7 @@ group_blocks = partial(_seeded_blocks, random_group_samples)
 def estimate_constant(package: FormPackage, config: SweepConfig) -> float:
     """Empirical constant for the eigenvalue product bound: the configured
     safety factor times the worst ratio of the theorem sweep over
-    fundamental-domain points, with constant 1.  Only the expansion at
-    infinity is stored, so a non-identity coset representative is rejected.
-    """
-    identity = np.eye(2 * package.n)
-    if any(not np.array_equal(g.mat, identity) for g in package.coset_reps):
-        raise FormDataError("a non-identity coset representative needs per-cusp expansions")
+    fundamental-domain points, with constant 1."""
     reduced = (reduce_batch(points)[1] for points in adversarial_blocks(package.n, config))
     return config.safety * _phi_sweep(package, 1.0, "theorem", config, reduced).worst_ratio
 
@@ -228,6 +227,8 @@ def verify_moderate_growth(
     ``elements`` are swept as one block in place of the configured draws,
     and the report's config then keeps only the fields that applied to them.
     """
+    if w0.rep != package.rep:
+        raise RepMismatchError(f"w0 is in {w0.rep}, the form in {package.rep}")
     lam1, n = package.lambda1, package.n
     min_r = n * lam1 / 2.0
     if not math.isfinite(r):

@@ -38,13 +38,13 @@ class Rep:
     k: int
 
     def __post_init__(self):
-        if self.n < 1 or self.n > MAX_DIM:
-            raise ValueError(f"degree {self.n} outside supported range 1..{MAX_DIM}")
-        if self.j < 0 or self.k < 0 or self.j != int(self.j) or self.k != int(self.k):
-            raise UnsupportedWeightError(
-                f"symmetric power j={self.j} and determinant twist k={self.k} "
-                "must be non-negative integers"
-            )
+        n, j, k = map(_as_int, (self.n, self.j, self.k))
+        if n is None or not 1 <= n <= MAX_DIM:
+            raise ValueError(f"degree {self.n} must be an integer in 1..{MAX_DIM}")
+        if j is None or k is None or min(j, k) < 0:
+            raise UnsupportedWeightError(f"Sym^j det^k needs integers j, k >= 0, got j={self.j}, k={self.k}")
+        for name, value in zip("njk", (n, j, k)):
+            object.__setattr__(self, name, value)  # plain ints, which JSON writes
 
     @cached_property
     def dim(self) -> int:
@@ -107,6 +107,14 @@ class Rep:
         return np.array(factors, dtype=np.intp), np.array(weights)
 
 
+def _as_int(x) -> int | None:
+    """x as a plain int if it is an integral number, else None."""
+    try:
+        return int(x) if x == int(x) else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """All tuples of ``parts`` non-negative integers summing to ``total``."""
     return [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
@@ -145,7 +153,7 @@ class RepVector:
 
 def make_rep(n: int, j: int, k: int) -> Rep:
     """Sym^j tensor det^k for rank n; highest weight (j + k, k, ..., k)."""
-    return Rep(int(n), int(j), int(k))
+    return Rep(n, j, k)
 
 
 def highest_weight(rep: Rep) -> tuple[int, ...]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    NonIntegralError,
     NotPositiveDefiniteError,
     ReductionBudgetError,
     SingularMatrixError,
@@ -248,10 +247,6 @@ class SymplecticMatrix:
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         return SymplecticMatrix(self.mat @ other.mat)
 
-    @classmethod
-    def identity(cls, n: int) -> "SymplecticMatrix":
-        return cls(np.eye(2 * n))
-
 
 def translation(b) -> SymplecticMatrix:
     """The element (I b; 0 I) acting by Z -> Z + b, for symmetric b."""
@@ -339,18 +334,6 @@ def from_point(z: SiegelPoint) -> SymplecticMatrix:
     """The upper-triangular element sending i*identity to Z = X + iY,
     namely (Y^{1/2}  X Y^{-1/2}; 0  Y^{-1/2})."""
     return SymplecticMatrix(from_point_batch(z.batch)[0])
-
-
-def is_in_principal_congruence(g: SymplecticMatrix, level: int) -> bool:
-    """Whether g is congruent to the identity modulo ``level`` entrywise."""
-    if level < 1 or level != int(level):
-        raise ValueError("level must be a positive integer")
-    m = g.mat
-    r = np.round(m)
-    if float(np.max(np.abs(m - r))) > 1e-9:
-        raise NonIntegralError("matrix entries are not near integers")
-    diff = r.astype(np.int64) - np.eye(m.shape[0], dtype=np.int64)
-    return bool(np.all(diff % int(level) == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def random_symplectic(
     factors: int = 4,
 ) -> SymplecticMatrix:
     """Product of random translations, GL-embeddings, and inversions."""
-    g = SymplecticMatrix.identity(n)
+    g = SymplecticMatrix(np.eye(2 * n))
     for _ in range(factors):
         kind = rng.integers(0, 3)
         if kind == 0:

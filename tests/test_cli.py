@@ -396,8 +396,8 @@ class TestModerate:
 
 @pytest.fixture(scope="module")
 def coset_file(e4_file, tmp_path_factory):
-    # e4 with the inversion as its one coset representative: the file's
-    # list replaces the identity default.
+    # e4 with the inversion as a coset representative: per-cusp data that
+    # the package does not store.
     data = json.loads(e4_file.read_text(encoding="utf-8"))
     data["coset_reps"] = [[[0, -1], [1, 0]]]
     path = tmp_path_factory.mktemp("forms") / "e4_coset.json"
@@ -411,14 +411,22 @@ class TestCosetReps:
         assert main([command, "--form", str(coset_file), "--samples", "20"]) == 2
         err = capsys.readouterr().err
         assert "input error" in err
-        assert "per-cusp expansions" in err
+        assert "coset_reps: per-cusp expansions" in err
 
     @pytest.mark.parametrize(
         "command, extra",
-        [("bound", ["--constant", "2"]), ("moderate", ["--constant", "2"]), ("check", [])],
+        [
+            ("bound", ["--samples", "20", "--constant", "2"]),
+            ("moderate", ["--samples", "20", "--constant", "2"]),
+            ("check", ["--samples", "20"]),
+            ("eval", ["--z", "0;1"]),
+        ],
     )
-    def test_commands_that_estimate_nothing_still_run(self, coset_file, command, extra):
-        assert main([command, "--form", str(coset_file), "--samples", "20", *extra]) == 0
+    def test_commands_that_estimate_nothing_still_run(self, coset_file, capsys, command, extra):
+        # Commands that estimate no constant reject the file too: it is
+        # refused at load, before any of them reads it.
+        assert main([command, "--form", str(coset_file), *extra]) == 2
+        assert "input error: coset_reps: per-cusp expansions" in capsys.readouterr().err
 
 
 class TestCheck:

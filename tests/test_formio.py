@@ -66,11 +66,10 @@ class TestRoundTrip:
         # must keep the integer they stand for.
         package = package_from_dict(minimal_dict())
         gamma = SymplecticMatrix(np.array([[1.0, entry], [0.0, 1.0]]))
-        package = replace(package, gamma_test_set=(gamma,), coset_reps=(gamma,))
+        package = replace(package, gamma_test_set=(gamma,))
         data = package_to_dict(package)
         want = [[1, round(entry)], [0, 1]]
         assert data["gamma_test_set"] == [want]
-        assert data["coset_reps"] == [want]
         again = package_from_dict(data)
         np.testing.assert_array_equal(again.gamma_test_set[0].mat, want)
 
@@ -80,7 +79,6 @@ class TestValidation:
         package = package_from_dict(minimal_dict())
         assert package.expansion.level == 1
         assert package.rep.dim == 1
-        assert len(package.coset_reps) == 1  # identity default
 
     def test_missing_field(self):
         data = minimal_dict()
@@ -130,12 +128,18 @@ class TestValidation:
         with pytest.raises(FormDataError, match="JSON"):
             load_form_package(path)
 
-    def test_coset_reps_parsed(self):
+    @pytest.mark.parametrize(
+        "value",
+        [[[[0, -1], [1, 0]]], [[[1, 0], [0, 1]]], [], "x", {"0": [[1, 0], [0, 1]]}],
+        ids=["inversion", "identity", "empty", "string", "object"],
+    )
+    def test_coset_reps_rejected(self, value):
+        # Only the expansion at infinity is stored; a file with per-cusp
+        # data must not be read as a level-one form.
         data = minimal_dict()
-        data["coset_reps"] = [[[0, -1], [1, 0]]]
-        package = package_from_dict(data)
-        assert len(package.coset_reps) == 1
-        np.testing.assert_array_equal(package.coset_reps[0].mat, [[0, -1], [1, 0]])
+        data["coset_reps"] = value
+        with pytest.raises(FormDataError, match="^coset_reps: per-cusp expansions are not supported$"):
+            package_from_dict(data)
 
     @pytest.mark.parametrize("field, value", [("j", 0.5), ("k", 4.0), ("k", "4"), ("j", None)])
     def test_rep_weights_must_be_integers(self, field, value):
@@ -256,13 +260,8 @@ class TestJsonNumbers:
             ("coefficients", {"a": 1}),
             ("gamma_test_set", 7),
             ("gamma_test_set", "x"),
-            ("coset_reps", "x"),
-            ("coset_reps", {"0": [[1, 0], [0, 1]]}),
         ],
-        ids=[
-            "coefficients-5", "coefficients-object", "gamma_test_set-7",
-            "gamma_test_set-string", "coset_reps-string", "coset_reps-object",
-        ],
+        ids=["coefficients-5", "coefficients-object", "gamma_test_set-7", "gamma_test_set-string"],
     )
     def test_list_fields_must_be_arrays(self, key, value):
         data = minimal_dict()

@@ -1,10 +1,11 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from nhsiegel.errors import FormDataError, InvalidExponentError, NotPositiveDefiniteError
+from nhsiegel import growth
+from nhsiegel.errors import InvalidExponentError, NotPositiveDefiniteError, RepMismatchError
 from nhsiegel.forms import phi
 from nhsiegel.growth import (
     SweepConfig,
@@ -18,7 +19,7 @@ from nhsiegel.growth import (
     verify_moderate_growth,
 )
 from nhsiegel.linalg import inverse
-from nhsiegel.reps import basis_vector, inner, norm, vector
+from nhsiegel.reps import basis_vector, inner, make_rep, norm, vector
 from nhsiegel.sampling import random_compact, random_siegel_point, random_siegel_points, random_unitary
 from nhsiegel.symplectic import (
     SiegelPoint,
@@ -26,7 +27,6 @@ from nhsiegel.symplectic import (
     automorphy_factor,
     compact_from_unitary,
     from_point,
-    inversion,
 )
 
 
@@ -217,7 +217,7 @@ class TestLift:
     def test_identity_is_base_value(self, e4_package):
         from nhsiegel.forms import evaluate
 
-        v = lift(e4_package, SymplecticMatrix.identity(1))
+        v = lift(e4_package, SymplecticMatrix(np.eye(2)))
         base = evaluate(e4_package.expansion, SiegelPoint.base_point(1))
         np.testing.assert_allclose(v.coords, base.coords, atol=1e-12)
 
@@ -360,6 +360,16 @@ class TestModerateGrowth:
         for key in ("kind", "exponent_r", "samples", "violations", "worst_point", "config"):
             assert getattr(tiny, key) == getattr(unit, key)
 
+    def test_w0_of_another_rep_rejected_before_any_draw(self, sym2_package, monkeypatch):
+        # A dimension-1 w0 would broadcast against the form's 3 coordinates.
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(growth, "group_blocks", no_draws)
+        w0 = basis_vector(make_rep(2, 0, 2), 0)
+        with pytest.raises(RepMismatchError, match="w0 is in"):
+            verify_moderate_growth(sym2_package, w0, 4.0, 1.0, config=SweepConfig(samples=20))
+
     @pytest.mark.parametrize("name", ["e4_package", "sym2_package"])
     def test_zero_w0_rejected(self, request, name):
         # For w0 = 0 both sides of the inequality vanish: nothing is checked.
@@ -387,11 +397,20 @@ class TestSweepConfig:
             ("ratio_tol", 0.0),
             ("ratio_tol", math.nan),
             ("ratio_tol", math.inf),
+            ("samples", 2.5),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", "1"),
         ],
     )
     def test_rejects_bad_sampling_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**{field: value})
+
+    def test_integral_counts_stored_as_int(self):
+        config = SweepConfig(samples=np.int64(300), seed=2.0)
+        assert (type(config.samples), type(config.seed)) == (int, int)
+        assert (config.samples, config.seed) == (300, 2)
 
     def test_fields(self):
         assert [f.name for f in fields(SweepConfig)] == ["samples", "seed", "safety", "ratio_tol"]
@@ -405,32 +424,6 @@ class TestSweepConfig:
         np.testing.assert_allclose(points.Y, 2.0, rtol=1e-14)
         ratios = phi(e4_package, points) / sturm_rhs_batch(points, e4_package.lambda1)
         assert np.all(ratios > 0)
-
-
-class TestStoredExpansionOnly:
-    """The sweeps evaluate the stored expansion at infinity and nothing else."""
-
-    def test_non_identity_coset_rep_rejected(self, e4_package):
-        # F|S = F for e4, but the series at infinity, evaluated at S Z, is
-        # not F|S where Im(S Z) is small; only per-cusp data would do.
-        package = replace(
-            e4_package, coset_reps=(SymplecticMatrix.identity(1), inversion(1))
-        )
-        with pytest.raises(FormDataError, match="non-identity coset representative needs per-cusp expansions"):
-            estimate_constant(package, SweepConfig(samples=20, seed=0))
-
-    def test_identity_coset_rep_is_the_plain_sweep(self, e4_package):
-        config = SweepConfig(samples=300, seed=3)
-        package = replace(e4_package, coset_reps=(SymplecticMatrix.identity(1),))
-        assert estimate_constant(package, config) == estimate_constant(e4_package, config)
-
-    def test_given_constant_still_sweeps(self, e4_package):
-        # Only the constant estimate reads coset_reps.
-        package = replace(e4_package, coset_reps=(inversion(1),))
-        config = SweepConfig(samples=50, seed=4)
-        assert verify_growth_bound(package, 2.0, config=config).passed
-        w0 = basis_vector(package.rep, 0)
-        assert verify_moderate_growth(package, w0, 2.0, 2.0, config=config).passed
 
 
 class TestNonFiniteArguments:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from nhsiegel.errors import RepMismatchError, SingularMatrixError, UnsupportedWeightError
 from nhsiegel.linalg import det_stack, eigenvalues_sym
 from nhsiegel.reps import (
+    Rep,
     _compositions,
     apply,
     basis_vector,
@@ -63,6 +65,23 @@ class TestMakeRep:
             make_rep(2, -1, 0)
         with pytest.raises(UnsupportedWeightError):
             make_rep(2, 0, -3)
+
+    @pytest.mark.parametrize("j, k", [(2.7, 0), (0, 0.5), (math.nan, 0), (0, math.inf), ("2", 0), (None, 0)])
+    def test_non_integral_weight_rejected(self, j, k):
+        with pytest.raises(UnsupportedWeightError):
+            make_rep(1, j, k)
+
+    @pytest.mark.parametrize("build", [make_rep, Rep])
+    @pytest.mark.parametrize("n", [1.5, math.nan, "1", 0, 9])
+    def test_bad_degree_rejected(self, build, n):
+        with pytest.raises(ValueError, match="degree"):
+            build(n, 0, 0)
+
+    def test_integral_values_stored_as_plain_ints(self):
+        rep = Rep(np.int64(2), 2.0, np.int32(1))
+        assert rep == make_rep(2, 2, 1)
+        assert [type(x) for x in (rep.n, rep.j, rep.k)] == [int, int, int]
+        assert json.dumps({"j": rep.j, "k": rep.k}) == '{"j": 2, "k": 1}'
 
     def test_weights_metadata(self):
         rep = make_rep(2, 2, 1)

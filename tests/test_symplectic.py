@@ -7,7 +7,6 @@ import pytest
 from conftest import gl_embedding, random_symplectic
 from nhsiegel.errors import (
     EigenIterationError,
-    NonIntegralError,
     NotPositiveDefiniteError,
     ReductionBudgetError,
 )
@@ -35,7 +34,6 @@ from nhsiegel.symplectic import (
     embedded_inversion,
     from_point,
     inversion,
-    is_in_principal_congruence,
     is_symplectic,
     reduce_batch,
     reduce_to_fundamental,
@@ -90,7 +88,7 @@ class TestIsSymplectic:
 class TestAct:
     def test_identity(self, rng):
         z = random_siegel_point(2, rng)
-        w = act(SymplecticMatrix.identity(2), z)
+        w = act(SymplecticMatrix(np.eye(4)), z)
         np.testing.assert_allclose(w.mat, z.mat, atol=1e-14)
 
     def test_translation(self, rng):
@@ -407,26 +405,6 @@ class TestReducedPoint:
         assert not gamma.mat.flags.writeable
         with pytest.raises(ValueError):
             SymplecticMatrix._integral(2 * np.eye(2, dtype=np.int64))
-
-
-class TestPrincipalCongruence:
-    def test_identity(self):
-        for n, level in [(1, 2), (2, 5)]:
-            assert is_in_principal_congruence(SymplecticMatrix.identity(n), level)
-
-    def test_level_translation(self):
-        level = 3
-        b = np.zeros((2, 2))
-        b[0, 0] = level
-        assert is_in_principal_congruence(translation(b), level)
-
-    def test_inversion_not_in_level2(self):
-        assert not is_in_principal_congruence(inversion(1), 2)
-
-    def test_non_integral(self):
-        g = from_point(SiegelPoint(np.zeros((1, 1)), np.array([[2.0]])))
-        with pytest.raises(NonIntegralError):
-            is_in_principal_congruence(g, 2)
 
 
 class TestTypes:
