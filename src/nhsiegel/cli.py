@@ -314,8 +314,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         given = vars(args)  # only the flags of args.command
-        if given.get("samples", 1) < 1:
-            raise FormDataError("--samples must be >= 1")
+        for flag, least in (("samples", 1), ("seed", 0)):
+            if given.get(flag, least) < least:
+                raise FormDataError(f"--{flag} must be >= {least}")
         for flag in ("constant", "delta", "tol"):
             value = given.get(flag)
             if value is not None and not (math.isfinite(value) and value > 0):

@@ -33,8 +33,8 @@ from .symplectic import (
     PointBatch,
     SiegelPoint,
     SymplecticMatrix,
-    act_batch,
-    automorphy_factor_batch,
+    act,
+    automorphy_factor,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -341,8 +341,8 @@ def slash_values(f: FourierExpansion | FormPackage, g, points: PointBatch) -> np
 def _slash_parts(rep: Rep, values: Callable[[PointBatch], np.ndarray], g, points: PointBatch):
     """(rho(C Z + D)^{-1}, gZ, rho(C Z + D)^{-1} F(gZ)) as in ``slash_values``,
     for the F that ``values`` maps a PointBatch to."""
-    j_inv = rep_matrix(rep, inv_stack(automorphy_factor_batch(g, points)))
-    moved = act_batch(g, points)
+    j_inv = rep_matrix(rep, inv_stack(automorphy_factor(g, points)))
+    moved = act(g, points)
     return j_inv, moved, (j_inv @ values(moved)[..., None])[..., 0]
 
 

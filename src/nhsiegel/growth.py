@@ -112,33 +112,28 @@ class GrowthReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
 
-def sturm_rhs_batch(points: PointBatch, lambda1: int) -> np.ndarray:
-    """prod_i (mu_i^{lambda1/2} + mu_i^{-lambda1/2}) over the eigenvalues of
-    Y, at every point of a batch."""
-    half = lambda1 / 2.0
-    mu = points.eigvals
-    return np.prod(mu**half + mu ** (-half), axis=-1)
-
-
-def corollary_rhs_batch(points: PointBatch, lambda1: int) -> np.ndarray:
-    """(1 + Tr Y)^{n lambda1} (det Y)^{-lambda1/2} at every point of a batch."""
-    trace, det_y = np.trace(points.Y, axis1=1, axis2=2), np.prod(points.eigvals, axis=-1)
-    return (1.0 + trace) ** (points.n * lambda1) * det_y ** (-lambda1 / 2.0)
-
-
 def _one_point(y) -> PointBatch:
     y = np.asarray(y, dtype=float)
     return PointBatch(np.zeros((1,) + y.shape), y[None])
 
 
-def sturm_rhs(y, lambda1: int) -> float:
-    """prod_i (mu_i^{lambda1/2} + mu_i^{-lambda1/2}) over the eigenvalues of y."""
-    return float(sturm_rhs_batch(_one_point(y), lambda1)[0])
+def sturm_rhs(y, lambda1: int):
+    """prod_i (mu_i^{lambda1/2} + mu_i^{-lambda1/2}) over the eigenvalues of
+    a matrix Y, as a float; at every point of a PointBatch, as an array."""
+    points = y if isinstance(y, PointBatch) else _one_point(y)
+    half = lambda1 / 2.0
+    mu = points.eigvals
+    out = np.prod(mu**half + mu ** (-half), axis=-1)
+    return out if points is y else float(out[0])
 
 
-def corollary_rhs(y, lambda1: int) -> float:
-    """(1 + Tr Y)^{n lambda1} (det Y)^{-lambda1/2}."""
-    return float(corollary_rhs_batch(_one_point(y), lambda1)[0])
+def corollary_rhs(y, lambda1: int):
+    """(1 + Tr Y)^{n lambda1} (det Y)^{-lambda1/2} at a matrix Y, as a float;
+    at every point of a PointBatch, as an array."""
+    points = y if isinstance(y, PointBatch) else _one_point(y)
+    trace, det_y = np.trace(points.Y, axis1=1, axis2=2), np.prod(points.eigvals, axis=-1)
+    out = (1.0 + trace) ** (points.n * lambda1) * det_y ** (-lambda1 / 2.0)
+    return out if points is y else float(out[0])
 
 
 def _seeded_blocks(draw, n: int, config: SweepConfig) -> Iterator:
@@ -188,8 +183,8 @@ def _phi_sweep(package, constant, kind, config, blocks) -> GrowthReport:
     lam1, n = package.lambda1, package.n
     # The right-hand side, the factor on C, and the exponent of each kind.
     sides = {
-        "theorem": (sturm_rhs_batch, 1.0, lam1 / 2.0),
-        "corollary": (corollary_rhs_batch, max(1.0, 2.0 ** (1 - lam1)) ** n, float(n * lam1)),
+        "theorem": (sturm_rhs, 1.0, lam1 / 2.0),
+        "corollary": (corollary_rhs, max(1.0, 2.0 ** (1 - lam1)) ** n, float(n * lam1)),
     }
     if kind not in sides:
         raise ValueError(f"unknown bound kind {kind!r}")
@@ -201,14 +196,13 @@ def _phi_sweep(package, constant, kind, config, blocks) -> GrowthReport:
     return _sweep(kind, constant, factor, exponent, blocks, score, _config_dict(config, package))
 
 
-def lift_batch(f: FourierExpansion | FormPackage, elements) -> np.ndarray:
-    """The lift at every element of an (N, 2n, 2n) stack, as (N, dim)."""
-    return slash_values(f, elements, SiegelPoint.base_point(f.n).batch)
-
-
-def lift(f: FourierExpansion | FormPackage, g: SymplecticMatrix) -> RepVector:
-    """The lifted function on the group: rho(J(g, iI))^{-1} F(g . iI)."""
-    return RepVector(f.rep, lift_batch(f, g.mat[None])[0])
+def lift(f: FourierExpansion | FormPackage, g: SymplecticMatrix | np.ndarray):
+    """The lifted function on the group, rho(J(g, iI))^{-1} F(g . iI): a
+    RepVector at a SymplecticMatrix g; at every element of an (N, 2n, 2n)
+    stack, as an (N, dim) array."""
+    one = isinstance(g, SymplecticMatrix)
+    values = slash_values(f, g.mat[None] if one else g, SiegelPoint.base_point(f.n).batch)
+    return RepVector(f.rep, values[0]) if one else values
 
 
 def verify_moderate_growth(
@@ -256,7 +250,7 @@ def verify_moderate_growth(
     weights = np.conj(w0.coords) * package.rep.basis_sq_norms
 
     def score(gs):
-        value = np.abs(np.sum(lift_batch(package, gs) * weights, axis=-1))
+        value = np.abs(np.sum(lift(package, gs) * weights, axis=-1))
         return gs, value, np.sum(gs * gs, axis=(1, 2)) ** r
 
     return _sweep("moderate-growth", constant, factor, float(r), blocks, score, settings, w0_norm)

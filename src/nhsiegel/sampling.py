@@ -27,8 +27,7 @@ from .symplectic import (
     SiegelPoint,
     SymplecticMatrix,
     compact_from_unitary,
-    compact_from_unitary_batch,
-    from_point_batch,
+    from_point,
 )
 
 # The adversarial box of the growth sweeps: Y eigenvalues log-uniform in
@@ -109,19 +108,12 @@ def random_siegel_point(
     return random_siegel_points(n, rng, 1, eig_low, eig_high, x_scale).point(0)
 
 
-def random_group_samples(
-    n: int,
-    rng: np.random.Generator,
-    count: int,
-    eig_low: float = EIG_LOW,
-    eig_high: float = EIG_HIGH,
-    x_scale: float = X_SCALE,
-) -> np.ndarray:
+def random_group_samples(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` samples g = from_point(Z) k with adversarial Z and random
     compact k, as an (N, 2n, 2n) stack."""
-    x, y, parts = _draw_block(n, rng, count, eig_low, eig_high, x_scale, extra=2)
+    x, y, parts = _draw_block(n, rng, count, EIG_LOW, EIG_HIGH, X_SCALE, extra=2)
     u = _orthonormal(parts[:, 0] + 1j * parts[:, 1])
-    return from_point_batch(PointBatch._made(x, y)) @ compact_from_unitary_batch(u)
+    return from_point(PointBatch._made(x, y)) @ compact_from_unitary(u)
 
 
 def random_compact(n: int, rng: np.random.Generator) -> SymplecticMatrix:

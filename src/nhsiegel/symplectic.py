@@ -271,32 +271,35 @@ def embedded_inversion(n: int, i: int) -> SymplecticMatrix:
     return SymplecticMatrix(m)
 
 
-def compact_from_unitary_batch(u: np.ndarray) -> np.ndarray:
-    """The maximal-compact elements (A B; -B A) built from an (N, n, n) stack
-    of unitaries u = A + iB, as an (N, 2n, 2n) array."""
-    return np.block([[u.real, u.imag], [-u.imag, u.real]])
-
-
-def compact_from_unitary(u) -> SymplecticMatrix:
-    """The maximal-compact element (A B; -B A) built from a unitary u = A + iB."""
-    return SymplecticMatrix(compact_from_unitary_batch(np.asarray(u, dtype=complex)[None])[0])
+def compact_from_unitary(u):
+    """The maximal-compact element (A B; -B A) built from a unitary u = A + iB:
+    a SymplecticMatrix for one n x n unitary; for an (N, n, n) stack of
+    them, an (N, 2n, 2n) array."""
+    u = np.asarray(u, dtype=complex)
+    k = np.block([[u.real, u.imag], [-u.imag, u.real]])
+    return k if u.ndim == 3 else SymplecticMatrix(k)
 
 
 def _blocks(g: np.ndarray, n: int):
     return g[..., :n, :n], g[..., :n, n:], g[..., n:, :n], g[..., n:, n:]
 
 
-def automorphy_factor_batch(g, points: PointBatch) -> np.ndarray:
-    """C Z + D for one 2n x 2n matrix g or an (N, 2n, 2n) stack, against a
-    batch (either side may have one element); complex (N, n, n)."""
-    _, _, c, d = _blocks(np.asarray(g, dtype=float), points.n)
-    return c @ points.mat + d
+def automorphy_factor(g, z: SiegelPoint | PointBatch):
+    """The complex factor C Z + D: n x n for a SymplecticMatrix g and a
+    SiegelPoint; (N, n, n) for a 2n x 2n matrix or an (N, 2n, 2n) stack g
+    against a PointBatch (either side may have one element)."""
+    points = z.batch if isinstance(z, SiegelPoint) else z
+    _, _, c, d = _blocks(np.asarray(g if points is z else g.mat, dtype=float), points.n)
+    out = c @ points.mat + d
+    return out if points is z else out[0]
 
 
-def act_batch(g, points: PointBatch) -> PointBatch:
-    """The fractional-linear action (A Z + B)(C Z + D)^{-1}, broadcast as in
-    ``automorphy_factor_batch``."""
-    a, b, c, d = _blocks(np.asarray(g, dtype=float), points.n)
+def act(g, z: SiegelPoint | PointBatch):
+    """The fractional-linear action (A Z + B)(C Z + D)^{-1}: a SiegelPoint
+    for a SiegelPoint, a PointBatch for a PointBatch, with g as in
+    ``automorphy_factor``."""
+    points = z.batch if isinstance(z, SiegelPoint) else z
+    a, b, c, d = _blocks(np.asarray(g if points is z else g.mat, dtype=float), points.n)
     zc = points.mat
     num = a @ zc + b
     den = c @ zc + d
@@ -305,35 +308,22 @@ def act_batch(g, points: PointBatch) -> PointBatch:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"automorphy factor C Z + D is singular ({exc})")
     w = (w + _t(w)) / 2.0
-    return PointBatch._made(w.real.copy(), w.imag.copy())
+    moved = PointBatch._made(w.real.copy(), w.imag.copy())
+    return moved if points is z else moved.point(0)
 
 
-def from_point_batch(points: PointBatch) -> np.ndarray:
-    """The upper-triangular elements (Y^{1/2}  X Y^{-1/2}; 0  Y^{-1/2})
-    sending i*identity to each point, as an (N, 2n, 2n) array."""
+def from_point(z: SiegelPoint | PointBatch):
+    """The upper-triangular element (Y^{1/2}  X Y^{-1/2}; 0  Y^{-1/2})
+    sending i*identity to Z = X + iY: a SymplecticMatrix for a SiegelPoint;
+    for a PointBatch, an (N, 2n, 2n) array."""
+    points = z.batch if isinstance(z, SiegelPoint) else z
     n = points.n
     rinv = spectral(points.eigvals, points.eigvecs, 1.0 / np.sqrt(points.eigvals))
     m = np.zeros((len(points), 2 * n, 2 * n))
     m[:, :n, :n] = points.y_sqrt
     m[:, :n, n:] = points.X @ rinv
     m[:, n:, n:] = rinv
-    return m
-
-
-def automorphy_factor(g: SymplecticMatrix, z: SiegelPoint) -> np.ndarray:
-    """The complex n x n factor C Z + D."""
-    return automorphy_factor_batch(g.mat, z.batch)[0]
-
-
-def act(g: SymplecticMatrix, z: SiegelPoint) -> SiegelPoint:
-    """The fractional-linear action (A Z + B)(C Z + D)^{-1}."""
-    return act_batch(g.mat, z.batch).point(0)
-
-
-def from_point(z: SiegelPoint) -> SymplecticMatrix:
-    """The upper-triangular element sending i*identity to Z = X + iY,
-    namely (Y^{1/2}  X Y^{-1/2}; 0  Y^{-1/2})."""
-    return SymplecticMatrix(from_point_batch(z.batch)[0])
+    return m if points is z else SymplecticMatrix(m[0])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +469,7 @@ def reduce_batch(
     primary mover.  Gamma and the point are written back only on a step
     where some points stop and others move on.  Returns (gamma, reduced):
     integral (N, 2n, 2n) gammas and the last iterates, on which the
-    stopping rule held.  A last iterate is act_batch(gamma, points) up to
+    stopping rule held.  A last iterate is act(gamma, points) up to
     rounding errors that grow with the condition of Y and the size of X.
     Raises ReductionBudgetError after ``budget`` steps; an empty batch takes
     none.  ValueError if an entry of X, or of a degree-2 translation, has

@@ -17,12 +17,10 @@ from nhsiegel.growth import (
     SWEEP_BLOCK,
     SweepConfig,
     corollary_rhs,
-    corollary_rhs_batch,
     estimate_constant,
     group_blocks,
     lift,
     sturm_rhs,
-    sturm_rhs_batch,
     verify_growth_bound,
     verify_moderate_growth,
 )
@@ -62,8 +60,8 @@ def test_block_phi_and_rhs_match_single_points(form, request):
     for points in (raw, reduce_batch(raw)[1]):
         singles = [points.point(i) for i in range(len(points))]
         _assert_rel(phi(package, points), [phi(package, z) for z in singles])
-        _assert_rel(sturm_rhs_batch(points, lam1), [sturm_rhs(z.Y, lam1) for z in singles])
-        _assert_rel(corollary_rhs_batch(points, lam1), [corollary_rhs(z.Y, lam1) for z in singles])
+        _assert_rel(sturm_rhs(points, lam1), [sturm_rhs(z.Y, lam1) for z in singles])
+        _assert_rel(corollary_rhs(points, lam1), [corollary_rhs(z.Y, lam1) for z in singles])
 
 
 def test_point_batch_round_trip(rng):

@@ -472,6 +472,17 @@ class TestConfigValidation:
     def test_bad_samples(self, e4_file):
         assert main(["check", "--form", str(e4_file), "--samples", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [["bound", "--constant", "2"], ["moderate", "--constant", "2"], ["check"]],
+        ids=["bound", "moderate", "check"],
+    )
+    def test_negative_seed(self, e4_file, capsys, command):
+        # Rejected before any draw, with or without a constant to estimate.
+        argv = [command[0], "--form", str(e4_file), "--samples", "20", "--seed", "-1"]
+        assert main(argv + command[1:]) == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_missing_form_file(self, tmp_path, capsys):
         # Guard: an unreadable form file is malformed input.
         assert main(["bound", "--form", str(tmp_path / "missing.json")]) == 2

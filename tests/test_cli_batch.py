@@ -35,8 +35,8 @@ from nhsiegel.sampling import CHECK_BOX, random_siegel_points
 from nhsiegel.symplectic import (
     PointBatch,
     SiegelPoint,
-    act_batch,
-    automorphy_factor_batch,
+    act,
+    automorphy_factor,
     delta_for_degree,
     reduce_batch,
     reduce_to_fundamental,
@@ -220,9 +220,9 @@ def _reference_check(package, points):
     for g in package.gamma_test_set:
         slashed = slash(package, g).func(points)
         devs.append(norms(rep, slashed - base) / (1.0 + norms(rep, base)))
-        jinv = rep_matrix(rep, inv_stack(automorphy_factor_batch(g.mat, points)))
+        jinv = rep_matrix(rep, inv_stack(automorphy_factor(g.mat, points)))
         amp = np.sqrt(np.sum(np.abs(jinv) ** 2, axis=(1, 2)))
-        moved_tail = np.array([tail_bound(package, y) for y in act_batch(g.mat, points).Y])
+        moved_tail = np.array([tail_bound(package, y) for y in act(g.mat, points).Y])
         thrs.append(base_tail + amp * moved_tail + FLOAT_FLOOR)
     devs, thrs = np.array(devs), np.array(thrs)
     return float(devs.max()), float(thrs.max()), int(np.sum(devs > thrs))

@@ -14,7 +14,6 @@ from nhsiegel.growth import (
     group_blocks,
     lift,
     sturm_rhs,
-    sturm_rhs_batch,
     verify_growth_bound,
     verify_moderate_growth,
 )
@@ -422,7 +421,7 @@ class TestSweepConfig:
         points = random_siegel_points(1, np.random.default_rng(2), 20, 2.0, 2.0, 0.0)
         assert not points.X.any()
         np.testing.assert_allclose(points.Y, 2.0, rtol=1e-14)
-        ratios = phi(e4_package, points) / sturm_rhs_batch(points, e4_package.lambda1)
+        ratios = phi(e4_package, points) / sturm_rhs(points, e4_package.lambda1)
         assert np.all(ratios > 0)
 
 

@@ -10,7 +10,7 @@ import pytest
 import nhsiegel.linalg
 from nhsiegel.forms import evaluate, phi, tail_bound
 from nhsiegel.sampling import random_siegel_point, random_siegel_points
-from nhsiegel.symplectic import PointBatch, act_batch, inversion, reduce_batch, reduce_to_fundamental
+from nhsiegel.symplectic import PointBatch, act, inversion, reduce_batch, reduce_to_fundamental
 
 FORMS = ["e4_package", "e2star_package", "sym2_package"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -114,7 +114,7 @@ class TestHeldValues:
             "point": points.point(2).batch,
             "from_points": PointBatch.from_points([points.point(0), points.point(1)]),
             "reduce_batch": reduce_batch(points)[1],
-            "act_batch": act_batch(inversion(1).mat, points),
+            "act": act(inversion(1).mat, points),
         }
         for where, batch in made.items():
             assert batch._summed is None, where

@@ -45,7 +45,7 @@ from nhsiegel.symplectic import (
     _lagrange_2x2,
     REDUCTION_BUDGET,
     PointBatch,
-    act_batch,
+    act,
     from_point,
     reduce_batch,
 )
@@ -142,7 +142,7 @@ def test_candidate_det_gives_the_gain(n, reduced):
     dets = _candidate_dets(points.mat)
     base = np.prod(points.eigvals, axis=-1)
     for k, cand in enumerate(_CANDIDATES[0]):
-        gain = np.prod(act_batch(cand.astype(float), points).eigvals, axis=-1) / base
+        gain = np.prod(act(cand.astype(float), points).eigvals, axis=-1) / base
         np.testing.assert_allclose(1.0 / np.abs(dets[:, k]) ** 2, gain, rtol=1e-12)
 
 

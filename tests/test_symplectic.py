@@ -27,7 +27,6 @@ from nhsiegel.symplectic import (
     _candidate_dets,
     _lagrange_2x2,
     act,
-    act_batch,
     automorphy_factor,
     compact_from_unitary,
     delta_for_degree,
@@ -368,7 +367,7 @@ class TestReducedPoint:
             assert np.all(y11 <= y22 * (1.0 + _LAGRANGE_TOL))
         assert reduced.eigvals[:, -1].min() >= delta_for_degree(n) - 1e-12
         # The same point as gamma . Z, up to rounding.
-        diff = np.abs(act_batch(gamma, points).mat - reduced.mat).max(axis=(1, 2))
+        diff = np.abs(act(gamma, points).mat - reduced.mat).max(axis=(1, 2))
         assert np.all(diff <= 1e-12 * np.maximum(1.0, np.abs(reduced.mat).max(axis=(1, 2))))
 
     def test_lagrange_matches_the_product_form(self):
