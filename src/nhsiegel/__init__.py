@@ -4,14 +4,11 @@ holomorphic modular forms on the Siegel upper half space (degrees 1 and 2)."""
 from .errors import (
     EigenIterationError,
     FormDataError,
-    InvalidExponentError,
     NhsiegelError,
     NotPositiveDefiniteError,
     ReductionBudgetError,
-    RepMismatchError,
     SingularMatrixError,
     TailDivergenceError,
-    UnsupportedWeightError,
 )
 from .formio import (
     load_form_package,

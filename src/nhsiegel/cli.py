@@ -23,10 +23,11 @@ import numpy as np
 
 from .errors import FormDataError, NhsiegelError
 from .formio import load_form_package, load_points, save_form_package
-from .forms import FormPackage, check_invariance, evaluate, phi
+from .forms import FormPackage, InvarianceReport, check_invariance, evaluate, phi
 from .growth import (
     GrowthReport,
     SweepConfig,
+    _seeded_blocks,
     estimate_constant,
     verify_growth_bound,
     verify_moderate_growth,
@@ -177,9 +178,18 @@ def cmd_reduce(args) -> int:
 
 def cmd_check(args) -> int:
     package = _load_package(args)
-    rng = np.random.default_rng(args.seed)
-    samples = random_siegel_points(package.n, rng, args.samples, *CHECK_BOX)
-    report = check_invariance(package, samples)
+    # The samples of one generator seeded with --seed, checked in the
+    # sweeps' blocks, so memory does not grow with --samples.
+    draw = lambda n, rng, size: random_siegel_points(n, rng, size, *CHECK_BOX)
+    config = SweepConfig(samples=args.samples, seed=args.seed)
+    parts = [check_invariance(package, block) for block in _seeded_blocks(draw, package.n, config)]
+    report = InvarianceReport(
+        gammas=parts[0].gammas,
+        samples=sum(part.samples for part in parts),
+        max_deviation=float(np.max([part.max_deviation for part in parts])),
+        threshold=float(np.max([part.threshold for part in parts])),
+        violations=sum(part.violations for part in parts),
+    )
     _emit(asdict(report), args)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 

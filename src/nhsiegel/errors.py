@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input raises ValueError, or FormDataError for form and points files,
+and the CLI exits 2 on either; NhsiegelError and its other subclasses mean
+a numerical failure, on which the CLI exits 1."""
 
 
 class NhsiegelError(Exception):
@@ -21,20 +25,8 @@ class ReductionBudgetError(NhsiegelError):
     """Fundamental-domain reduction exceeded its step budget."""
 
 
-class UnsupportedWeightError(NhsiegelError):
-    """Requested representation lies outside the supported family."""
-
-
-class RepMismatchError(NhsiegelError):
-    """Vectors from different representations were combined."""
-
-
 class TailDivergenceError(NhsiegelError):
     """Tail estimate requested on a region where the series need not converge."""
-
-
-class InvalidExponentError(NhsiegelError):
-    """Growth exponent below the certified threshold."""
 
 
 class FormDataError(NhsiegelError):

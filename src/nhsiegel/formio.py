@@ -97,7 +97,7 @@ def package_from_dict(data: dict) -> FormPackage:
     j, k = _read([rep_raw["j"], rep_raw["k"]], "rep.j and rep.k", integer=True, shape=(2,)).tolist()
     try:
         rep = make_rep(n, j, k)
-    except (ValueError, NhsiegelError) as exc:
+    except ValueError as exc:
         raise FormDataError(f"rep: {exc}")
     growth_raw = data["growth"]
     if not (isinstance(growth_raw, dict) and "A" in growth_raw and "kappa" in growth_raw):

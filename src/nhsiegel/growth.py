@@ -32,7 +32,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidExponentError, RepMismatchError
 from .forms import FormPackage, FourierExpansion, phi, slash_values
 from .reps import RepVector, _as_int, norm
 from .sampling import EIG_HIGH, EIG_LOW, X_SCALE, random_group_samples, random_siegel_points
@@ -222,13 +221,13 @@ def verify_moderate_growth(
     and the report's config then keeps only the fields that applied to them.
     """
     if w0.rep != package.rep:
-        raise RepMismatchError(f"w0 is in {w0.rep}, the form in {package.rep}")
+        raise ValueError(f"w0 is in {w0.rep}, the form in {package.rep}")
     lam1, n = package.lambda1, package.n
     min_r = n * lam1 / 2.0
     if not math.isfinite(r):
         raise ValueError(f"exponent r must be finite, got {r}")
     if r < min_r:
-        raise InvalidExponentError(f"exponent {r} below the certified threshold {min_r}")
+        raise ValueError(f"exponent {r} below the certified threshold {min_r}")
     if not np.all(np.isfinite(w0.coords)):
         raise ValueError(f"w0 coordinates must be finite, got {w0.coords.tolist()}")
     if not w0.coords.any():

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RepMismatchError, SingularMatrixError, UnsupportedWeightError
+from .errors import SingularMatrixError
 from .linalg import MAX_DIM, _as_square, det_stack
 
 
@@ -42,7 +42,7 @@ class Rep:
         if n is None or not 1 <= n <= MAX_DIM:
             raise ValueError(f"degree {self.n} must be an integer in 1..{MAX_DIM}")
         if j is None or k is None or min(j, k) < 0:
-            raise UnsupportedWeightError(f"Sym^j det^k needs integers j, k >= 0, got j={self.j}, k={self.k}")
+            raise ValueError(f"Sym^j det^k needs integers j, k >= 0, got j={self.j}, k={self.k}")
         for name, value in zip("njk", (n, j, k)):
             object.__setattr__(self, name, value)  # plain ints, which JSON writes
 
@@ -172,7 +172,7 @@ def basis_vector(rep: Rep, idx: int) -> RepVector:
 
 def _check_same_rep(v: RepVector, w: RepVector) -> None:
     if v.rep != w.rep:
-        raise RepMismatchError(f"vectors from different representations: {v.rep} vs {w.rep}")
+        raise ValueError(f"vectors from different representations: {v.rep} vs {w.rep}")
 
 
 def rep_matrix(rep: Rep, m) -> np.ndarray:
@@ -199,7 +199,7 @@ def rep_matrix(rep: Rep, m) -> np.ndarray:
 def apply(rep: Rep, m, v: RepVector) -> RepVector:
     """rho(m) v."""
     if v.rep != rep:
-        raise RepMismatchError("vector does not belong to this representation")
+        raise ValueError("vector does not belong to this representation")
     return RepVector(rep, rep_matrix(rep, m) @ v.coords)
 
 

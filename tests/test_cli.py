@@ -390,8 +390,8 @@ class TestModerate:
         rc = main(
             ["moderate", "--form", str(e4_file), "--samples", "10", "--r", "0.5"]
         )
-        assert rc == 1
-        assert "numerical failure" in capsys.readouterr().err
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhsiegel.errors import RepMismatchError, SingularMatrixError, UnsupportedWeightError
+from nhsiegel.errors import SingularMatrixError
 from nhsiegel.linalg import det_stack, eigenvalues_sym
 from nhsiegel.reps import (
     Rep,
@@ -61,14 +61,14 @@ class TestMakeRep:
             assert make_rep(n, j, 0).dim == math.comb(n + j - 1, j)
 
     def test_unsupported(self):
-        with pytest.raises(UnsupportedWeightError):
+        with pytest.raises(ValueError):
             make_rep(2, -1, 0)
-        with pytest.raises(UnsupportedWeightError):
+        with pytest.raises(ValueError):
             make_rep(2, 0, -3)
 
     @pytest.mark.parametrize("j, k", [(2.7, 0), (0, 0.5), (math.nan, 0), (0, math.inf), ("2", 0), (None, 0)])
     def test_non_integral_weight_rejected(self, j, k):
-        with pytest.raises(UnsupportedWeightError):
+        with pytest.raises(ValueError):
             make_rep(1, j, k)
 
     @pytest.mark.parametrize("build", [make_rep, Rep])
@@ -129,7 +129,7 @@ class TestApply:
 
     def test_rep_mismatch(self, rng):
         v = random_vector(make_rep(2, 2, 0), rng)
-        with pytest.raises(RepMismatchError):
+        with pytest.raises(ValueError):
             apply(make_rep(2, 2, 1), np.eye(2), v)
 
 
@@ -229,7 +229,7 @@ class TestInner:
     def test_mismatch(self, rng):
         v = random_vector(make_rep(2, 2, 0), rng)
         w = random_vector(make_rep(2, 0, 10), rng)
-        with pytest.raises(RepMismatchError):
+        with pytest.raises(ValueError):
             inner(v, w)
 
 

@@ -9,13 +9,17 @@ written out here.
 """
 
 import csv
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from nhsiegel import forms
 from nhsiegel.cli import _point_header, main
 from nhsiegel.errors import ReductionBudgetError
 from nhsiegel.formio import load_form_package, save_form_package
+from nhsiegel.forms import check_invariance
 from nhsiegel.growth import (
     SWEEP_BLOCK,
     SweepConfig,
@@ -28,6 +32,7 @@ from nhsiegel.linalg import _t, det_stack
 from nhsiegel.reps import basis_vector
 from nhsiegel.samples import build_sample
 from nhsiegel.sampling import (
+    CHECK_BOX,
     EIG_HIGH,
     EIG_LOW,
     X_SCALE,
@@ -363,3 +368,25 @@ def test_moderate_csv_cells_are_reprs_of_the_records(e4_package, tmp_path):
         want = [float(where[k][_entry(label)]) for label in header[:-3]]
         want += [float(value[k]), float(rhs[k]), float(ratio[k])]
         assert row == [repr(v) for v in want]
+
+
+def test_check_runs_in_sweep_blocks(e4_package, tmp_path, monkeypatch):
+    # `check` draws its samples from one generator and checks them block by
+    # block: no evaluation sees more than SWEEP_BLOCK points, and the merged
+    # report is that of the whole stack checked at once.
+    form, out = tmp_path / "e4.json", tmp_path / "check.json"
+    save_form_package(e4_package, form)
+    whole = check_invariance(
+        e4_package, random_siegel_points(1, np.random.default_rng(5), 600, *CHECK_BOX)
+    )
+    sizes, evaluate = [], forms.evaluate
+
+    def counted(f, z):
+        sizes.append(len(z))
+        return evaluate(f, z)
+
+    monkeypatch.setattr(forms, "evaluate", counted)
+    args = ["check", "--form", str(form), "--samples", "600", "--seed", "5", "--out", str(out)]
+    assert main(args) == 0
+    assert sizes and max(sizes) <= SWEEP_BLOCK
+    assert json.loads(out.read_text(encoding="utf-8")) == asdict(whole)
