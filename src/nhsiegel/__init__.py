@@ -5,7 +5,6 @@ from .errors import (
     EigenIterationError,
     FormDataError,
     NhsiegelError,
-    NotPositiveDefiniteError,
     ReductionBudgetError,
     SingularMatrixError,
     TailDivergenceError,

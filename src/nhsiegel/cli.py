@@ -74,7 +74,7 @@ def parse_point(spec: str) -> SiegelPoint:
         raise FormDataError(f"point {spec!r}: X and Y must have the same entry count")
     try:
         return SiegelPoint(_triangle_to_sym(xs), _triangle_to_sym(ys))
-    except (ValueError, NhsiegelError) as exc:
+    except ValueError as exc:
         raise FormDataError(f"point {spec!r}: {exc}")
 
 
@@ -332,9 +332,6 @@ def main(argv=None) -> int:
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise FormDataError(f"--{flag} must be finite and positive, got {value}")
         return args.func(args)
-    except FormDataError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
     except NhsiegelError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_VIOLATION

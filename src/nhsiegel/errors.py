@@ -1,20 +1,16 @@
 """Exception types shared across the package.
 
-Bad input raises ValueError, or FormDataError for form and points files,
-and the CLI exits 2 on either; NhsiegelError and its other subclasses mean
-a numerical failure, on which the CLI exits 1."""
+Bad input raises ValueError, or its subclass FormDataError for form and
+points files, and the CLI exits 2 on either; NhsiegelError and its
+subclasses mean a numerical failure, on which the CLI exits 1."""
 
 
 class NhsiegelError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the numerical failures of this package."""
 
 
 class EigenIterationError(NhsiegelError):
     """A symmetric eigensolve was given non-finite entries or did not converge."""
-
-
-class NotPositiveDefiniteError(NhsiegelError):
-    """A matrix required to be positive definite is not."""
 
 
 class SingularMatrixError(NhsiegelError):
@@ -26,8 +22,9 @@ class ReductionBudgetError(NhsiegelError):
 
 
 class TailDivergenceError(NhsiegelError):
-    """Tail estimate requested on a region where the series need not converge."""
+    """The tail estimate overflowed a float, ran out of its iteration budget,
+    or was asked for at a computed Y that is not positive definite."""
 
 
-class FormDataError(NhsiegelError):
-    """A form package or form file violates its data contract."""
+class FormDataError(ValueError):
+    """A form package, form file or points file violates its data contract."""

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormDataError, NhsiegelError
+from .errors import FormDataError
 from .forms import FormPackage, FourierExpansion, trace_level
 from .linalg import MultiIndex
 from .reps import make_rep
@@ -121,8 +121,9 @@ def package_from_dict(data: dict) -> FormPackage:
     gammas = []
     for i, raw in enumerate(data["gamma_test_set"]):
         where = f"gamma_test_set[{i}]"
+        mat = _read(raw, where, integer=True, shape=(2 * n, 2 * n))
         try:
-            gammas.append(SymplecticMatrix(_read(raw, where, integer=True, shape=(2 * n, 2 * n))))
+            gammas.append(SymplecticMatrix(mat))
         except ValueError as exc:
             raise FormDataError(f"{where}: {exc}")
     return FormPackage(
@@ -187,7 +188,7 @@ def load_points(path) -> list[SiegelPoint]:
         x, y = (_read(rec[part], f"{where}: {part}", shape=None) for part in "XY")
         try:
             points.append(SiegelPoint(x, y))
-        except (ValueError, NhsiegelError) as exc:
+        except ValueError as exc:
             raise FormDataError(f"{where}: {exc}")
     return points
 

@@ -399,8 +399,8 @@ def tail_bound(package: FormPackage, y):
     delta' the least eigenvalue of Y, and bounds every Y^{-1} monomial by
     max(1, delta'^-p) times the number of multi-indices.  The resulting
     one-dimensional series is summed until it provably closes.  A point
-    supplies delta' from the eigenvalues it holds; a matrix is checked and
-    decomposed here.
+    supplies delta' from the eigenvalues it holds; a matrix is decomposed
+    here and must be positive definite (ValueError otherwise).
     """
     if isinstance(y, (SiegelPoint, PointBatch)):
         points = y.batch if isinstance(y, SiegelPoint) else y
@@ -411,11 +411,15 @@ def tail_bound(package: FormPackage, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (package.n, package.n):
         raise ValueError(f"Y of shape {y.shape} does not match form degree {package.n}")
-    return _tail_series(package, float(eigenvalues_sym(y)[-1]))
+    delta = float(eigenvalues_sym(y)[-1])
+    if delta <= 0.0:
+        raise ValueError(f"tail estimate requires positive definite Y (min eigenvalue {delta:.3e})")
+    return _tail_series(package, delta)
 
 
 def _tail_series(package: FormPackage, delta: float) -> float:
-    # ``tail_bound`` at a Y whose least eigenvalue is delta.
+    # ``tail_bound`` at a Y whose least eigenvalue is delta, which input
+    # checks have made positive: delta <= 0 is a numerical failure here.
     if delta <= 0.0:
         raise TailDivergenceError(
             f"tail estimate requires positive definite Y (min eigenvalue {delta:.3e})"

@@ -43,7 +43,7 @@ from .symplectic import (
     reduce_batch,
 )
 
-DEFAULT_SAFETY = 1.25
+SAFETY = 1.25
 DEFAULT_RATIO_TOL = 1e-9
 
 # Points per block of a sweep.  A block's arrays grow with its size, so the
@@ -60,7 +60,6 @@ class SweepConfig:
 
     samples: int = 1000
     seed: int = 0
-    safety: float = DEFAULT_SAFETY
     ratio_tol: float = DEFAULT_RATIO_TOL
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ class SweepConfig:
             object.__setattr__(self, name, value)
         if not (math.isfinite(self.ratio_tol) and self.ratio_tol > 0):
             raise ValueError(f"ratio_tol must be finite and positive, got {self.ratio_tol}")
-        if not (math.isfinite(self.safety) and self.safety > 0):
-            raise ValueError(f"safety must be finite and positive, got {self.safety}")
 
 
 class SampleRecords(NamedTuple):
@@ -152,11 +149,11 @@ group_blocks = partial(_seeded_blocks, random_group_samples)
 
 
 def estimate_constant(package: FormPackage, config: SweepConfig) -> float:
-    """Empirical constant for the eigenvalue product bound: the configured
-    safety factor times the worst ratio of the theorem sweep over
-    fundamental-domain points, with constant 1."""
+    """Empirical constant for the eigenvalue product bound: SAFETY times the
+    worst ratio of the theorem sweep over fundamental-domain points, with
+    constant 1."""
     reduced = (reduce_batch(points)[1] for points in adversarial_blocks(package.n, config))
-    return config.safety * _phi_sweep(package, 1.0, "theorem", config, reduced).worst_ratio
+    return SAFETY * _phi_sweep(package, 1.0, "theorem", config, reduced).worst_ratio
 
 
 def verify_growth_bound(
@@ -300,6 +297,7 @@ def _sweep(kind, theorem_constant, factor, exponent_r, blocks, score, settings, 
 def _config_dict(config: SweepConfig, package: FormPackage) -> dict:
     return {
         **asdict(config),
+        "safety": SAFETY,
         "eig_low": EIG_LOW, "eig_high": EIG_HIGH, "x_scale": X_SCALE,
         "delta": FUNDAMENTAL_DOMAIN_DELTA.get(package.n),
         "t_max": package.expansion.t_max,

@@ -21,11 +21,7 @@ import numpy as np
 # here: a numpy without it fails at import, not in the middle of a sweep.
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
-from .errors import (
-    EigenIterationError,
-    NotPositiveDefiniteError,
-    SingularMatrixError,
-)
+from .errors import EigenIterationError, SingularMatrixError
 
 MAX_DIM = 8
 
@@ -110,9 +106,7 @@ def sqrt_posdef(y) -> np.ndarray:
     """Unique symmetric positive-definite square root of an SPD matrix."""
     w, q = eigh_sym(y)
     if w[-1] <= _posdef_floor(w):
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (min eigenvalue {w[-1]:.3e})"
-        )
+        raise ValueError(f"matrix is not positive definite (min eigenvalue {w[-1]:.3e})")
     return spectral(w, q, np.sqrt(w))
 
 

@@ -18,11 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NotPositiveDefiniteError,
-    ReductionBudgetError,
-    SingularMatrixError,
-)
+from .errors import ReductionBudgetError, SingularMatrixError
 from .linalg import _eigh, _posdef_floor, _require_symmetric, _t, spectral
 
 SYMPLECTIC_TOL = 1e-10
@@ -82,8 +78,8 @@ def is_symplectic(m) -> bool:
 @dataclass(frozen=True, eq=False, slots=True)
 class PointBatch:
     """N points Z = X + iY of the degree-n Siegel upper half space, stacked
-    as (N, n, n) arrays.  Construction validates every point once (X finite,
-    X and Y symmetric, Y positive definite) with one eigensolve for the
+    as (N, n, n) arrays.  Construction validates every point once (X and Y
+    finite and symmetric, Y positive definite) with one eigensolve for the
     stack, kept as ``eigvals`` (decreasing) and ``eigvecs`` for Y^{-1},
     Y^{1/2} and the growth right-hand sides."""
 
@@ -100,6 +96,8 @@ class PointBatch:
         if np.count_nonzero(np.isfinite(x)) < x.size:
             raise ValueError("X has non-finite entries")
         y = _require_symmetric(self.Y, "Y", stacked=True)
+        if np.count_nonzero(np.isfinite(y)) < y.size:
+            raise ValueError("Y has non-finite entries")
         if x.shape != y.shape:
             raise ValueError("X and Y must have the same shape")
         self._fill(x, y)
@@ -117,7 +115,7 @@ class PointBatch:
         if eig is None:
             low = w[:, -1] <= _posdef_floor(w)
             if np.count_nonzero(low):
-                raise NotPositiveDefiniteError(
+                raise ValueError(
                     f"imaginary part is not positive definite (min eigenvalue {w[low, -1][0]:.3e})"
                 )
         x.flags.writeable = y.flags.writeable = w.flags.writeable = q.flags.writeable = False

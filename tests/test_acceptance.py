@@ -361,10 +361,10 @@ def test_criterion_10_trace_bound_and_elementary_inequality(
 def test_criterion_11_moderate_growth(e4_package, certified_constants):
     c = certified_constants["e4"]
     w0 = basis_vector(e4_package.rep, 0)
-    cfg = SweepConfig(samples=10000, seed=114, safety=1.0)
+    cfg = SweepConfig(samples=10000, seed=114)
     rep = verify_moderate_growth(e4_package, w0, 2.0, c, config=cfg)
     rays = [SymplecticMatrix(np.diag([float(t), 1.0 / t])) for t in (2, 4, 8, 16, 32, 64)]
-    ray_rep = verify_moderate_growth(e4_package, w0, 2.0, c, elements=rays, config=SweepConfig(samples=1, seed=0, safety=1.0))
+    ray_rep = verify_moderate_growth(e4_package, w0, 2.0, c, elements=rays, config=SweepConfig(samples=1, seed=0))
     report(
         11,
         "|Phi(g)| <= C Tr(g^T g)^2 over 1e4 group samples and the diagonal ray",

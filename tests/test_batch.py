@@ -14,6 +14,7 @@ import pytest
 
 from nhsiegel.forms import phi
 from nhsiegel.growth import (
+    SAFETY,
     SWEEP_BLOCK,
     SweepConfig,
     corollary_rhs,
@@ -84,7 +85,7 @@ def _reference_constant(package, config):
         z = random_siegel_point(package.n, rng, EIG_LOW, EIG_HIGH, X_SCALE)
         _, z_red = reduce_to_fundamental(z)
         worst = max(worst, phi(package, z_red) / sturm_rhs(z_red.Y, package.lambda1))
-    return config.safety * worst
+    return SAFETY * worst
 
 
 def _reference_bound(package, constant, rhs_fn, config):

@@ -61,6 +61,24 @@ class TestParsePoint:
         assert main(["reduce", "--z", "0;-1"]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_bad_y_message(self, e4_file, capsys):
+        assert main(["eval", "--form", str(e4_file), "--z", "0;-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: point '0;-1': imaginary part is not positive definite"
+            " (min eigenvalue -1.000e+00)\n"
+        )
+
+    def test_bad_y_in_points_file_message(self, e4_file, tmp_path, capsys):
+        pts = tmp_path / "bad_y.json"
+        pts.write_text(json.dumps([{"X": [[0.0]], "Y": [[-1.0]]}]), encoding="utf-8")
+        assert main(["eval", "--form", str(e4_file), "--points", str(pts)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: points[0]: imaginary part is not positive definite"
+            " (min eigenvalue -1.000e+00)\n"
+        )
+
 
 class TestSample:
     def test_writes_round_trippable_file(self, tmp_path):

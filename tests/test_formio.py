@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,22 @@ class TestValidation:
         data = minimal_dict()
         data["gamma_test_set"] = [[[2, 0], [0, 2]]]
         with pytest.raises(FormDataError, match=r"gamma_test_set\[0\]"):
+            package_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            ("x", "gamma_test_set[0] must be an integer, got 'x'"),
+            ([[1.5, 0], [0, 1]], "gamma_test_set[0] must be integers, got 1.5"),
+            ([[1, 0, 0], [0, 1, 0]], "gamma_test_set[0]: expected shape (2, 2), got (2, 3)"),
+            ([[2, 0], [0, 2]], "gamma_test_set[0]: matrix does not satisfy the symplectic relations"),
+        ],
+        ids=["string", "not-integer", "shape", "not-symplectic"],
+    )
+    def test_gamma_message_names_entry_once(self, gamma, message):
+        data = minimal_dict()
+        data["gamma_test_set"] = [gamma]
+        with pytest.raises(FormDataError, match=f"^{re.escape(message)}$"):
             package_from_dict(data)
 
     def test_not_json(self, tmp_path):

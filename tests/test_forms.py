@@ -356,7 +356,7 @@ class TestTailBound:
         assert tail_bound(package, z.Y) >= abs(dropped[0])
 
     def test_divergence_error(self, e4_package):
-        with pytest.raises(TailDivergenceError):
+        with pytest.raises(ValueError, match=r"^tail estimate requires positive definite Y \(min eigenvalue -1\.000e\+00\)$"):
             tail_bound(e4_package, np.array([[-1.0]]))
 
     @pytest.mark.parametrize(

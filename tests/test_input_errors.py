@@ -1,19 +1,28 @@
 """Bad input to the library raises ValueError, which the CLI maps to exit 2.
 
-NhsiegelError and its subclasses other than FormDataError are kept for
-numerical failures (exit 1), so no input check may raise one.
+NhsiegelError and its subclasses are kept for numerical failures (exit 1),
+so no input check may raise one.  FormDataError, which names the record of
+a malformed form or points file, is a ValueError.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from nhsiegel.growth import verify_moderate_growth
+import nhsiegel
+from nhsiegel.errors import FormDataError, NhsiegelError
+from nhsiegel.forms import tail_bound
+from nhsiegel.growth import corollary_rhs, sturm_rhs, verify_moderate_growth
+from nhsiegel.linalg import sqrt_posdef
 from nhsiegel.reps import Rep, apply, basis_vector, inner, make_rep
+from nhsiegel.symplectic import SiegelPoint
 
 E4_REP, OTHER_REP = make_rep(1, 0, 4), make_rep(1, 0, 6)
 MISMATCH = f"vectors from different representations: {E4_REP} vs {OTHER_REP}"
+INDEFINITE = np.diag([1.0, -1.0])
+NOT_POSDEF_Y = "imaginary part is not positive definite (min eigenvalue -1.000e+00)"
 
 
 @pytest.mark.parametrize(
@@ -35,10 +44,40 @@ MISMATCH = f"vectors from different representations: {E4_REP} vs {OTHER_REP}"
             lambda pkg: verify_moderate_growth(pkg, basis_vector(E4_REP, 0), 0.5, 1.0),
             "exponent 0.5 below the certified threshold 2.0",
         ),
+        (lambda pkg: SiegelPoint(np.zeros((2, 2)), INDEFINITE), NOT_POSDEF_Y),
+        (lambda pkg: SiegelPoint(np.zeros((1, 1)), np.array([[math.nan]])), "Y has non-finite entries"),
+        (
+            lambda pkg: sqrt_posdef(INDEFINITE),
+            "matrix is not positive definite (min eigenvalue -1.000e+00)",
+        ),
+        (lambda pkg: sturm_rhs(INDEFINITE, 2), NOT_POSDEF_Y),
+        (lambda pkg: corollary_rhs(INDEFINITE, 2), NOT_POSDEF_Y),
+        (
+            lambda pkg: tail_bound(pkg, [[-1.0]]),
+            "tail estimate requires positive definite Y (min eigenvalue -1.000e+00)",
+        ),
     ],
-    ids=["rep-weight", "apply", "inner", "add", "sub", "moderate-w0", "moderate-r"],
+    ids=[
+        "rep-weight", "apply", "inner", "add", "sub", "moderate-w0", "moderate-r",
+        "point-indefinite-Y", "point-nan-Y", "sqrt-posdef", "sturm-rhs", "corollary-rhs",
+        "tail-bound",
+    ],
 )
 def test_input_check_raises_value_error(e4_package, call, message):
     assert e4_package.rep == E4_REP
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(e4_package)
+
+
+def test_form_data_error_is_an_input_error():
+    assert issubclass(FormDataError, ValueError)
+    assert not issubclass(FormDataError, NhsiegelError)
+    # The package exports these error types and no other.
+    assert {name for name in dir(nhsiegel) if name.endswith("Error")} == {
+        "EigenIterationError",
+        "FormDataError",
+        "NhsiegelError",
+        "ReductionBudgetError",
+        "SingularMatrixError",
+        "TailDivergenceError",
+    }
