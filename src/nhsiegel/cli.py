@@ -195,7 +195,7 @@ def cmd_check(args) -> int:
 
 
 def _sweep_config(args, seed_offset: int = 0) -> SweepConfig:
-    return SweepConfig(samples=args.samples, seed=args.seed + seed_offset, ratio_tol=args.tol)
+    return SweepConfig(samples=args.samples, seed=args.seed + seed_offset)
 
 
 def _constant(args, package: FormPackage) -> float:
@@ -217,7 +217,7 @@ def cmd_bound(args) -> int:
 def cmd_moderate(args) -> int:
     package = _load_package(args)
     rep = package.rep
-    if args.w0:
+    if args.w0 is not None:
         try:
             coords = [float(v) for v in args.w0.split(",")]
         except ValueError:
@@ -229,9 +229,8 @@ def cmd_moderate(args) -> int:
         w0 = vector(rep, coords)
     else:
         w0 = basis_vector(rep, 0)
-    r = args.r if args.r is not None else package.n * package.lambda1 / 2.0
     report = verify_moderate_growth(
-        package, w0, r, _constant(args, package), config=_sweep_config(args, seed_offset=1)
+        package, w0, args.r, _constant(args, package), config=_sweep_config(args, seed_offset=1)
     )
     m = 2 * package.n
     header = [f"g_{i+1}{j+1}" for i in range(m) for j in range(m)]
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "name": dict(choices=sorted(SAMPLE_BUILDERS), required=True),
     }
     # Each subcommand takes the flags it reads.
-    sweep = "form samples seed tmax tol out format"
+    sweep = "form samples seed tmax out format"
     for name, func, help_, names in (
         ("eval", cmd_eval, "evaluate F(Z) and phi(Z) at points", "form z points tmax out format"),
         ("reduce", cmd_reduce, "reduce points to the fundamental domain", "z points delta tol out format"),

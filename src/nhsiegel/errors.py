@@ -14,7 +14,9 @@ class EigenIterationError(NhsiegelError):
 
 
 class SingularMatrixError(NhsiegelError):
-    """A matrix that must be inverted is numerically singular."""
+    """A matrix that must be inverted is numerically singular, or a point
+    the library computed (by ``act``, the reduction or a sampler) has an
+    imaginary part that is not positive definite."""
 
 
 class ReductionBudgetError(NhsiegelError):

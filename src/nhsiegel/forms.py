@@ -335,25 +335,20 @@ def slash_values(f: FourierExpansion | FormPackage, g, points: PointBatch) -> np
     matrix or an (N, 2n, 2n) stack and a batch of points (either side may
     have one element)."""
     f = f.expansion if isinstance(f, FormPackage) else f
-    return _slash_parts(f.rep, partial(evaluate, f), g, points)[2]
+    return _slash_parts(f, g, points)[2]
 
 
-def _slash_parts(rep: Rep, values: Callable[[PointBatch], np.ndarray], g, points: PointBatch):
-    """(rho(C Z + D)^{-1}, gZ, rho(C Z + D)^{-1} F(gZ)) as in ``slash_values``,
-    for the F that ``values`` maps a PointBatch to."""
-    j_inv = rep_matrix(rep, inv_stack(automorphy_factor(g, points)))
+def _slash_parts(f: FourierExpansion, g, points: PointBatch):
+    """(rho(C Z + D)^{-1}, gZ, rho(C Z + D)^{-1} F(gZ)) as in ``slash_values``."""
+    j_inv = rep_matrix(f.rep, inv_stack(automorphy_factor(g, points)))
     moved = act(g, points)
-    return j_inv, moved, (j_inv @ values(moved)[..., None])[..., 0]
+    return j_inv, moved, (j_inv @ evaluate(f, moved)[..., None])[..., 0]
 
 
-def slash(
-    f: FourierExpansion | FormPackage | PointEvaluator, g: SymplecticMatrix
-) -> PointEvaluator:
+def slash(f: FourierExpansion | FormPackage, g: SymplecticMatrix) -> PointEvaluator:
     """The weight-rho slash action: Z -> rho(C Z + D)^{-1} F(gZ), for F an
-    expansion, a package or an earlier slash.  The result is a point
-    evaluator; no re-expansion into Fourier data is performed."""
-    if isinstance(f, PointEvaluator):
-        return PointEvaluator(f.rep, f.n, lambda w: _slash_parts(f.rep, f.func, g.mat, w)[2])
+    expansion or a package.  The result is a point evaluator; no
+    re-expansion into Fourier data is performed."""
     return PointEvaluator(f.rep, f.n, partial(slash_values, f, g.mat))
 
 
@@ -494,12 +489,12 @@ def check_invariance(
     points = samples if isinstance(samples, PointBatch) else PointBatch.from_points(samples)
     if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
         raise ValueError("invariance samples must have Im(Z) >= identity/2")
-    rep, values = package.rep, partial(evaluate, package.expansion)
+    rep = package.rep
     base = evaluate(package.expansion, points)
     base_tail = tail_bound(package, points)
     devs, thrs = [], []
     for g in package.gamma_test_set:
-        j_inv, moved, slashed = _slash_parts(rep, values, g.mat, points)
+        j_inv, moved, slashed = _slash_parts(package.expansion, g.mat, points)
         devs.append(norms(rep, slashed - base) / (1.0 + norms(rep, base)))
         amp = np.sqrt(np.sum(np.abs(j_inv) ** 2, axis=(1, 2)))
         thrs.append(base_tail + amp * tail_bound(package, moved) + FLOAT_FLOOR)

@@ -44,7 +44,7 @@ from .symplectic import (
 )
 
 SAFETY = 1.25
-DEFAULT_RATIO_TOL = 1e-9
+RATIO_TOL = 1e-9
 
 # Points per block of a sweep.  A block's arrays grow with its size, so the
 # block bounds a sweep process's peak memory whatever the sample count (one
@@ -60,7 +60,6 @@ class SweepConfig:
 
     samples: int = 1000
     seed: int = 0
-    ratio_tol: float = DEFAULT_RATIO_TOL
 
     def __post_init__(self):
         for name, least in (("samples", 1), ("seed", 0)):
@@ -68,8 +67,6 @@ class SweepConfig:
             if value is None or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
-        if not (math.isfinite(self.ratio_tol) and self.ratio_tol > 0):
-            raise ValueError(f"ratio_tol must be finite and positive, got {self.ratio_tol}")
 
 
 class SampleRecords(NamedTuple):
@@ -204,7 +201,7 @@ def lift(f: FourierExpansion | FormPackage, g: SymplecticMatrix | np.ndarray):
 def verify_moderate_growth(
     package: FormPackage,
     w0: RepVector,
-    r: float,
+    r: float | None,
     constant: float,
     elements: Iterable[SymplecticMatrix] | None = None,
     config: SweepConfig | None = None,
@@ -213,14 +210,16 @@ def verify_moderate_growth(
 
     ``constant`` is the certified eigenvalue-bound constant C; the moderate
     growth constant is ||w0|| C max(1, 2^{1-s})^n n^{-ns}, with s = lambda1/2,
-    for a finite, non-zero w0.  The exponent must be at least ns.  Given
-    ``elements`` are swept as one block in place of the configured draws,
-    and the report's config then keeps only the fields that applied to them.
+    for a finite, non-zero w0.  The exponent r must be at least ns, the
+    certified threshold; None means ns.  Given ``elements`` are swept as one
+    block in place of the configured draws, and the report's config then
+    keeps only the fields that applied to them.
     """
     if w0.rep != package.rep:
         raise ValueError(f"w0 is in {w0.rep}, the form in {package.rep}")
     lam1, n = package.lambda1, package.n
     min_r = n * lam1 / 2.0
+    r = min_r if r is None else r
     if not math.isfinite(r):
         raise ValueError(f"exponent r must be finite, got {r}")
     if r < min_r:
@@ -286,7 +285,7 @@ def _sweep(kind, theorem_constant, factor, exponent_r, blocks, score, settings, 
         factor=factor,
         exponent_r=exponent_r,
         samples=len(ratio),
-        violations=int(np.sum(records.ratio > 1.0 + settings["ratio_tol"])),
+        violations=int(np.sum(records.ratio > 1.0 + RATIO_TOL)),
         worst_ratio=worst_ratio,
         worst_point=worst_point,
         config=settings,
@@ -297,6 +296,7 @@ def _sweep(kind, theorem_constant, factor, exponent_r, blocks, score, settings, 
 def _config_dict(config: SweepConfig, package: FormPackage) -> dict:
     return {
         **asdict(config),
+        "ratio_tol": RATIO_TOL,
         "safety": SAFETY,
         "eig_low": EIG_LOW, "eig_high": EIG_HIGH, "x_scale": X_SCALE,
         "delta": FUNDAMENTAL_DOMAIN_DELTA.get(package.n),

@@ -105,19 +105,22 @@ class PointBatch:
     @classmethod
     def _made(cls, x, y, eig=None) -> "PointBatch":
         """A batch of exactly symmetric x and y made here: no symmetry check,
-        and no Y > 0 check either when its eigendecomposition is given."""
+        and no Y > 0 check either when its eigendecomposition is given.  A
+        computed Y that is not positive definite is a numerical failure, so
+        it raises SingularMatrixError, not the ValueError of bad input."""
         batch = object.__new__(cls)
-        batch._fill(x, y, eig)
+        batch._fill(x, y, eig, computed=True)
         return batch
 
-    def _fill(self, x, y, eig=None) -> None:
+    def _fill(self, x, y, eig=None, computed=False) -> None:
         w, q = eig or _eigh(y)
         if eig is None:
             low = w[:, -1] <= _posdef_floor(w)
             if np.count_nonzero(low):
-                raise ValueError(
-                    f"imaginary part is not positive definite (min eigenvalue {w[low, -1][0]:.3e})"
-                )
+                message = f"imaginary part is not positive definite (min eigenvalue {w[low, -1][0]:.3e})"
+                if computed:
+                    raise SingularMatrixError(f"computed point's {message}")
+                raise ValueError(message)
         x.flags.writeable = y.flags.writeable = w.flags.writeable = q.flags.writeable = False
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
@@ -446,10 +449,7 @@ def _candidate_dets(zc: np.ndarray) -> np.ndarray:
 _MOVE_BELOW = 1.0 / (1.0 + _IMPROVE_TOL)
 
 
-def reduce_batch(
-    points: PointBatch,
-    budget: int = REDUCTION_BUDGET,
-) -> tuple[np.ndarray, PointBatch]:
+def reduce_batch(points: PointBatch) -> tuple[np.ndarray, PointBatch]:
     """Move every point of a batch into an approximate fundamental domain
     for the integral group.
 
@@ -469,8 +469,8 @@ def reduce_batch(
     integral (N, 2n, 2n) gammas and the last iterates, on which the
     stopping rule held.  A last iterate is act(gamma, points) up to
     rounding errors that grow with the condition of Y and the size of X.
-    Raises ReductionBudgetError after ``budget`` steps; an empty batch takes
-    none.  ValueError if an entry of X, or of a degree-2 translation, has
+    Raises ReductionBudgetError after REDUCTION_BUDGET steps; an empty batch
+    takes none.  ValueError if an entry of X, or of a degree-2 translation, has
     magnitude 2^52 or more.
     """
     n = points.n
@@ -479,7 +479,7 @@ def reduce_batch(
     # Below 2^52, rint of an entry of X is exact and fits an int64 translation.
     if np.count_nonzero(np.abs(points.X) >= 2.0**52):
         raise ValueError("reduction needs every entry of X below 2^52 in magnitude")
-    gamma, last = (_reduce_1 if n == 1 else _reduce_2)(points.mat, budget)
+    gamma, last = (_reduce_1 if n == 1 else _reduce_2)(points.mat, REDUCTION_BUDGET)
     # Exactly symmetric: the iterates are symmetrised, the translations symmetric.
     return gamma, PointBatch._made(last.real.copy(), last.imag.copy())
 
@@ -575,13 +575,10 @@ def _reduce_2(zc: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
     return gamma, last
 
 
-def reduce_to_fundamental(
-    z: SiegelPoint,
-    budget: int = REDUCTION_BUDGET,
-) -> tuple[SymplecticMatrix, SiegelPoint]:
+def reduce_to_fundamental(z: SiegelPoint) -> tuple[SymplecticMatrix, SiegelPoint]:
     """Move Z into an approximate fundamental domain for the integral group:
     the N = 1 case of ``reduce_batch``.  Returns (gamma, z_red): gamma integral
     and exactly symplectic, z_red the last iterate: act(gamma, z) up to
     rounding errors that grow with the condition of Y and the size of X."""
-    gamma, reduced = reduce_batch(z.batch, budget)
+    gamma, reduced = reduce_batch(z.batch)
     return SymplecticMatrix._integral(gamma[0]), reduced.point(0)

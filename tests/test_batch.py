@@ -14,6 +14,7 @@ import pytest
 
 from nhsiegel.forms import phi
 from nhsiegel.growth import (
+    RATIO_TOL,
     SAFETY,
     SWEEP_BLOCK,
     SweepConfig,
@@ -96,7 +97,7 @@ def _reference_bound(package, constant, rhs_fn, config):
         ratios.append(phi(package, z) / (constant * rhs_fn(z.Y, package.lambda1)))
         points.append({"X": z.X.tolist(), "Y": z.Y.tolist()})
     worst = int(np.argmax(ratios))
-    violations = sum(r > 1.0 + config.ratio_tol for r in ratios)
+    violations = sum(r > 1.0 + RATIO_TOL for r in ratios)
     return ratios[worst], points[worst], violations
 
 
@@ -132,5 +133,5 @@ def test_moderate_sweep_across_a_block_boundary(e4_package):
     assert report.samples == len(ratios) == SWEEP_BLOCK + 1
     assert report.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
     _assert_rel(report.records.ratio, ratios)
-    assert report.violations == sum(r > 1.0 + config.ratio_tol for r in ratios)
+    assert report.violations == sum(r > 1.0 + RATIO_TOL for r in ratios)
     assert math.isfinite(report.worst_ratio)

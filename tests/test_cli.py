@@ -404,6 +404,12 @@ class TestModerate:
         assert main(["moderate", "--form", str(e4_file), "--samples", "10", "--w0", w0]) == 2
         assert "--w0" in capsys.readouterr().err
 
+    def test_empty_w0(self, e4_file, capsys):
+        # An empty --w0 is given, so it is malformed, not absent.
+        assert main(["moderate", "--form", str(e4_file), "--samples", "10", "--w0", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "input error: --w0 must be comma-separated reals\n"
+
     def test_exponent_too_small(self, e4_file, capsys):
         rc = main(
             ["moderate", "--form", str(e4_file), "--samples", "10", "--r", "0.5"]
@@ -551,6 +557,21 @@ class TestConfigValidation:
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["check", "--form", str(path), "--samples", "10"]) == 1
         assert capsys.readouterr().err.startswith("numerical failure: tail estimate overflows")
+
+    def test_computed_point_is_numerical_failure(self, e4_file, tmp_path, capsys):
+        # gamma = (1 0; 10^7 1) sends the samples to points whose Y is under
+        # the positive-definite floor.  The library computed those points, so
+        # this is a numerical failure, not bad input.
+        data = json.loads(e4_file.read_text(encoding="utf-8"))
+        data["gamma_test_set"] = [[[1, 0], [10000000, 1]]]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", "--form", str(path), "--samples", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "numerical failure: computed point's imaginary part is not positive definite"
+        )
 
     def test_bad_format_rejected_by_argparse(self, e4_file):
         with pytest.raises(SystemExit):

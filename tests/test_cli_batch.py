@@ -270,9 +270,9 @@ class TestFlags:
             ["reduce", "--z", "0;1", "--delta", "0"],
             ["reduce", "--z", "0;1", "--tol", "0"],
             ["bound", "--form", "f.json", "--samples", "0"],
-            ["moderate", "--form", "f.json", "--tol", "-1"],
-            ["bound", "--form", "f.json", "--constant", "1e-6", "--tol", "nan"],
-            ["bound", "--form", "f.json", "--constant", "1e-6", "--tol", "inf"],
+            ["reduce", "--z", "0;1", "--tol", "-1"],
+            ["reduce", "--z", "0;1", "--tol", "nan"],
+            ["reduce", "--z", "0;1", "--tol", "inf"],
             ["bound", "--form", "f.json", "--constant", "nan"],
             ["bound", "--form", "f.json", "--constant", "inf"],
             ["moderate", "--form", "f.json", "--constant", "-1"],
@@ -283,6 +283,14 @@ class TestFlags:
     def test_kept_flags_still_checked(self, capsys, argv):
         assert main(argv) == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bound", "moderate"])
+    def test_sweeps_take_no_tol(self, capsys, command):
+        # The sweeps' pass tolerance is the constant growth.RATIO_TOL.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--form", "f.json", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",

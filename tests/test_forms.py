@@ -12,13 +12,21 @@ from nhsiegel.forms import (
     evaluate,
     phi,
     slash,
+    slash_values,
     tail_bound,
 )
 from nhsiegel.linalg import MultiIndex, inverse, monomial
-from nhsiegel.reps import make_rep, norm
+from nhsiegel.reps import RepVector, make_rep, norm, rep_matrix
 from nhsiegel.samples import divisor_power_sum, eisenstein4
 from nhsiegel.sampling import random_siegel_point
-from nhsiegel.symplectic import PointBatch, SiegelPoint, inversion, translation
+from nhsiegel.symplectic import (
+    PointBatch,
+    SiegelPoint,
+    act,
+    automorphy_factor,
+    inversion,
+    translation,
+)
 
 # Frozen from the direct 400-term summation oracle below at 50-digit
 # precision: E4(i) = 1 + 240 sum sigma_3(m) exp(-2 pi m).
@@ -250,12 +258,15 @@ class TestSlash:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_composition(self, sym2_package, rng):
+        # The cocycle identity: rho(C_2 Z + D_2)^{-1} (F|g1)(g2 Z) = (F|g1 g2)(Z).
+        rep = sym2_package.rep
         for _ in range(20):
             g1 = random_symplectic(2, rng)
             g2 = random_symplectic(2, rng)
             z = random_siegel_point(2, rng, eig_low=0.2, eig_high=5.0)
-            lhs = slash(slash(sym2_package, g1), g2)(z)
-            rhs = slash(sym2_package, g1 @ g2)(z)
+            j_inv = rep_matrix(rep, np.linalg.inv(automorphy_factor(g2, z)))
+            lhs = RepVector(rep, j_inv @ slash_values(sym2_package, g1.mat, act(g2, z).batch)[0])
+            rhs = RepVector(rep, slash_values(sym2_package, (g1 @ g2).mat, z.batch)[0])
             assert norm(lhs - rhs) <= 1e-9 * (1.0 + norm(rhs))
 
     def test_e4_inversion_at_i(self, e4_package):

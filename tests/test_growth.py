@@ -284,6 +284,16 @@ class TestModerateGrowth:
         assert report.samples == 5
         assert set(report.config) == {"ratio_tol", "delta", "t_max"}
 
+    def test_default_exponent_is_the_threshold(self, e4_package):
+        # r = None means the certified threshold n lambda1 / 2.
+        w0 = basis_vector(e4_package.rep, 0)
+        config = SweepConfig(samples=20, seed=3)
+        r = e4_package.n * e4_package.lambda1 / 2.0
+        report = verify_moderate_growth(e4_package, w0, None, 1.0, config=config)
+        at_r = verify_moderate_growth(e4_package, w0, r, 1.0, config=config)
+        assert report.to_dict() == at_r.to_dict()
+        assert report.exponent_r == 2.0
+
     def test_no_elements(self, e4_package):
         # Guard: an empty element list is not a sweep.
         w0 = basis_vector(e4_package.rep, 0)
@@ -382,15 +392,10 @@ class TestSweepConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SweepConfig(samples=0)
-        with pytest.raises(ValueError):
-            SweepConfig(ratio_tol=0.0)
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("ratio_tol", 0.0),
-            ("ratio_tol", math.nan),
-            ("ratio_tol", math.inf),
             ("samples", 2.5),
             ("seed", 1.5),
             ("seed", -1),
@@ -407,7 +412,7 @@ class TestSweepConfig:
         assert (config.samples, config.seed) == (300, 2)
 
     def test_fields(self):
-        assert [f.name for f in fields(SweepConfig)] == ["samples", "seed", "ratio_tol"]
+        assert [f.name for f in fields(SweepConfig)] == ["samples", "seed"]
 
     def test_accepts_degenerate_ranges(self, e4_package):
         # The sampling box is an argument of the samplers, not a config

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import nhsiegel
-from nhsiegel.errors import FormDataError, NhsiegelError
+from nhsiegel.errors import FormDataError, NhsiegelError, SingularMatrixError
 from nhsiegel.forms import tail_bound
 from nhsiegel.growth import corollary_rhs, sturm_rhs, verify_moderate_growth
 from nhsiegel.linalg import sqrt_posdef
 from nhsiegel.reps import Rep, apply, basis_vector, inner, make_rep
-from nhsiegel.symplectic import SiegelPoint
+from nhsiegel.symplectic import SiegelPoint, SymplecticMatrix, act
 
 E4_REP, OTHER_REP = make_rep(1, 0, 4), make_rep(1, 0, 6)
 MISMATCH = f"vectors from different representations: {E4_REP} vs {OTHER_REP}"
@@ -81,3 +81,14 @@ def test_form_data_error_is_an_input_error():
         "SingularMatrixError",
         "TailDivergenceError",
     }
+
+
+def test_computed_point_is_a_numerical_failure():
+    # gamma = (1 0; 10^7 1) sends i to a point with Y = 1/(10^14 + 1), under
+    # the positive-definite floor.  The library computed that point, so the
+    # failure is numerical; the same check on a given point is an input error.
+    g = SymplecticMatrix(np.array([[1.0, 0.0], [1e7, 1.0]]))
+    with pytest.raises(SingularMatrixError, match="^computed point's imaginary part is not positive"):
+        act(g, SiegelPoint.base_point(1))
+    with pytest.raises(ValueError, match=f"^{re.escape(NOT_POSDEF_Y)}$"):
+        SiegelPoint([[0.0]], [[-1.0]])

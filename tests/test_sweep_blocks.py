@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from nhsiegel import forms
+from nhsiegel import forms, symplectic
 from nhsiegel.cli import _point_header, main
 from nhsiegel.errors import ReductionBudgetError
 from nhsiegel.formio import load_form_package, save_form_package
@@ -271,10 +271,11 @@ def test_degree_one_reduction_matches_complex_scalars():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_empty_batch_reduces_without_a_step(n):
+def test_empty_batch_reduces_without_a_step(n, monkeypatch):
     empty = PointBatch(np.zeros((0, n, n)), np.zeros((0, n, n)))
     for budget in (REDUCTION_BUDGET, 0):
-        gamma, reduced = reduce_batch(empty, budget)
+        monkeypatch.setattr(symplectic, "REDUCTION_BUDGET", budget)
+        gamma, reduced = reduce_batch(empty)
         assert gamma.dtype == np.int64 and gamma.shape == (0, 2 * n, 2 * n)
         assert len(reduced) == 0 and reduced.n == n and reduced.eigvals.shape == (0, n)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gl_embedding, random_symplectic
+from nhsiegel import symplectic
 from nhsiegel.errors import ReductionBudgetError
 from nhsiegel.linalg import eigenvalues_sym, in_V_delta
 from nhsiegel.sampling import (
@@ -259,10 +260,11 @@ class TestReduce:
             d2 = float(np.prod(eigenvalues_sym(z_red2.Y)))
             assert d2 == pytest.approx(d1, rel=1e-9)
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(symplectic, "REDUCTION_BUDGET", 1)
         z = SiegelPoint(np.array([[0.3]]), np.array([[1e-2]]))
         with pytest.raises(ReductionBudgetError):
-            reduce_to_fundamental(z, budget=1)
+            reduce_to_fundamental(z)
 
     def test_unsupported_degree(self):
         z = SiegelPoint.base_point(3)
