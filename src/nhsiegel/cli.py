@@ -108,6 +108,7 @@ def _finite_or_null(value):
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
     if csv_rows is not None and args.fmt == "csv":
         buf = io.StringIO()
+        # csv writes a float cell as str(x), which is repr(x): it reads back exactly.
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
@@ -121,11 +122,10 @@ def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
 
 
 def _load_package(args) -> FormPackage:
-    if not args.form:
-        raise FormDataError("--form is required for this command")
     package = load_form_package(args.form)
-    if args.tmax is not None:
-        package = replace(package, expansion=package.expansion.with_t_max(args.tmax))
+    tmax = vars(args).get("tmax")  # only eval and check take --tmax
+    if tmax is not None:
+        package = replace(package, expansion=package.expansion.with_t_max(tmax))
     return package
 
 
@@ -149,7 +149,7 @@ def cmd_eval(args) -> int:
         + ["phi"]
     )
     rows = np.column_stack([_point_cells(points.X, points.Y), values.real, values.imag, phis])
-    _emit({"results": records}, args, _csv_rows(rows.tolist()), header)
+    _emit({"results": records}, args, rows.tolist(), header)
     return EXIT_OK
 
 
@@ -172,7 +172,7 @@ def cmd_reduce(args) -> int:
     rows = np.column_stack(
         [_point_cells(points.X, points.Y), _point_cells(reduced.X, reduced.Y), least]
     )
-    _emit({"results": records}, args, _csv_rows(rows.tolist()), header)
+    _emit({"results": records}, args, rows.tolist(), header)
     return EXIT_OK
 
 
@@ -243,13 +243,13 @@ def _emit_sweep(report: GrowthReport, args, coords, coord_header: list[str]) -> 
     rows = None
     if args.fmt == "csv":
         where, *rest = report.records
-        rows = _csv_rows(np.column_stack([coords(where), *rest]).tolist())
+        rows = np.column_stack([coords(where), *rest]).tolist()
     _emit(report.to_dict(), args, rows, coord_header + ["phi", "rhs", "ratio"])
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def cmd_sample(args) -> int:
-    package = build_sample(args.name, t_max=args.tmax)
+    package = build_sample(args.name)
     if not args.out:
         raise FormDataError("--out is required for sample")
     save_form_package(package, args.out)
@@ -268,11 +268,6 @@ def _point_cells(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([x[:, i, j], y[:, i, j]], axis=1)
 
 
-def _csv_rows(rows: list[list[float]]) -> list[list[str]]:
-    """CSV rows of floats, each cell the repr of its float."""
-    return [list(map(repr, row)) for row in rows]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhsiegel",
@@ -284,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
-        "form": dict(help="form package JSON file"),
+        "form": dict(required=True, help="form package JSON file"),
         "z": dict(action="append", help="inline point 'x11,..;y11,..'"),
         "points": dict(help="JSON points file"),
         "samples": dict(type=int, default=1000),
@@ -301,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
         "name": dict(choices=sorted(SAMPLE_BUILDERS), required=True),
     }
     # Each subcommand takes the flags it reads.
-    sweep = "form samples seed tmax out format"
+    sweep = "form samples seed out format"
     for name, func, help_, names in (
         ("eval", cmd_eval, "evaluate F(Z) and phi(Z) at points", "form z points tmax out format"),
         ("reduce", cmd_reduce, "reduce points to the fundamental domain", "z points delta tol out format"),
         ("check", cmd_check, "check the transformation law on samples", "form samples seed tmax out"),
         ("bound", cmd_bound, "sweep the growth bound", sweep + " kind constant"),
         ("moderate", cmd_moderate, "sweep the moderate-growth inequality", sweep + " r w0 constant"),
-        ("sample", cmd_sample, "write a bundled sample form file", "name tmax out"),
+        ("sample", cmd_sample, "write a bundled sample form file", "name out"),
     ):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)

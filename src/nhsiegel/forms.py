@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import FormDataError, TailDivergenceError
-from .linalg import MultiIndex, eigenvalues_sym, inv_stack, multi_index_count
+from .linalg import MultiIndex, _posdef_floor, eigenvalues_sym, inv_stack, multi_index_count
 from .reps import Rep, RepVector, highest_weight, norms, rep_matrix
 from .symplectic import (
     PointBatch,
@@ -395,7 +395,7 @@ def tail_bound(package: FormPackage, y):
     max(1, delta'^-p) times the number of multi-indices.  The resulting
     one-dimensional series is summed until it provably closes.  A point
     supplies delta' from the eigenvalues it holds; a matrix is decomposed
-    here and must be positive definite (ValueError otherwise).
+    here, and one under the positive-definite floor raises ValueError.
     """
     if isinstance(y, (SiegelPoint, PointBatch)):
         points = y.batch if isinstance(y, SiegelPoint) else y
@@ -406,10 +406,10 @@ def tail_bound(package: FormPackage, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (package.n, package.n):
         raise ValueError(f"Y of shape {y.shape} does not match form degree {package.n}")
-    delta = float(eigenvalues_sym(y)[-1])
-    if delta <= 0.0:
-        raise ValueError(f"tail estimate requires positive definite Y (min eigenvalue {delta:.3e})")
-    return _tail_series(package, delta)
+    w = eigenvalues_sym(y)
+    if w[-1] <= _posdef_floor(w):
+        raise ValueError(f"tail estimate requires positive definite Y (min eigenvalue {w[-1]:.3e})")
+    return _tail_series(package, float(w[-1]))
 
 
 def _tail_series(package: FormPackage, delta: float) -> float:

@@ -229,11 +229,12 @@ def verify_moderate_growth(
     if not w0.coords.any():
         raise ValueError("w0 must be non-zero: for w0 = 0 both sides vanish and nothing is checked")
     config = config or SweepConfig()
-    # ||w0|| as s ||w0 / s|| with s the largest |entry|, so that squaring
-    # the entries neither underflows nor overflows; for s = 1 it is exactly
-    # norm(w0).
+    # The sweep runs on the unit w0 / s, with s the largest |entry|, whose
+    # squared entries neither underflow nor overflow; its ratios are those
+    # of w0, whatever the scale of w0.  Dividing the real view by s forms
+    # no reciprocal 1 / s, which could overflow.
     s = float(np.abs(w0.coords).max())
-    w0_norm = s * norm(RepVector(w0.rep, w0.coords / s))
+    unit = RepVector(w0.rep, (w0.coords.view(float) / s).view(complex))
     factor = max(1.0, 2.0 ** (1 - lam1 / 2.0)) ** n * float(n) ** -min_r
     settings = _config_dict(config, package)
     if elements is None:
@@ -242,31 +243,39 @@ def verify_moderate_growth(
         mats = [g.mat for g in elements]
         blocks = [np.stack(mats)] if mats else []
         settings = {k: settings[k] for k in ("ratio_tol", "delta", "t_max")}
-    weights = np.conj(w0.coords) * package.rep.basis_sq_norms
+    weights = np.conj(unit.coords) * package.rep.basis_sq_norms
 
     def score(gs):
         value = np.abs(np.sum(lift(package, gs) * weights, axis=-1))
-        return gs, value, np.sum(gs * gs, axis=(1, 2)) ** r
+        with np.errstate(over="ignore"):
+            return gs, value, np.sum(gs * gs, axis=(1, 2)) ** r
 
-    return _sweep("moderate-growth", constant, factor, float(r), blocks, score, settings, w0_norm)
+    return _sweep(
+        "moderate-growth", constant, factor, float(r), blocks, score, settings, norm(unit), s
+    )
 
 
-def _sweep(kind, theorem_constant, factor, exponent_r, blocks, score, settings, scale=1.0):
+def _sweep(
+    kind, theorem_constant, factor, exponent_r, blocks, score, settings, w0_norm=1.0, scale=1.0
+):
     """The report of ``score``, which maps a block to its (where, value,
-    rhs / constant) arrays, over ``blocks``, with config dict ``settings``
-    and constant ``scale * theorem_constant * factor``; the ratio reads 0/0
-    as 0, and x/0 and a quotient that overflows as inf."""
-    constant = scale * theorem_constant * factor
+    rhs / constant) arrays, over ``blocks``, with config dict ``settings``.
+    The ratios are those of constant ``w0_norm * theorem_constant * factor``;
+    the reported constant, values and right-hand sides are ``scale`` times
+    theirs.  A ratio reads 0/0 as 0, and x/0 and a quotient that overflows
+    as inf; a right-hand side that overflows is inf."""
+    unit_constant = w0_norm * theorem_constant * factor
+    constant = scale * unit_constant
     if not (math.isfinite(constant) and constant >= 0):
         raise ValueError(f"bound constant must be finite and non-negative, got {constant}")
     parts = [score(block) for block in blocks]
     if not parts:
         raise ValueError("a sweep needs at least one sample")
     where, value, rhs = map(np.concatenate, zip(*parts))
-    rhs = constant * rhs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rhs = unit_constant * rhs
         ratio = np.where(rhs == 0.0, np.where(value == 0.0, 0.0, math.inf), value / rhs)
-    records = SampleRecords(where, value, rhs, ratio)
+        records = SampleRecords(where, scale * value, scale * rhs, ratio)
     # The first largest ratio is the witness; NaN ratios never are.
     ratio = np.where(np.isnan(ratio), 0.0, ratio)
     worst = int(np.argmax(ratio))

@@ -11,6 +11,7 @@ once, and ``--tmax`` re-truncates without validating the terms again.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,66 @@ class TestFlags:
             main([command, "--form", "f.json", "--tol", "1e-9"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--form", "f.json", "--tmax", "5"],
+            ["moderate", "--form", "f.json", "--tmax", "5"],
+            ["sample", "--name", "e4", "--tmax", "3"],
+        ],
+        ids=["bound", "moderate", "sample"],
+    )
+    def test_sweeps_and_sample_take_no_tmax(self, capsys, tmp_path, argv):
+        # Sweeps certify the truncation their form file stores.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--z", "0;1"],
+            ["check", "--samples", "5"],
+            ["bound", "--samples", "5"],
+            ["moderate", "--samples", "5"],
+        ],
+        ids=["eval", "check", "bound", "moderate"],
+    )
+    def test_form_required(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--form" in capsys.readouterr().err
+        # An empty path names no form file either.
+        assert main([*argv, "--form", ""]) == 2
+
+    def test_subnormal_w0_accepted(self, forms, capsys):
+        argv = ["moderate", "--form", str(forms["e4"]), "--samples", "20"]
+        assert main(argv + ["--w0", "1e-310"]) == 0
+        tiny = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--w0", "1"]) == 0
+        assert tiny["worst_ratio"] == json.loads(capsys.readouterr().out)["worst_ratio"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["bound", "--constant", "1e308"], ["moderate", "--r", "200"]],
+        ids=["bound-constant", "moderate-r"],
+    )
+    def test_overflowing_rhs_warns_nothing(self, forms, capsys, extra):
+        # The right-hand side overflows to inf on some samples, whose
+        # ratios read 0.
+        command, *rest = extra
+        argv = [command, "--form", str(forms["e4"]), "--samples", "20", *rest]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr() == plain
+        assert plain.err == ""
+        assert json.loads(plain.out)["violations"] == 0
 
     @pytest.mark.parametrize(
         "extra",

@@ -368,6 +368,20 @@ class TestModerateGrowth:
         for key in ("kind", "exponent_r", "samples", "violations", "worst_point", "config"):
             assert getattr(tiny, key) == getattr(unit, key)
 
+    @pytest.mark.parametrize("c", [1e-310, 1e-200, 0.5, 3.0, 1e300, 1e307, 1e308])
+    def test_ratios_do_not_depend_on_the_scale_of_w0(self, e4_package, c):
+        # The sweep runs on w0 over its largest |entry|: a w0 whose norm or
+        # products underflow or overflow gives the ratios of w0 = 1, with
+        # the constant scaled along.
+        one, scaled = (
+            verify_moderate_growth(e4_package, vector(e4_package.rep, [w]), None, 1.25)
+            for w in (1.0, c)
+        )
+        assert scaled.worst_ratio == one.worst_ratio > 0.0
+        assert scaled.violations == one.violations
+        assert scaled.constant == c * one.constant
+        np.testing.assert_array_equal(scaled.records.ratio, one.records.ratio)
+
     def test_w0_of_another_rep_rejected_before_any_draw(self, sym2_package, monkeypatch):
         # A dimension-1 w0 would broadcast against the form's 3 coordinates.
         def no_draws(*args):

@@ -7,6 +7,7 @@ a malformed form or points file, is a ValueError.
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -92,3 +93,19 @@ def test_computed_point_is_a_numerical_failure():
         act(g, SiegelPoint.base_point(1))
     with pytest.raises(ValueError, match=f"^{re.escape(NOT_POSDEF_Y)}$"):
         SiegelPoint([[0.0]], [[-1.0]])
+
+
+@pytest.mark.parametrize(
+    "name, y",
+    [("e4_package", [[1e-13]]), ("sym2_package", [[1.0, 1.0], [1.0, 1.0 + 1e-13]])],
+    ids=["e4", "sym2"],
+)
+def test_tail_bound_rejects_y_under_the_floor_at_once(request, name, y):
+    # Y is positive definite in exact arithmetic but under the package's
+    # floor, by which SiegelPoint and sqrt_posdef reject it as input; the
+    # tail series is not started, so no iteration budget is spent.
+    package = request.getfixturevalue(name)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^tail estimate requires positive definite Y \(min eigenvalue "):
+        tail_bound(package, y)
+    assert time.perf_counter() - start < 0.05
