@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -335,7 +336,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The process entry point: ``python -m nhsiegel.cli`` and ``nhsiegel``."""
+    try:
+        sys.exit(main())
+    finally:
+        # CPython's shutdown collections free the module-level cycles
+        # (numpy's above all) one object at a time: about 20 ms of a 250 ms
+        # process on a 2-core machine.  They skip the permanent generation
+        # that freeze moves every object to, and the OS reclaims the memory.
+        # The interpreter still flushes stdout and stderr, and nothing in the
+        # package needs a finalizer at exit.  In-process callers of main()
+        # never freeze.
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -7,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nhsiegel.cli import main, parse_point
+from nhsiegel.cli import entry, main, parse_point
 from nhsiegel.errors import FormDataError
 from nhsiegel.formio import load_form_package, save_form_package
 from nhsiegel.samples import build_sample
@@ -578,24 +580,97 @@ class TestConfigValidation:
             main(["eval", "--form", str(e4_file), "--format", "xml"])
 
 
-def test_console_entry_point(e4_file, tmp_path):
-    out = tmp_path / "cli.json"
+@pytest.fixture(scope="module")
+def sym2_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("forms") / "sym2.json"
+    save_form_package(build_sample("sym2"), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def deg2_points_file(tmp_path_factory):
+    """3000 degree-2 points, whose reduce report is far larger than a
+    pipe buffer (64 KiB)."""
+    rng = np.random.default_rng(29)
+    x = rng.uniform(-2.0, 2.0, (3000, 2, 2))
+    a = rng.uniform(-1.0, 1.0, (3000, 2, 2))
+    xs = (x + x.transpose(0, 2, 1)) / 2
+    ys = a @ a.transpose(0, 2, 1) + 0.05 * np.eye(2)
+    records = [{"X": u, "Y": v} for u, v in zip(xs.tolist(), ys.tolist())]
+    path = tmp_path_factory.mktemp("points") / "deg2.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    return path
+
+
+# Each case: its arguments, with {e4}, {sym2}, {points} and {out} filled in.
+CONSOLE_CASES = {
+    "bound-json-out": "bound --form {e4} --samples 200 --out {out}",
+    "corollary-csv-out": "bound --form {e4} --samples 200 --kind corollary --format csv --out {out}",
+    "reduce-large-stdout": "reduce --points {points}",
+    "check-exit-1": "check --form {sym2} --samples 100",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSOLE_CASES))
+def test_console_entry_point(case, e4_file, sym2_file, deg2_points_file, tmp_path, capsys):
+    """``python -m nhsiegel.cli``, which exits through entry() and so with a
+    frozen collector, gives the exit code, stdout, stderr and written file
+    of main() called in-process, byte for byte."""
+    def argv(out):
+        spec = CONSOLE_CASES[case].format(
+            e4=e4_file, sym2=sym2_file, points=deg2_points_file, out=out
+        )
+        return spec.split()
+
+    # Without PYTHONUNBUFFERED, stdout to a pipe is block-buffered, as for a
+    # user, so a report smaller than the buffer reaches it only by the flush
+    # at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "nhsiegel.cli",
-            "reduce",
-            "--z",
-            "0.3;0.2",
-            "--out",
-            str(out),
-        ],
+        [sys.executable, "-m", "nhsiegel.cli", *argv(tmp_path / "process.out")],
         capture_output=True,
-        text=True,
+        env=env,
     )
-    assert proc.returncode == 0
-    assert out.exists()
+    code = main(argv(tmp_path / "main.out"))
+    captured = capsys.readouterr()
+    assert proc.returncode == code
+    assert proc.stdout == captured.out.encode("utf-8")
+    assert proc.stderr == captured.err.encode("utf-8")
+    if "{out}" in CONSOLE_CASES[case]:
+        assert (tmp_path / "process.out").read_bytes() == (tmp_path / "main.out").read_bytes()
+    else:
+        # The report went to stdout: for reduce, more than a pipe buffer.
+        assert len(proc.stdout) > (1 << 16 if case.startswith("reduce") else 0)
+
+
+ENTRY_CASES = {
+    "sample": "sample --name e4 --out {out}",
+    "violation": "bound --form {e4} --samples 20 --constant 1e-6",
+    "usage": "bound --samples 20",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+def test_entry_freezes_and_exits_with_mains_code(case, e4_file, tmp_path, monkeypatch, capsys):
+    """entry() exits with main()'s code, or argparse's, after moving every
+    object to the collector's permanent generation."""
+    def argv(out):
+        return ENTRY_CASES[case].format(e4=e4_file, out=out).split()
+
+    try:
+        want = main(argv(tmp_path / "main.json"))
+    except SystemExit as exc:
+        want = exc.code
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["nhsiegel", *argv(tmp_path / "entry.json")])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == want
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert want == {"sample": 0, "violation": 1, "usage": 2}[case]
 
 
 class TestJsonInput:
