@@ -281,9 +281,13 @@ class FormPackage:
 
     def __post_init__(self):
         gammas = tuple(self.gamma_test_set)
-        for g in gammas:
+        for i, g in enumerate(gammas):
             if float(np.max(np.abs(g.mat - np.round(g.mat)))) > 1e-9:
                 raise FormDataError("gamma_test_set entries must be integral")
+            if g.n != self.expansion.n:
+                raise FormDataError(
+                    f"gamma_test_set[{i}] has degree {g.n}, the form degree {self.expansion.n}"
+                )
         object.__setattr__(self, "gamma_test_set", gammas)
         if not (self.growth_a >= 0.0 and math.isfinite(self.growth_a)):
             raise FormDataError("growth constant A must be finite and non-negative")

@@ -245,6 +245,20 @@ class TestConstructionGates:
         with pytest.raises(FormDataError, match="integral"):
             FormPackage(e4_package.expansion, (g,), growth_a=300.0, growth_kappa=3.0)
 
+    @pytest.mark.parametrize(
+        "form, gammas, message",
+        [
+            ("e4_package", (1, 2), r"gamma_test_set\[1\] has degree 2, the form degree 1"),
+            ("sym2_package", (1,), r"gamma_test_set\[0\] has degree 1, the form degree 2"),
+        ],
+        ids=["e4-with-degree-2", "sym2-with-degree-1"],
+    )
+    def test_gamma_must_have_the_form_degree(self, request, form, gammas, message):
+        # Caught at construction, not later by the transformation check.
+        pkg = request.getfixturevalue(form)
+        with pytest.raises(FormDataError, match=message):
+            FormPackage(pkg.expansion, [inversion(n) for n in gammas], pkg.growth_a, pkg.growth_kappa)
+
 
 class TestSlash:
     def test_identity_slash(self, e4_package, rng):
