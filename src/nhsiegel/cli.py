@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
+# reduce's allowance under delta_for_degree(n): the reduced Y's least eigenvalue is rounded.
+REDUCE_TOL = 1e-9
+
 
 def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The layout of a point's entries: the upper triangle, row major."""
@@ -157,7 +160,7 @@ def cmd_eval(args) -> int:
 def cmd_reduce(args) -> int:
     points = _load_points(args)
     gamma, reduced = reduce_batch(points)
-    delta = args.delta if args.delta is not None else delta_for_degree(points.n)
+    delta = delta_for_degree(points.n)
     # The rule of linalg.in_V_delta, read off the reduced batch's eigenvalues.
     least = reduced.eigvals[:, -1]
     records = [
@@ -165,7 +168,7 @@ def cmd_reduce(args) -> int:
          "in_V_delta": inside, "delta": delta}
         for g, x, y, low, inside in zip(
             gamma.tolist(), reduced.X.tolist(), reduced.Y.tolist(), least.tolist(),
-            (least >= delta - args.tol).tolist(),
+            (least >= delta - REDUCE_TOL).tolist(),
         )
     ]
     header = _point_header(points.n)
@@ -285,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         "points": dict(help="JSON points file"),
         "samples": dict(type=int, default=1000),
         "seed": dict(type=int, default=0),
-        "delta": dict(type=float, default=None),
         "tmax": dict(type=float, default=None),
-        "tol": dict(type=float, default=1e-9),
         "out": dict(default=None),
         "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
         "kind": dict(choices=("theorem", "corollary"), default="theorem"),
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = "form samples seed out format"
     for name, func, help_, names in (
         ("eval", cmd_eval, "evaluate F(Z) and phi(Z) at points", "form z points tmax out format"),
-        ("reduce", cmd_reduce, "reduce points to the fundamental domain", "z points delta tol out format"),
+        ("reduce", cmd_reduce, "reduce points to the fundamental domain", "z points out format"),
         ("check", cmd_check, "check the transformation law on samples", "form samples seed tmax out"),
         ("bound", cmd_bound, "sweep the growth bound", sweep + " kind constant"),
         ("moderate", cmd_moderate, "sweep the moderate-growth inequality", sweep + " r w0 constant"),
@@ -322,10 +323,8 @@ def main(argv=None) -> int:
         for flag, least in (("samples", 1), ("seed", 0)):
             if given.get(flag, least) < least:
                 raise FormDataError(f"--{flag} must be >= {least}")
-        for flag in ("constant", "delta", "tol"):
-            value = given.get(flag)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise FormDataError(f"--{flag} must be finite and positive, got {value}")
+        if (value := given.get("constant")) is not None and not (math.isfinite(value) and value > 0):
+            raise FormDataError(f"--constant must be finite and positive, got {value}")
         return args.func(args)
     except NhsiegelError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -46,11 +46,11 @@ from .symplectic import (
 SAFETY = 1.25
 RATIO_TOL = 1e-9
 
-# Points per block of a sweep.  A block's arrays grow with its size, so the
-# block bounds a sweep process's peak memory whatever the sample count (one
-# block of 1000 sym2 points took about 9 MB more than blocks of 256), while
-# blocks of 256 cost about as little per point as one block holding the
-# whole sweep.
+# Points per block of a sweep.  A block's temporaries grow with its size, so
+# the block bounds them whatever the sample count (one block of 1000 sym2
+# points took about 9 MB more than blocks of 256), while blocks of 256 cost
+# about as little per point as one block holding the whole sweep.  The
+# per-sample records that the report keeps still grow with the count.
 SWEEP_BLOCK = 256
 
 

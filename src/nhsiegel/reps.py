@@ -27,6 +27,11 @@ import numpy as np
 from .errors import SingularMatrixError
 from .linalg import MAX_DIM, _as_square, det_stack
 
+# The most complex weights (16 MiB) that rep_matrix's gather table may hold.
+# The table has C(n^2 + j - 1, j) rows, one per product of j entries of M,
+# each of dim^2 weights: Sym^21 of degree 2 fits, Sym^22 does not.
+_MAX_TABLE_ENTRIES = 2**20
+
 
 @dataclass(frozen=True)
 class Rep:
@@ -45,6 +50,12 @@ class Rep:
             raise ValueError(f"Sym^j det^k needs integers j, k >= 0, got j={self.j}, k={self.k}")
         for name, value in zip("njk", (n, j, k)):
             object.__setattr__(self, name, value)  # plain ints, which JSON writes
+        entries = math.comb(n * n + j - 1, j) * self.dim**2
+        if entries > _MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"Sym^{j} of degree {n} needs a rep_matrix table of {entries} entries, "
+                f"more than {_MAX_TABLE_ENTRIES}"
+            )
 
     @cached_property
     def dim(self) -> int:
@@ -53,13 +64,7 @@ class Rep:
     @cached_property
     def exponents(self) -> tuple[tuple[int, ...], ...]:
         """Monomial exponent tuples of total degree j, highest first."""
-        combos = set()
-        for bars in itertools.combinations_with_replacement(range(self.n), self.j):
-            a = [0] * self.n
-            for i in bars:
-                a[i] += 1
-            combos.add(tuple(a))
-        return tuple(sorted(combos, reverse=True))
+        return tuple(reversed(_compositions(self.j, self.n)))
 
     @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:
@@ -116,8 +121,12 @@ def _as_int(x) -> int | None:
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    return [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+    """All tuples of ``parts`` non-negative integers summing to ``total``,
+    in ascending order."""
+    return sorted(
+        tuple(bars.count(i) for i in range(parts))
+        for bars in itertools.combinations_with_replacement(range(parts), total)
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -704,6 +704,18 @@ class TestJsonInput:
         assert main(["bound", "--form", str(path), "--samples", "20"]) == 2
         assert "rep.j and rep.k" in capsys.readouterr().err
 
+    def test_form_rep_table_too_large(self, sym2_file, tmp_path, capsys):
+        # Sym^40 of degree 2 once built a 332 MB rep_matrix table on the
+        # first evaluation.
+        data = json.loads(sym2_file.read_text(encoding="utf-8"))
+        data["rep"]["j"] = 40
+        path = tmp_path / "sym40.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["eval", "--form", str(path), "--z", "0.1,0.2,0.3;1,0.2,1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: rep: Sym^40 of degree 2 needs" in captured.err
+
     @pytest.mark.parametrize("command", ["reduce", "eval"])
     @pytest.mark.parametrize(
         "records, named",

@@ -268,17 +268,17 @@ class TestFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["reduce", "--z", "0;1", "--delta", "0"],
-            ["reduce", "--z", "0;1", "--tol", "0"],
+            ["check", "--form", "f.json", "--samples", "0"],
+            ["moderate", "--form", "f.json", "--samples", "0"],
             ["bound", "--form", "f.json", "--samples", "0"],
-            ["reduce", "--z", "0;1", "--tol", "-1"],
-            ["reduce", "--z", "0;1", "--tol", "nan"],
-            ["reduce", "--z", "0;1", "--tol", "inf"],
+            ["bound", "--form", "f.json", "--seed", "-1"],
+            ["check", "--form", "f.json", "--seed", "-1"],
+            ["bound", "--form", "f.json", "--constant", "0"],
             ["bound", "--form", "f.json", "--constant", "nan"],
             ["bound", "--form", "f.json", "--constant", "inf"],
             ["moderate", "--form", "f.json", "--constant", "-1"],
-            ["reduce", "--z", "0;1", "--delta", "nan"],
-            ["reduce", "--z", "0;1", "--delta", "inf"],
+            ["moderate", "--form", "f.json", "--constant", "nan"],
+            ["moderate", "--form", "f.json", "--constant", "inf"],
         ],
     )
     def test_kept_flags_still_checked(self, capsys, argv):
@@ -390,11 +390,14 @@ class TestFlags:
         assert main(argv + ["--tmax", "20.5"]) == 0
         assert capsys.readouterr().out == kept
 
-    def test_reduce_delta_and_tol(self, capsys):
-        assert main(["reduce", "--z", "0;1", "--delta", "1.5", "--tol", "0.5"]) == 0
-        rec = json.loads(capsys.readouterr().out)["results"][0]
-        assert rec["delta"] == 1.5
-        assert rec["in_V_delta"] is True
+    @pytest.mark.parametrize("flag, value", [("--delta", "1"), ("--tol", "1e-9")], ids=["--delta", "--tol"])
+    def test_reduce_takes_no_delta_or_tol(self, capsys, flag, value):
+        # reduce tests the proved floor delta_for_degree(n), with the
+        # constant allowance cli.REDUCE_TOL.
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--z", "0;1", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_BUILDERS))
@@ -418,12 +421,38 @@ class TestDegreeOneFloor:
         assert in_V_delta(z_red.Y, delta_for_degree(1))
 
     def test_cli_corner_at_tight_tol(self, capsys):
-        assert main(["reduce", "--z", "0.5;0.8660254034957635", "--tol", "1e-12"]) == 0
+        assert main(["reduce", "--z", "0.5;0.8660254034957635"]) == 0
         assert json.loads(capsys.readouterr().out)["results"][0]["in_V_delta"] is True
 
     def test_reduced_points_clear_the_floor(self):
         _, reduced = reduce_batch(_adversarial(1, 2000, seed=5))
         assert reduced.eigvals[:, -1].min() >= delta_for_degree(1) - 1e-12
+
+
+def _ci_points(n):
+    # The seeded points files of the CI's console-script step.
+    if n == 1:
+        g = np.random.default_rng(31)
+        x = g.uniform(-3, 3, 2000)
+        y = 10.0 ** g.uniform(-4, 2, 2000)
+        return [{"X": [[a]], "Y": [[b]]} for a, b in zip(x.tolist(), y.tolist())]
+    g = np.random.default_rng(29)
+    x = g.uniform(-2, 2, (3000, 2, 2))
+    a = g.uniform(-1, 1, (3000, 2, 2))
+    return [
+        {"X": ((u + u.T) / 2).tolist(), "Y": (v @ v.T + 0.05 * np.eye(2)).tolist()}
+        for u, v in zip(x, a)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reduce_puts_every_ci_point_over_the_proved_floor(tmp_path, n):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(_ci_points(n)), encoding="utf-8")
+    results = _run_json(["reduce", "--points", str(path)], tmp_path)
+    assert len(results) == (2000 if n == 1 else 3000)
+    assert all(rec["in_V_delta"] is True for rec in results)
+    assert all(rec["delta"] == delta_for_degree(n) for rec in results)
 
 
 class TestNothingComputedTwice:

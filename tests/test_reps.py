@@ -133,13 +133,19 @@ class TestApply:
             apply(make_rep(2, 2, 1), np.eye(2), v)
 
 
+def _frozen_compositions(total, parts):
+    # The enumeration that rep_matrix's table was first built on, kept as an
+    # independent reference and to pin the table's bits.
+    return [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
 def rep_matrix_power_table(rep, stack):
     """Reference form of ``rep_matrix``: each term is the product of all n^2
     entries of M raised to the powers of a table built independently here."""
     n, dim = rep.n, rep.dim
     powers, weights = [], []
     for col, a in enumerate(rep.exponents):
-        for split in itertools.product(*(_compositions(ai, n) for ai in a)):
+        for split in itertools.product(*(_frozen_compositions(ai, n) for ai in a)):
             k = np.array(split, dtype=np.int64).T  # k[r, i]: power of M[r, i]
             row = rep.exponents.index(tuple(int(s) for s in k.sum(axis=1)))
             w = np.zeros(dim * dim, dtype=complex)
@@ -326,3 +332,75 @@ class TestOrthogonalInvariance:
         c = np.array(coords, dtype=float) / 100.0
         v = vector(rep, c[: rep.dim] + 1j * c[10 : 10 + rep.dim])
         assert abs(norm(apply(rep, q, v)) - norm(v)) <= 1e-12 * norm(v)
+
+
+def _frozen_table(n, j):
+    exponents = sorted(_frozen_compositions(j, n), reverse=True)
+    index = {a: idx for idx, a in enumerate(exponents)}
+    dim = len(exponents)
+    factors, weights = [], []
+    for col, a in enumerate(exponents):
+        for split in itertools.product(*(_frozen_compositions(ai, n) for ai in a)):
+            k = np.array(split, dtype=np.int64).T
+            row = index[tuple(int(s) for s in k.sum(axis=1))]
+            w = np.zeros(dim * dim, dtype=complex)
+            w[row * dim + col] = math.prod(math.factorial(ai) for ai in a) / math.prod(
+                math.factorial(int(x)) for x in k.flat
+            )
+            factors.append(np.repeat(np.arange(n * n), k.ravel()))
+            weights.append(w)
+    return tuple(exponents), np.array(factors, dtype=np.intp), np.array(weights)
+
+
+TABLE_REPS = sorted(
+    set(REP_PARAMS)
+    | set(itertools.product(range(1, 4), range(5), range(3)))
+    | {(4, 3, 0), (2, 20, 0)}
+)
+
+
+class TestMonomialEnumeration:
+    @pytest.mark.parametrize("parts", range(1, 6))
+    @pytest.mark.parametrize("total", range(7))
+    def test_compositions_in_ascending_order(self, total, parts):
+        assert _compositions(total, parts) == _frozen_compositions(total, parts)
+
+    @pytest.mark.parametrize("n,j,k", TABLE_REPS)
+    def test_table_keeps_its_bits(self, n, j, k):
+        rep = make_rep(n, j, k)
+        exponents, factors, weights = _frozen_table(n, j)
+        assert rep.exponents == exponents
+        got_factors, got_weights = rep._table
+        assert got_factors.dtype == factors.dtype and got_weights.dtype == weights.dtype
+        assert got_factors.shape == factors.shape and got_weights.shape == weights.shape
+        assert got_factors.tobytes() == factors.tobytes()
+        assert got_weights.tobytes() == weights.tobytes()
+
+
+class TestTableCap:
+    """A rep whose rep_matrix table would hold more than 2^20 complex
+    weights (16 MiB) is refused when it is constructed."""
+
+    @pytest.mark.parametrize("n, j", [(2, 22), (8, 3)])
+    def test_refused_before_any_allocation(self, n, j):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"Sym\\^{j} of degree {n} needs"):
+                Rep(n, j, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_largest_degree_two_rep_accepted(self):
+        rep = Rep(2, 21, 0)
+        assert rep.dim == 22
+
+    def test_table_sizes(self):
+        # The closed form of the cap against the tables it sizes.
+        for n, j in [(1, 5), (2, 4), (3, 3), (4, 3)]:
+            factors, weights = make_rep(n, j, 0)._table
+            assert weights.shape == (math.comb(n * n + j - 1, j), math.comb(n + j - 1, j) ** 2)
+        assert make_rep(4, 3, 0)._table[1].size == 326_400
