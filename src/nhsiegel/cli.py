@@ -234,7 +234,7 @@ def cmd_moderate(args) -> int:
     else:
         w0 = basis_vector(rep, 0)
     report = verify_moderate_growth(
-        package, w0, args.r, _constant(args, package), config=_sweep_config(args, seed_offset=1)
+        package, w0, _constant(args, package), config=_sweep_config(args, seed_offset=1)
     )
     m = 2 * package.n
     header = [f"g_{i+1}{j+1}" for i in range(m) for j in range(m)]
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
         "kind": dict(choices=("theorem", "corollary"), default="theorem"),
         "constant": dict(type=float, default=None, help="force the constant instead of estimating it"),
-        "r": dict(type=float, default=None),
         "w0": dict(default=None, help="comma-separated real coordinates"),
         "name": dict(choices=sorted(SAMPLE_BUILDERS), required=True),
     }
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("reduce", cmd_reduce, "reduce points to the fundamental domain", "z points out format"),
         ("check", cmd_check, "check the transformation law on samples", "form samples seed tmax out"),
         ("bound", cmd_bound, "sweep the growth bound", sweep + " kind constant"),
-        ("moderate", cmd_moderate, "sweep the moderate-growth inequality", sweep + " r w0 constant"),
+        ("moderate", cmd_moderate, "sweep the moderate-growth inequality", sweep + " w0 constant"),
         ("sample", cmd_sample, "write a bundled sample form file", "name out"),
     ):
         p = sub.add_parser(name, help=help_)

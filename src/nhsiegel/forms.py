@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormDataError, TailDivergenceError
+from .errors import EigenIterationError, FormDataError, TailDivergenceError
 from .linalg import MultiIndex, _posdef_floor, eigenvalues_sym, inv_stack, multi_index_count
 from .reps import Rep, RepVector, highest_weight, norms, rep_matrix
 from .symplectic import (
@@ -399,7 +399,7 @@ def tail_bound(package: FormPackage, y):
     max(1, delta'^-p) times the number of multi-indices.  The resulting
     one-dimensional series is summed until it provably closes.  A point
     supplies delta' from the eigenvalues it holds; a matrix is decomposed
-    here, and one under the positive-definite floor raises ValueError.
+    here, and a non-finite one or one under the floor raises ValueError.
     """
     if isinstance(y, (SiegelPoint, PointBatch)):
         points = y.batch if isinstance(y, SiegelPoint) else y
@@ -410,7 +410,12 @@ def tail_bound(package: FormPackage, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (package.n, package.n):
         raise ValueError(f"Y of shape {y.shape} does not match form degree {package.n}")
-    w = eigenvalues_sym(y)
+    try:
+        w = eigenvalues_sym(y)
+    except EigenIterationError:
+        if not np.isfinite(y).all():  # checked here only: a finite Y costs nothing
+            raise ValueError("Y has non-finite entries") from None
+        raise
     if w[-1] <= _posdef_floor(w):
         raise ValueError(f"tail estimate requires positive definite Y (min eigenvalue {w[-1]:.3e})")
     return _tail_series(package, float(w[-1]))

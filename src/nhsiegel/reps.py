@@ -96,20 +96,22 @@ class Rep:
         holds the j flat indices r * n + i of those entries, an int (T, j)
         array (shape (T, 0) for j = 0, whose products are all 1), and
         ``weights[t]`` the term's multinomial coefficient at the flattened
-        (row, column) entry of rho(M) it adds to."""
+        (row, column) entry of rho(M) it adds to.  Both are filled in place."""
         n, dim = self.n, self.dim
-        factors, weights = [], []
+        terms = math.comb(n * n + self.j - 1, self.j)  # T, as the cap counts them
+        factors = np.empty((terms, self.j), dtype=np.intp)
+        weights = np.zeros((terms, dim * dim), dtype=complex)
+        t = 0
         for col, a in enumerate(self.exponents):
             for split in itertools.product(*(_compositions(ai, n) for ai in a)):
                 k = np.array(split, dtype=np.int64).T  # k[r, i]: power of M[r, i]
                 row = self._index[tuple(int(s) for s in k.sum(axis=1))]
-                w = np.zeros(dim * dim, dtype=complex)
-                w[row * dim + col] = math.prod(math.factorial(ai) for ai in a) / math.prod(
-                    math.factorial(int(x)) for x in k.flat
-                )
-                factors.append(np.repeat(np.arange(n * n), k.ravel()))
-                weights.append(w)
-        return np.array(factors, dtype=np.intp), np.array(weights)
+                weights[t, row * dim + col] = math.prod(
+                    math.factorial(ai) for ai in a
+                ) / math.prod(math.factorial(int(x)) for x in k.flat)
+                factors[t] = np.repeat(np.arange(n * n), k.ravel())
+                t += 1
+        return factors, weights
 
 
 def _as_int(x) -> int | None:

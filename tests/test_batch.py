@@ -123,7 +123,7 @@ def test_sweeps_across_a_block_boundary(form, kind, request):
 def test_moderate_sweep_across_a_block_boundary(e4_package):
     config = SweepConfig(samples=SWEEP_BLOCK + 1, seed=9)
     w0 = basis_vector(e4_package.rep, 0)
-    report = verify_moderate_growth(e4_package, w0, 2.0, 1.0, config=config)
+    report = verify_moderate_growth(e4_package, w0, 1.0, config=config)
     gs = [SymplecticMatrix(g) for block in group_blocks(1, config) for g in block]
     ratios = [
         # e4 has n = 1 and lambda1 = 4, so the moderate factor is 1.

@@ -346,10 +346,7 @@ class TestStrictJson:
 
 class TestModerate:
     def test_e4_passes(self, e4_file):
-        rc = main(
-            ["moderate", "--form", str(e4_file), "--samples", "100", "--r", "2.0"]
-        )
-        assert rc == 0
+        assert main(["moderate", "--form", str(e4_file), "--samples", "100"]) == 0
 
     def test_constant_form_passes(self, constant_file, capsys):
         # lambda1 = 0 at n = 1: the proved factor is 2, not safety.
@@ -413,11 +410,13 @@ class TestModerate:
         assert out == "" and err == "input error: --w0 must be comma-separated reals\n"
 
     def test_exponent_too_small(self, e4_file, capsys):
-        rc = main(
-            ["moderate", "--form", str(e4_file), "--samples", "10", "--r", "0.5"]
-        )
-        assert rc == 2
-        assert "input error" in capsys.readouterr().err
+        # moderate certifies at the exponent n lambda1 / 2 and takes no
+        # other: --r is malformed input, whatever its value.
+        for r in ("0.5", "2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["moderate", "--form", str(e4_file), "--samples", "10", "--r", r])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --r" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,8 @@ twice: ``eval`` sums the series once, ``reduce`` forms each reduced point
 once, and ``--tmax`` re-truncates without validating the terms again.
 """
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -51,6 +53,12 @@ def forms(tmp_path_factory):
     for name in ("e4", "e2star", "sym2"):
         paths[name] = root / f"{name}.json"
         save_form_package(build_sample(name), paths[name])
+    # The constant form at weight 300, whose moderate exponent is 150.
+    path = paths["constant_k300"] = root / "constant_k300.json"
+    save_form_package(build_sample("constant"), path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["rep"]["k"] = 300
+    path.write_text(json.dumps(data), encoding="utf-8")
     return paths
 
 
@@ -335,30 +343,39 @@ class TestFlags:
         assert tiny["worst_ratio"] == json.loads(capsys.readouterr().out)["worst_ratio"]
 
     @pytest.mark.parametrize(
-        "extra",
-        [["bound", "--constant", "1e308"], ["moderate", "--r", "200"]],
-        ids=["bound-constant", "moderate-r"],
+        "form, extra",
+        [
+            ("e4", ["bound", "--samples", "20", "--constant", "1e308"]),
+            ("constant_k300", ["moderate", "--samples", "200", "--constant", "1"]),
+        ],
+        ids=["bound-constant", "moderate-weight-300"],
     )
-    def test_overflowing_rhs_warns_nothing(self, forms, capsys, extra):
+    def test_overflowing_rhs_warns_nothing(self, forms, capsys, form, extra):
         # The right-hand side overflows to inf on some samples, whose
-        # ratios read 0.
+        # ratios read 0.  Weight 300 puts the moderate exponent at 150, and
+        # Tr(g^T g)^150 overflows once the trace passes about 113.
         command, *rest = extra
-        argv = [command, "--form", str(forms["e4"]), "--samples", "20", *rest]
+        argv = [command, "--form", str(forms[form]), *rest]
         assert main(argv) == 0
         plain = capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 0
-        assert capsys.readouterr() == plain
+            assert capsys.readouterr() == plain
+            assert main(argv + ["--format", "csv"]) == 0
         assert plain.err == ""
         assert json.loads(plain.out)["violations"] == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0][-2] == "rhs" and "inf" in [row[-2] for row in rows[1:]]
 
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--r", "nan"],
-            ["--r", "inf"],
-            ["--constant", "1e-6", "--r", "nan"],
+            ["--w0=-inf"],
+            # A decimal past the float range reads as inf.
+            ["--w0", "1e400"],
+            # Checked also where no constant is estimated.
+            ["--constant", "1e-6", "--w0", "nan"],
             ["--w0", "nan"],
             ["--w0", "inf"],
         ],
@@ -398,6 +415,18 @@ class TestFlags:
             main(["reduce", "--z", "0;1", flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_BUILDERS))
+def test_moderate_reports_the_certified_exponent(tmp_path, capsys, name):
+    # moderate sweeps at r = n lambda1 / 2, the exponent its constant is
+    # proved for.
+    package = build_sample(name)
+    path = tmp_path / f"{name}.json"
+    save_form_package(package, path)
+    main(["moderate", "--form", str(path), "--samples", "20", "--constant", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["exponent_r"] == package.n * package.lambda1 / 2.0
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_BUILDERS))

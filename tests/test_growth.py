@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import fields
 
@@ -18,7 +19,14 @@ from nhsiegel.growth import (
 )
 from nhsiegel.linalg import inverse
 from nhsiegel.reps import basis_vector, inner, make_rep, norm, vector
-from nhsiegel.sampling import random_compact, random_siegel_point, random_siegel_points, random_unitary
+from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
+from nhsiegel.sampling import (
+    random_compact,
+    random_group_samples,
+    random_siegel_point,
+    random_siegel_points,
+    random_unitary,
+)
 from nhsiegel.symplectic import (
     SiegelPoint,
     SymplecticMatrix,
@@ -251,7 +259,7 @@ class TestModerateGrowth:
     def test_zero_form(self, zero_package):
         w0 = basis_vector(zero_package.rep, 0)
         report = verify_moderate_growth(
-            zero_package, w0, 0.0, 1.0, config=SweepConfig(samples=50, seed=41)
+            zero_package, w0, 1.0, config=SweepConfig(samples=50, seed=41)
         )
         assert report.violations == 0
 
@@ -259,7 +267,7 @@ class TestModerateGrowth:
         c = estimate_constant(e4_package, SweepConfig(samples=500, seed=42))
         w0 = basis_vector(e4_package.rep, 0)
         report = verify_moderate_growth(
-            e4_package, w0, 2.0, c, config=SweepConfig(samples=500, seed=43)
+            e4_package, w0, c, config=SweepConfig(samples=500, seed=43)
         )
         assert report.passed
         assert report.kind == "moderate-growth"
@@ -271,7 +279,7 @@ class TestModerateGrowth:
         rays = [
             SymplecticMatrix(np.diag([float(t), 1.0 / t])) for t in (2, 4, 8, 16, 32, 64)
         ]
-        report = verify_moderate_growth(e4_package, w0, 2.0, c, elements=rays)
+        report = verify_moderate_growth(e4_package, w0, c, elements=rays)
         assert report.violations == 0
         assert report.samples == 6
 
@@ -280,25 +288,15 @@ class TestModerateGrowth:
         # config keeps only the fields that applied.
         w0 = basis_vector(e4_package.rep, 0)
         rays = [SymplecticMatrix(np.diag([float(t), 1.0 / t])) for t in (2, 4, 8, 16, 32)]
-        report = verify_moderate_growth(e4_package, w0, 2.0, 1.0, elements=rays)
+        report = verify_moderate_growth(e4_package, w0, 1.0, elements=rays)
         assert report.samples == 5
         assert set(report.config) == {"ratio_tol", "delta", "t_max"}
-
-    def test_default_exponent_is_the_threshold(self, e4_package):
-        # r = None means the certified threshold n lambda1 / 2.
-        w0 = basis_vector(e4_package.rep, 0)
-        config = SweepConfig(samples=20, seed=3)
-        r = e4_package.n * e4_package.lambda1 / 2.0
-        report = verify_moderate_growth(e4_package, w0, None, 1.0, config=config)
-        at_r = verify_moderate_growth(e4_package, w0, r, 1.0, config=config)
-        assert report.to_dict() == at_r.to_dict()
-        assert report.exponent_r == 2.0
 
     def test_no_elements(self, e4_package):
         # Guard: an empty element list is not a sweep.
         w0 = basis_vector(e4_package.rep, 0)
         with pytest.raises(ValueError, match="a sweep needs at least one sample"):
-            verify_moderate_growth(e4_package, w0, 2.0, 1.0, elements=[])
+            verify_moderate_growth(e4_package, w0, 1.0, elements=[])
 
     @pytest.mark.parametrize(
         "name, factor",
@@ -311,16 +309,35 @@ class TestModerateGrowth:
         package = request.getfixturevalue(name)
         c = estimate_constant(package, SweepConfig(samples=300, seed=46))
         w0 = basis_vector(package.rep, 0)
-        r = package.n * package.lambda1 / 2.0
-        report = verify_moderate_growth(package, w0, r, c, config=SweepConfig(samples=300, seed=47))
+        report = verify_moderate_growth(package, w0, c, config=SweepConfig(samples=300, seed=47))
         assert (report.theorem_constant, report.factor) == (c, factor)
         assert report.constant == pytest.approx(norm(w0) * c * factor, rel=1e-15)
         assert report.passed
 
-    def test_exponent_floor(self, e4_package):
-        w0 = basis_vector(e4_package.rep, 0)
-        with pytest.raises(ValueError):
-            verify_moderate_growth(e4_package, w0, 1.5, 1.0)
+    def test_exponent_floor(self):
+        # Every bundled form is swept at the certified exponent
+        # r = n lambda1 / 2, which cannot be set: each right-hand side is
+        # the constant times Tr(g^T g)^r at that r.
+        assert "r" not in inspect.signature(verify_moderate_growth).parameters
+        for name in SAMPLE_BUILDERS:
+            package = build_sample(name)
+            w0 = basis_vector(package.rep, 0)
+            r = package.n * package.lambda1 / 2.0
+            config = SweepConfig(samples=20, seed=3)
+            report = verify_moderate_growth(package, w0, 1.0, config=config)
+            assert report.exponent_r == r
+            traces = np.sum(report.records.where**2, axis=(1, 2))
+            np.testing.assert_allclose(report.records.rhs, report.constant * traces**r, rtol=1e-14)
+            with pytest.raises(TypeError):
+                verify_moderate_growth(package, w0, 1.0, r=r)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_trace_is_at_least_2n(self, n):
+        # The eigenvalues of g^T g come in pairs t, 1/t, so Tr(g^T g) >= 2n
+        # > 1 on Sp(2n, R): at a given constant, a ratio at any r above
+        # n lambda1 / 2 is at most the ratio there.
+        gs = random_group_samples(n, np.random.default_rng(50 + n), 2000)
+        assert np.sum(gs * gs, axis=(1, 2)).min() >= 2 * n * (1.0 - 1e-12)
 
     def test_cauchy_schwarz_step(self, sym2_package, rng):
         for _ in range(50):
@@ -353,11 +370,10 @@ class TestModerateGrowth:
         # squared norm underflows still gives the report of the unscaled w0,
         # with the constant scaled along.
         package = request.getfixturevalue(name)
-        r = package.n * package.lambda1 / 2.0
         c = estimate_constant(package, SweepConfig(samples=200, seed=47))
         config = SweepConfig(samples=100, seed=48)
         unit, tiny = (
-            verify_moderate_growth(package, vector(package.rep, w0), r, c, config=config)
+            verify_moderate_growth(package, vector(package.rep, w0), c, config=config)
             for w0 in (coords, np.multiply(1e-200, coords))
         )
         assert unit.passed
@@ -374,7 +390,7 @@ class TestModerateGrowth:
         # products underflow or overflow gives the ratios of w0 = 1, with
         # the constant scaled along.
         one, scaled = (
-            verify_moderate_growth(e4_package, vector(e4_package.rep, [w]), None, 1.25)
+            verify_moderate_growth(e4_package, vector(e4_package.rep, [w]), 1.25)
             for w in (1.0, c)
         )
         assert scaled.worst_ratio == one.worst_ratio > 0.0
@@ -390,16 +406,15 @@ class TestModerateGrowth:
         monkeypatch.setattr(growth, "group_blocks", no_draws)
         w0 = basis_vector(make_rep(2, 0, 2), 0)
         with pytest.raises(ValueError, match="w0 is in"):
-            verify_moderate_growth(sym2_package, w0, 4.0, 1.0, config=SweepConfig(samples=20))
+            verify_moderate_growth(sym2_package, w0, 1.0, config=SweepConfig(samples=20))
 
     @pytest.mark.parametrize("name", ["e4_package", "sym2_package"])
     def test_zero_w0_rejected(self, request, name):
         # For w0 = 0 both sides of the inequality vanish: nothing is checked.
         package = request.getfixturevalue(name)
         w0 = vector(package.rep, [0.0] * package.rep.dim)
-        r = package.n * package.lambda1 / 2.0
         with pytest.raises(ValueError, match="w0 must be non-zero"):
-            verify_moderate_growth(package, w0, r, 1.0, config=SweepConfig(samples=5))
+            verify_moderate_growth(package, w0, 1.0, config=SweepConfig(samples=5))
 
 
 class TestSweepConfig:
@@ -449,22 +464,16 @@ class TestNonFiniteArguments:
     def test_moderate_constant(self, e4_package, constant):
         w0 = basis_vector(e4_package.rep, 0)
         with pytest.raises(ValueError, match="constant must be finite"):
-            verify_moderate_growth(e4_package, w0, 2.0, constant, config=SweepConfig(samples=5))
+            verify_moderate_growth(e4_package, w0, constant, config=SweepConfig(samples=5))
 
     def test_moderate_constant_that_overflows(self, e4_package):
         # The check reads the constant the sweep uses, ||w0|| C = inf here.
         w0 = vector(e4_package.rep, [1e300])
         with pytest.raises(ValueError, match="constant must be finite"):
-            verify_moderate_growth(e4_package, w0, 2.0, 1e300, config=SweepConfig(samples=5))
-
-    @pytest.mark.parametrize("r", [math.nan, math.inf])
-    def test_moderate_exponent(self, e4_package, r):
-        w0 = basis_vector(e4_package.rep, 0)
-        with pytest.raises(ValueError, match="exponent r must be finite"):
-            verify_moderate_growth(e4_package, w0, r, 1.0, config=SweepConfig(samples=5))
+            verify_moderate_growth(e4_package, w0, 1e300, config=SweepConfig(samples=5))
 
     @pytest.mark.parametrize("coord", [math.nan, math.inf])
     def test_moderate_w0(self, e4_package, coord):
         w0 = vector(e4_package.rep, [coord])
         with pytest.raises(ValueError, match="w0 coordinates must be finite"):
-            verify_moderate_growth(e4_package, w0, 2.0, 1.0, config=SweepConfig(samples=5))
+            verify_moderate_growth(e4_package, w0, 1.0, config=SweepConfig(samples=5))

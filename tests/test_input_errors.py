@@ -38,12 +38,8 @@ NOT_POSDEF_Y = "imaginary part is not positive definite (min eigenvalue -1.000e+
         (lambda pkg: basis_vector(E4_REP, 0) + basis_vector(OTHER_REP, 0), MISMATCH),
         (lambda pkg: basis_vector(E4_REP, 0) - basis_vector(OTHER_REP, 0), MISMATCH),
         (
-            lambda pkg: verify_moderate_growth(pkg, basis_vector(OTHER_REP, 0), 2.0, 1.0),
+            lambda pkg: verify_moderate_growth(pkg, basis_vector(OTHER_REP, 0), 1.0),
             f"w0 is in {OTHER_REP}, the form in {E4_REP}",
-        ),
-        (
-            lambda pkg: verify_moderate_growth(pkg, basis_vector(E4_REP, 0), 0.5, 1.0),
-            "exponent 0.5 below the certified threshold 2.0",
         ),
         (lambda pkg: SiegelPoint(np.zeros((2, 2)), INDEFINITE), NOT_POSDEF_Y),
         (lambda pkg: SiegelPoint(np.zeros((1, 1)), np.array([[math.nan]])), "Y has non-finite entries"),
@@ -57,11 +53,12 @@ NOT_POSDEF_Y = "imaginary part is not positive definite (min eigenvalue -1.000e+
             lambda pkg: tail_bound(pkg, [[-1.0]]),
             "tail estimate requires positive definite Y (min eigenvalue -1.000e+00)",
         ),
+        (lambda pkg: tail_bound(pkg, [[math.nan]]), "Y has non-finite entries"),
     ],
     ids=[
-        "rep-weight", "apply", "inner", "add", "sub", "moderate-w0", "moderate-r",
+        "rep-weight", "apply", "inner", "add", "sub", "moderate-w0",
         "point-indefinite-Y", "point-nan-Y", "sqrt-posdef", "sturm-rhs", "corollary-rhs",
-        "tail-bound",
+        "tail-bound", "tail-bound-nan-Y",
     ],
 )
 def test_input_check_raises_value_error(e4_package, call, message):

@@ -394,6 +394,20 @@ class TestTableCap:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_table_build_peaks_at_the_table(self):
+        # The table is filled in place, so building the largest degree-2
+        # table (about 16 MB) allocates little beyond the table itself.
+        import tracemalloc
+
+        rep = Rep(2, 21, 0)
+        tracemalloc.start()
+        try:
+            factors, weights = rep._table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (factors.nbytes + weights.nbytes)
+
     def test_largest_degree_two_rep_accepted(self):
         rep = Rep(2, 21, 0)
         assert rep.dim == 22

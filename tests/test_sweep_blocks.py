@@ -358,7 +358,7 @@ def test_moderate_csv_cells_are_reprs_of_the_records(e4_package, tmp_path):
     package = load_form_package(form)
     constant = estimate_constant(package, SweepConfig(samples=300, seed=6))
     report = verify_moderate_growth(
-        package, basis_vector(package.rep, 0), package.lambda1 / 2.0, constant,
+        package, basis_vector(package.rep, 0), constant,
         config=SweepConfig(samples=300, seed=7),
     )
     header, rows = _csv(out)

@@ -58,7 +58,7 @@ def test_sweeps_and_check_run_the_traced_kernels(form, request):
         for kind in ("theorem", "corollary"):
             verify_growth_bound(package, 1.0, kind, config)
         w0 = basis_vector(package.rep, 0)
-        verify_moderate_growth(package, w0, package.n * package.lambda1 / 2.0, 1.0, config=config)
+        verify_moderate_growth(package, w0, 1.0, config=config)
         check_invariance(package, samples)
     finally:
         uninstall()
