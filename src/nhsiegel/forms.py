@@ -319,6 +319,14 @@ class FormPackage:
     def lambda1(self) -> int:
         return highest_weight(self.rep)[0]
 
+    @cached_property
+    def _tail_counts(self) -> tuple[int, int, int]:
+        """What ``tail_bound`` reads of the expansion at every Y: the first
+        level it omits, the n(n+1)/2 entries of a symmetric matrix, and the
+        number of Y^{-1} monomials of degree <= p."""
+        f = self.expansion
+        return last_level(f.level, f.t_max) + 1, f.n * (f.n + 1) // 2, multi_index_count(f.n, f.p)
+
 
 @dataclass(frozen=True)
 class PointEvaluator:
@@ -411,14 +419,14 @@ def tail_bound(package: FormPackage, y):
     if y.shape != (package.n, package.n):
         raise ValueError(f"Y of shape {y.shape} does not match form degree {package.n}")
     try:
-        w = eigenvalues_sym(y)
+        w = eigenvalues_sym(y).tolist()  # Python floats compare faster than numpy scalars
     except EigenIterationError:
         if not np.isfinite(y).all():  # checked here only: a finite Y costs nothing
             raise ValueError("Y has non-finite entries") from None
         raise
-    if w[-1] <= _posdef_floor(w):
+    if w[-1] <= _posdef_floor(w[0]):
         raise ValueError(f"tail estimate requires positive definite Y (min eigenvalue {w[-1]:.3e})")
-    return _tail_series(package, float(w[-1]))
+    return _tail_series(package, w[-1])
 
 
 def _tail_series(package: FormPackage, delta: float) -> float:
@@ -431,13 +439,10 @@ def _tail_series(package: FormPackage, delta: float) -> float:
     a_const = package.growth_a
     if a_const == 0.0:
         return 0.0
-    exp_ = package.expansion
-    n, p, level = exp_.n, exp_.p, exp_.level
-    kappa = package.growth_kappa
-    r_slots = n * (n + 1) // 2
+    p, level, kappa = package.expansion.p, package.expansion.level, package.growth_kappa
+    first, r_slots, monomials = package._tail_counts
     c = _TWO_PI * delta / level
     e_c = math.exp(-c)
-    first = last_level(level, exp_.t_max) + 1
     total = 0.0
     try:
         for m in range(first, first + 200000):
@@ -454,7 +459,7 @@ def _tail_series(package: FormPackage, delta: float) -> float:
             if r_hat < 1.0:
                 rest = t * r_hat / (1.0 - r_hat)
                 if not rest > 1e-16 * total:  # also true once a term is inf * 0 = NaN
-                    bound = multi_index_count(n, p) * max(1.0, delta ** (-p)) * (total + rest)
+                    bound = monomials * max(1.0, delta ** (-p)) * (total + rest)
                     if bound < math.inf:  # else a product overflowed to inf or NaN
                         return bound
                     raise OverflowError

@@ -91,9 +91,10 @@ def eigenvalues_sym(y) -> np.ndarray:
     return eigh_sym(y)[0]
 
 
-def _posdef_floor(w: np.ndarray) -> np.ndarray:
-    # Relative rule: positive definite means min eig > 1e-12 * (1 + max eig).
-    return 1e-12 * (1.0 + w[..., 0])
+def _posdef_floor(top):
+    # Relative rule: positive definite means min eig > 1e-12 * (1 + max eig),
+    # for the largest eigenvalue top: a float or an array of them.
+    return 1e-12 * (1.0 + top)
 
 
 def spectral(w: np.ndarray, q: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -105,7 +106,7 @@ def spectral(w: np.ndarray, q: np.ndarray, values: np.ndarray) -> np.ndarray:
 def sqrt_posdef(y) -> np.ndarray:
     """Unique symmetric positive-definite square root of an SPD matrix."""
     w, q = eigh_sym(y)
-    if w[-1] <= _posdef_floor(w):
+    if w[-1] <= _posdef_floor(w[0]):
         raise ValueError(f"matrix is not positive definite (min eigenvalue {w[-1]:.3e})")
     return spectral(w, q, np.sqrt(w))
 
@@ -172,7 +173,7 @@ def inverse(a) -> np.ndarray:
         af = np.asarray(a, dtype=float)
         if np.array_equal(af, af.T):
             w, q = eigh_sym(af)
-            if w[-1] > _posdef_floor(w):
+            if w[-1] > _posdef_floor(w[0]):
                 return spectral(w, q, 1.0 / w)
     return solve_gauss(a, np.eye(a.shape[0]))
 

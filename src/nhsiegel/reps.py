@@ -221,9 +221,25 @@ def inner(v: RepVector, w: RepVector) -> complex:
 
 
 def norms(rep: Rep, coords: np.ndarray) -> np.ndarray:
-    """Invariant norms of a stack of coordinate vectors (..., dim)."""
-    sq = (coords * np.conj(coords) * rep.basis_sq_norms).sum(axis=-1).real
-    return np.sqrt(np.maximum(0.0, sq))
+    """Invariant norms of a stack of coordinate vectors (..., dim).  A vector
+    of finite coordinates whose sum of squares overflows is divided by its
+    largest |coordinate| first, so its norm is inf only if it exceeds the
+    float range."""
+    w = rep.basis_sq_norms
+    # Below 2^500 no square overflows: dim <= 1024 and w <= 1 keep the sum
+    # below 2^1011.  Where none is above, this is the only test added.
+    if not np.count_nonzero(np.abs(coords) > 2.0**500):
+        return np.sqrt(np.maximum(0.0, (coords * np.conj(coords) * w).sum(axis=-1).real))
+    c = coords.reshape(-1, coords.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (c * np.conj(c) * w).sum(axis=-1).real
+        s = np.abs(c).max(axis=-1)
+        redo = ~(sq < np.inf) & (s < np.inf)  # overflowed (inf or NaN), c finite
+        unit = c[redo] / s[redo, None]
+        sq[redo] = (unit * np.conj(unit) * w).sum(axis=-1).real
+        out = np.sqrt(np.maximum(0.0, sq))
+        out[redo] *= s[redo]
+    return out.reshape(coords.shape[:-1])
 
 
 def norm(v: RepVector) -> float:

@@ -13,13 +13,12 @@ elements round-trip exactly through the reduction bookkeeping.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ReductionBudgetError, SingularMatrixError
+from .errors import EigenIterationError, ReductionBudgetError, SingularMatrixError
 from .linalg import _eigh, _posdef_floor, _require_symmetric, _t, spectral
 
 SYMPLECTIC_TOL = 1e-10
@@ -97,8 +96,6 @@ class PointBatch:
         if np.count_nonzero(np.isfinite(x)) < x.size:
             raise ValueError("X has non-finite entries")
         y = _require_symmetric(self.Y, "Y", stacked=True)
-        if np.count_nonzero(np.isfinite(y)) < y.size:
-            raise ValueError("Y has non-finite entries")
         if x.shape != y.shape:
             raise ValueError("X and Y must have the same shape")
         self._fill(x, y)
@@ -114,9 +111,17 @@ class PointBatch:
         return batch
 
     def _fill(self, x, y, eig=None, computed=False) -> None:
-        w, q = eig or _eigh(y)
-        if eig is None:
-            low = w[:, -1] <= _posdef_floor(w)
+        if eig is not None:
+            w, q = eig
+        else:
+            # Y's finiteness is tested once, by the eigensolve.
+            try:
+                w, q = _eigh(y)
+            except EigenIterationError:
+                if computed or np.count_nonzero(np.isfinite(y)) == y.size:
+                    raise
+                raise ValueError("Y has non-finite entries") from None
+            low = w[:, -1] <= _posdef_floor(w[:, 0])
             if np.count_nonzero(low):
                 message = f"imaginary part is not positive definite (min eigenvalue {w[low, -1][0]:.3e})"
                 if computed:
@@ -393,56 +398,27 @@ def _lagrange_2x2(y: np.ndarray) -> np.ndarray:
     raise ReductionBudgetError("Lagrange reduction of Im(Z) did not converge within 64 rounds")
 
 
-def _build_candidates():
-    # The full inversion and the embedded degree-1 inversions (the primary
-    # candidates), then the inversion composed with unit translations,
-    # Z -> -(Z + T)^{-1}.  The latter are consulted only when no primary
-    # candidate improves; they sharpen the degree-2 domain.
-    j = inversion(2).mat
-    primary = [j] + [embedded_inversion(2, i).mat for i in (1, 2)]
-    units = itertools.product((-1, 0, 1), repeat=3)
-    extended = [j @ translation([[a, b], [b, c]]).mat for a, b, c in units if a or b or c]
-    cands = np.array(primary + extended).astype(np.int64)
-    blocks = tuple(blk.astype(complex) for blk in _blocks(cands, 2))
-    return cands, len(primary), blocks, _det_form(cands)
-
-
-def _det_form(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, p0) with det(C Z + D) = _minors(Z) @ p + p0 for every (C, D) of
-    a stack of degree-2 elements and every symmetric Z."""
-    # Cauchy-Binet on [C D] [Z; I]: the 2x2 minors of [Z; I] on rows
-    # (01, 02, 03, 12, 13, 23) are (det Z, -z12, z11, -z22, z12, 1).
-    cd = np.concatenate(_blocks(cands, 2)[2:], axis=-1)
-    q = {
-        (i, j): cd[:, 0, i] * cd[:, 1, j] - cd[:, 0, j] * cd[:, 1, i]
-        for i, j in itertools.combinations(range(4), 2)
-    }
-    p = np.array([q[0, 1], q[0, 3], q[1, 3] - q[0, 2], -q[1, 2]])
-    return p.astype(complex), q[2, 3].astype(complex)
-
-
-def _minors(zc: np.ndarray) -> np.ndarray:
-    """Per point of a degree-2 stack, the minors (det Z, z11, z12, z22) of
-    [Z; I] that det(C Z + D) is linear in."""
-    m = zc.reshape(-1, 4).take([0, 0, 1, 3], axis=1)  # z11 (for det Z), z11, z12, z22
-    m[:, 0] = m[:, 1] * m[:, 3] - m[:, 2] * m[:, 2]
-    return m
-
-
-_CANDIDATES = _build_candidates()
-# Per candidate, the stacked blocks ([A; C], [B; D]) as one (K, 2, 4, 2)
+# The inversions of Siegel's reduction: the full one and those embedded at
+# slots 1 and 2, as one int64 (3, 4, 4) stack.  The floors above read only
+# slot 1's stopping rule; the other two raise det Im Z further.  Their
+# factors C Z + D are Z, (z11 z12; 0 1) and (1 0; z12 z22), of
+# determinants det Z, z11 and z22.
+_CANDIDATES = np.array(
+    [inversion(2).mat] + [embedded_inversion(2, i).mat for i in (1, 2)]
+).astype(np.int64)
+# Per candidate, the stacked blocks ([A; C], [B; D]) as one (3, 2, 4, 2)
 # array, so that one gather and one product give A Z + B over C Z + D.
 _STACKED_BLOCKS = np.stack(
-    [np.concatenate(_CANDIDATES[2][0::2], axis=1), np.concatenate(_CANDIDATES[2][1::2], axis=1)],
-    axis=1,
-)
+    [np.concatenate(_blocks(_CANDIDATES, 2)[i::2], axis=1) for i in (0, 1)], axis=1
+).astype(complex)
 
 
 def _candidate_dets(zc: np.ndarray) -> np.ndarray:
     """det(C Z + D) for every point of a complex (N, 2, 2) stack and every
-    inversion candidate, as an (N, K) array."""
-    p, p0 = _CANDIDATES[3]
-    return _minors(zc) @ p + p0
+    inversion candidate: (det Z, z11, z22) as an (N, 3) array."""
+    dets = zc.reshape(-1, 4).take([0, 0, 3], axis=1)  # z11 (for det Z), z11, z22
+    dets[:, 0] = dets[:, 1] * dets[:, 2] - zc[:, 0, 1] * zc[:, 0, 1]
+    return dets
 
 
 # A candidate moves a point when its gain 1/|det(C Z + D)|^2 exceeds
@@ -459,16 +435,15 @@ def reduce_batch(points: PointBatch) -> tuple[np.ndarray, PointBatch]:
     points stop and others move on; each degree gives it a step and a move.
     Degree 1 runs the classical loop on the complex (N, 1, 1) stack:
     translate x into [-1/2, 1/2], then invert z -> -1/z while that raises y
-    by a factor above 1 + 1e-9.  Degree 2 runs highest-point iteration:
+    by a factor above 1 + 1e-9.  Degree 2 runs Siegel's reduction:
     Lagrange-reduce Y by a unimodular congruence, translate X into
-    [-1/2, 1/2], and apply the inversion candidate raising det(Im) most by
-    such a factor (primary candidates first).  Since det Im(gamma Z) =
-    det Im Z / |det(C Z + D)|^2, the candidates are scored by det(C Z + D)
-    alone, all of them on all moving points at once; the action is formed
-    only for each moved point's winner, gamma is multiplied by
-    diag(u, u^-T) only on a step where u is not the identity everywhere and
-    is translated in place, and the extended candidates are scored only on
-    a step where some point has no primary mover.  Returns (gamma,
+    [-1/2, 1/2], and apply whichever of the full inversion and the
+    inversions embedded at slots 1 and 2 raises det(Im) most by such a
+    factor.  Since det Im(gamma Z) = det Im Z / |det(C Z + D)|^2, these
+    three are scored by det Z, z11 and z22 alone, on all moving points at
+    once; the action is formed only for each moved point's winner, and
+    gamma is multiplied by diag(u, u^-T) only on a step where u is not the
+    identity everywhere and is translated in place.  Returns (gamma,
     reduced): integral (N, 2n, 2n) gammas and the last iterates, on which
     the stopping rule held.  A last iterate is act(gamma, points) up to
     rounding errors that grow with the condition of Y and the size of X.
@@ -550,23 +525,14 @@ def _step_2(g, zc, first):
     zc += t
     dets = _candidate_dets(zc)
     det_sq = dets.real**2 + dets.imag**2  # 1 / gain
-    # The first candidate with the largest gain wins, primary ones first.
-    primary = _CANDIDATES[1]
-    head = det_sq[:, :primary]
-    best, moved = head.argmin(axis=1), head.min(axis=1) < _MOVE_BELOW
-    if np.count_nonzero(moved) == len(moved):
-        return g, zc, None, (best, dets)
-    tail = det_sq[:, primary:]
-    use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
-    if np.count_nonzero(use_tail):
-        best = np.where(use_tail, primary + tail.argmin(axis=1), best)
-        moved |= use_tail
-    return g, zc, moved, (best, dets)
+    # The first candidate with the largest gain wins.
+    best, moved = det_sq.argmin(axis=1), det_sq.min(axis=1) < _MOVE_BELOW
+    return g, zc, None if np.count_nonzero(moved) == len(moved) else moved, (best, dets)
 
 
 def _move_2(g, zc, best, dets):
     # gamma first: after the action, this product measured about 3 us slower.
-    g = _CANDIDATES[0][best] @ g
+    g = _CANDIDATES[best] @ g
     # (A Z + B)(C Z + D)^{-1} = (A Z + B) adj(C Z + D) / det(C Z + D).
     blocks = _STACKED_BLOCKS[best]
     w = blocks[:, 0] @ zc + blocks[:, 1]  # (A Z + B; C Z + D)

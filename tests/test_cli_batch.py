@@ -371,6 +371,30 @@ class TestFlags:
     @pytest.mark.parametrize(
         "extra",
         [
+            ["bound"],
+            ["moderate"],
+            ["bound", "--constant", "1"],
+        ],
+        ids=["bound", "moderate", "bound-constant"],
+    )
+    def test_weight_300_phi_stays_finite(self, forms, capsys, extra):
+        # rho(Y^{1/2}) scales the constant form by y^150, about 1e300 at
+        # y = 100: its square overflows, phi does not.
+        command, *rest = extra
+        argv = [command, "--form", str(forms["constant_k300"]), "--samples", "200", *rest]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["violations"] == 0
+        assert 0.0 < report["worst_ratio"] <= 1.0 + 1e-9
+        assert 0.0 < report["constant"] < math.inf
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
             ["--w0=-inf"],
             # A decimal past the float range reads as inf.
             ["--w0", "1e400"],

@@ -21,6 +21,7 @@ from nhsiegel.symplectic import (
     REDUCTION_BUDGET,
     PointBatch,
     _adjugate,
+    _blocks,
     _candidate_dets,
     _lagrange_2x2,
     _reduce_1,
@@ -80,7 +81,7 @@ def frozen_reduce_1(zc, budget):
 
 
 def frozen_reduce_2(zc, budget):
-    cands, primary, (a, b, c, d), _ = _CANDIDATES
+    a, b, c, d = (blk.astype(complex) for blk in _blocks(_CANDIDATES, 2))
     live, g = np.arange(len(zc)), _INT_EYE[4][None].repeat(len(zc), axis=0)
     gamma, last, steps = np.empty_like(g), np.empty_like(zc), 0
     while live.size:
@@ -98,20 +99,14 @@ def frozen_reduce_2(zc, budget):
         zc += t
         dets = _candidate_dets(zc)
         det_sq = dets.real**2 + dets.imag**2
-        head = det_sq[:, :primary]
-        best, moved = head.argmin(axis=1), head.min(axis=1) < _MOVE_BELOW
+        best, moved = det_sq.argmin(axis=1), det_sq.min(axis=1) < _MOVE_BELOW
         if np.count_nonzero(moved) < len(moved):
-            tail = det_sq[:, primary:]
-            use_tail = ~moved & (tail.min(axis=1) < _MOVE_BELOW)
-            if np.count_nonzero(use_tail):
-                best = np.where(use_tail, primary + tail.argmin(axis=1), best)
-                moved |= use_tail
             gamma[live], last[live] = g, zc
             live = live[moved]
             if not live.size:
                 break
             g, zc, best = g[moved], zc[moved], best[moved]
-        g, den = cands[best] @ g, dets[moved, best][:, None, None]
+        g, den = _CANDIDATES[best] @ g, dets[moved, best][:, None, None]
         w = (a[best] @ zc + b[best]) @ _adjugate(c[best] @ zc + d[best]) / den
         zc = (w + _t(w)) / 2.0
     return gamma, last

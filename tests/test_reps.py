@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nhsiegel.reps import (
     inner,
     make_rep,
     norm,
+    norms,
     rep_matrix,
     vector,
 )
@@ -237,6 +239,34 @@ class TestInner:
         w = random_vector(make_rep(2, 0, 10), rng)
         with pytest.raises(ValueError):
             inner(v, w)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 2.0**1000])
+    def test_norm_whose_square_overflows(self, rng, scale):
+        # The squares overflow, the norm does not: it scales with the vector.
+        rep = make_rep(2, 3, 0)
+        coords = rng.standard_normal((5, rep.dim)) + 1j * rng.standard_normal((5, rep.dim))
+        coords /= np.abs(coords).max(axis=-1, keepdims=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norms(rep, scale * coords)
+            assert norm(vector(rep, scale * coords[0])) == got[0]
+        np.testing.assert_allclose(got, scale * norms(rep, coords), rtol=1e-15)
+
+    def test_norm_keeps_its_bits_where_the_sum_is_finite(self, rng):
+        rep = make_rep(2, 3, 0)
+        coords = rng.standard_normal((50, rep.dim)) + 1j * rng.standard_normal((50, rep.dim))
+        coords *= 10.0 ** rng.uniform(-300.0, 150.0, (50, 1))
+        coords[0] = [1e300, 0.0, 0.0, 0.0]  # takes the careful path for all rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = np.sqrt((coords * np.conj(coords) * rep.basis_sq_norms).sum(axis=-1).real)
+        got = norms(rep, coords)
+        assert got[1:].tobytes() == plain[1:].tobytes()
+        assert got[0] == 1e300 and not np.isfinite(plain[0])
+        # Non-finite coordinates give what the plain sum gives.
+        bad = np.array([[np.inf, 0, 0, 0], [np.nan, 1e300, 0, 0]], dtype=complex)
+        assert np.isnan(norms(rep, bad)).all()
+        # Past the float range the norm is inf.
+        assert norms(rep, np.full(rep.dim, 1e308 + 1e308j)) == np.inf
 
 
 class TestProperties:

@@ -46,6 +46,7 @@ from nhsiegel.sampling import (
 from nhsiegel.symplectic import (
     _CANDIDATES,
     _IMPROVE_TOL,
+    _blocks,
     _candidate_dets,
     _lagrange_2x2,
     REDUCTION_BUDGET,
@@ -146,7 +147,7 @@ def test_candidate_det_gives_the_gain(n, reduced):
         points = reduce_batch(points)[1]
     dets = _candidate_dets(points.mat)
     base = np.prod(points.eigvals, axis=-1)
-    for k, cand in enumerate(_CANDIDATES[0]):
+    for k, cand in enumerate(_CANDIDATES):
         gain = np.prod(act(cand.astype(float), points).eigvals, axis=-1) / base
         np.testing.assert_allclose(1.0 / np.abs(dets[:, k]) ** 2, gain, rtol=1e-12)
 
@@ -156,10 +157,10 @@ def _reference_reduce(points):
     off det Im(gamma Z) / det Im Z; returns the gammas."""
     n = points.n
     if n == 1:  # the inversion (0 -1; 1 0) alone
-        cands, primary = np.array([[[0, -1], [1, 0]]], dtype=np.int64), 1
-        a, b, c, d = (np.full((1, 1, 1), v, dtype=complex) for v in (0, -1, 1, 0))
+        cands = np.array([[[0, -1], [1, 0]]], dtype=np.int64)
     else:
-        cands, primary, (a, b, c, d), _ = _CANDIDATES
+        cands = _CANDIDATES
+    a, b, c, d = (blk.astype(complex) for blk in _blocks(cands, n))
     gamma = np.zeros((len(points), 2 * n, 2 * n), dtype=np.int64) + np.eye(2 * n, dtype=np.int64)
     live, g, zc = np.arange(len(points)), gamma.copy(), points.mat
     while live.size:
@@ -177,14 +178,8 @@ def _reference_reduce(points):
         w = (a @ z4 + b) @ np.linalg.inv(c @ z4 + d)
         w = (w + _t(w)) / 2.0
         gain = det_stack(w.imag) / det_stack(zc.imag)[:, None]
-        head = gain[:, :primary]
-        best = head.argmax(axis=1)
-        moved = head.max(axis=1) > 1.0 + _IMPROVE_TOL
-        if len(cands) > primary:
-            tail = gain[:, primary:]
-            use_tail = ~moved & (tail.max(axis=1) > 1.0 + _IMPROVE_TOL)
-            best = np.where(use_tail, primary + tail.argmax(axis=1), best)
-            moved |= use_tail
+        best = gain.argmax(axis=1)
+        moved = gain.max(axis=1) > 1.0 + _IMPROVE_TOL
         gamma[live] = g
         best = best[moved]
         g = cands[best] @ g[moved]

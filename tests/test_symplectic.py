@@ -368,6 +368,23 @@ class TestReducedPoint:
         diff = np.abs(act(gamma, points).mat - reduced.mat).max(axis=(1, 2))
         assert np.all(diff <= 1e-12 * np.maximum(1.0, np.abs(reduced.mat).max(axis=(1, 2))))
 
+    def test_stops_where_none_of_the_three_inversions_gains(self):
+        # A point whose reduction stops where an inversion after a unit
+        # translation, Z -> -(Z + T)^{-1}, would still raise det Im(Z): the
+        # stopping rule reads the full inversion and the two embedded ones only.
+        x = [[-3.4296748689809564, -1.7177614646504904], [-1.7177614646504904, -4.968360486804282]]
+        y = [[1.0554992368439735, 0.562966705790521], [0.562966705790521, 1.1112723373632976]]
+        gamma, reduced = reduce_to_fundamental(SiegelPoint(x, y))
+        np.testing.assert_array_equal(
+            gamma.mat, [[-1, 1, -2, 3], [1, 0, 3, 1], [0, 0, 0, 1], [0, 0, 1, 1]]
+        )
+        z = reduced.mat
+        assert abs(z[0, 0] * z[1, 1] - z[0, 1] ** 2) ** 2 >= _MOVE_BELOW
+        assert min(abs(z[0, 0]) ** 2, abs(z[1, 1]) ** 2) >= _MOVE_BELOW
+        assert eigenvalues_sym(reduced.Y)[-1] >= delta_for_degree(2)
+        units = [np.array([[a, b], [b, c]]) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+        assert min(abs(np.linalg.det(z + t)) ** 2 for t in units if t.any()) < _MOVE_BELOW
+
     def test_lagrange_matches_the_product_form(self):
         rng = np.random.default_rng(50)
         count = 10000
