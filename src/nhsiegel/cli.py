@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -125,16 +125,8 @@ def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(text)
 
 
-def _load_package(args) -> FormPackage:
-    package = load_form_package(args.form)
-    tmax = vars(args).get("tmax")  # only eval and check take --tmax
-    if tmax is not None:
-        package = replace(package, expansion=package.expansion.with_t_max(tmax))
-    return package
-
-
 def cmd_eval(args) -> int:
-    package = _load_package(args)
+    package = load_form_package(args.form)
     points = _load_points(args)
     values = evaluate(package.expansion, points)
     phis = phi(package, points)
@@ -181,7 +173,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_check(args) -> int:
-    package = _load_package(args)
+    package = load_form_package(args.form)
     # The samples of one generator seeded with --seed, checked in the
     # sweeps' blocks, so memory does not grow with --samples.
     draw = lambda n, rng, size: random_siegel_points(n, rng, size, *CHECK_BOX)
@@ -209,7 +201,7 @@ def _constant(args, package: FormPackage) -> float:
 
 
 def cmd_bound(args) -> int:
-    package = _load_package(args)
+    package = load_form_package(args.form)
     report = verify_growth_bound(
         package, _constant(args, package), kind=args.kind, config=_sweep_config(args, seed_offset=1)
     )
@@ -219,7 +211,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_moderate(args) -> int:
-    package = _load_package(args)
+    package = load_form_package(args.form)
     rep = package.rep
     if args.w0 is not None:
         try:
@@ -288,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         "points": dict(help="JSON points file"),
         "samples": dict(type=int, default=1000),
         "seed": dict(type=int, default=0),
-        "tmax": dict(type=float, default=None),
         "out": dict(default=None),
         "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
         "kind": dict(choices=("theorem", "corollary"), default="theorem"),
@@ -299,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes the flags it reads.
     sweep = "form samples seed out format"
     for name, func, help_, names in (
-        ("eval", cmd_eval, "evaluate F(Z) and phi(Z) at points", "form z points tmax out format"),
+        ("eval", cmd_eval, "evaluate F(Z) and phi(Z) at points", "form z points out format"),
         ("reduce", cmd_reduce, "reduce points to the fundamental domain", "z points out format"),
-        ("check", cmd_check, "check the transformation law on samples", "form samples seed tmax out"),
+        ("check", cmd_check, "check the transformation law on samples", "form samples seed out"),
         ("bound", cmd_bound, "sweep the growth bound", sweep + " kind constant"),
         ("moderate", cmd_moderate, "sweep the moderate-growth inequality", sweep + " w0 constant"),
         ("sample", cmd_sample, "write a bundled sample form file", "name out"),

@@ -180,6 +180,8 @@ def load_points(path) -> list[SiegelPoint]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise FormDataError(f"{path}: a points file must hold a JSON list")
+    if not data:
+        raise FormDataError(f"{path}: the points file holds no points")
     points = []
     for idx, rec in enumerate(data):
         where = f"points[{idx}]"

@@ -58,7 +58,10 @@ def last_level(level: int, t_max: float) -> int:
     the series tail starts at the level after it."""
     if not (math.isfinite(t_max) and t_max >= 0):
         raise FormDataError(f"truncation bound must be finite and non-negative, got {t_max}")
-    return math.floor(level * (t_max + 1e-12))
+    last = level * (t_max + 1e-12)
+    if not math.isfinite(last):
+        raise FormDataError(f"truncation bound {t_max} overflows at level {level}")
+    return math.floor(last)
 
 
 class _CheckedTerms(dict):
@@ -179,19 +182,6 @@ class FourierExpansion:
         for (beta, skey), vec in self.coefficients.items():
             s = np.array(skey, dtype=float) / float(self.level)
             yield beta, s, vec.copy()
-
-    def with_t_max(self, t_max: float) -> "FourierExpansion":
-        """Re-truncate to a new trace bound.  The stored terms are checked
-        already, so only their levels are read again.  FormDataError if the
-        bound keeps a level above the stored ones: the tail would then skip
-        levels that were never stored."""
-        last = last_level(self.level, t_max)
-        if last > last_level(self.level, self.t_max):
-            raise FormDataError(f"truncation bound {t_max} exceeds the stored T_max {self.t_max}")
-        kept = _CheckedTerms(
-            (key, vec) for key, vec in self.coefficients.items() if trace_level(key[1]) <= last
-        )
-        return FourierExpansion(self.n, self.p, self.level, self.rep, t_max, kept)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FourierExpansion):

@@ -22,6 +22,15 @@ def e4_file(tmp_path_factory):
     return path
 
 
+def _edited(path, tmp_path, **fields):
+    """A copy of the form file at ``path`` with top-level ``fields`` replaced."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data.update(fields)
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(data), encoding="utf-8")
+    return out
+
+
 @pytest.fixture(scope="module")
 def constant_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("forms") / "constant.json"
@@ -149,11 +158,21 @@ class TestEval:
         assert lines[0].startswith("x11,y11,re_0")
         assert len(lines) == 2
 
-    def test_tmax_override(self, e4_file, capsys):
-        rc = main(["eval", "--form", str(e4_file), "--z", "0;1", "--tmax", "0"])
+    def test_tmax_override(self, e4_file, tmp_path, capsys):
+        # A file whose T_max is 0 keeps only the constant term.
+        path = _edited(e4_file, tmp_path, T_max=0)
+        rc = main(["eval", "--form", str(path), "--z", "0;1"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["value"] == [[1.0, 0.0]]
+
+    def test_overflowing_truncation_level_is_input_error(self, e4_file, tmp_path, capsys):
+        # 2 * 1e308 is inf: no last level exists below such a bound.
+        path = _edited(e4_file, tmp_path, level=2, T_max=1e308)
+        assert main(["eval", "--form", str(path), "--z", "0;1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "truncation bound 1e+308 overflows at level 2" in captured.err
 
 
 class TestReduce:
@@ -184,6 +203,15 @@ class TestReduce:
 
     def test_no_point(self):
         assert main(["reduce"]) == 2
+
+    @pytest.mark.parametrize("z", [[], ["--z", "0;1"]], ids=["alone", "with-z"])
+    def test_empty_points_file_is_named(self, tmp_path, capsys, z):
+        path = tmp_path / "empty.json"
+        path.write_text("[]", encoding="utf-8")
+        assert main(["reduce", "--points", str(path), *z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: the points file holds no points" in captured.err
 
     @pytest.mark.parametrize("z", ["1e20;1", "1e308,0,0;1,0,1"])
     def test_huge_x_is_input_error(self, capsys, z):
@@ -475,11 +503,11 @@ class TestCheck:
         assert report["violations"] == 0
         assert report["max_deviation"] <= report["threshold"]
 
-    def test_tmax_just_below_a_level(self, e4_file):
-        # The term at level 5 is dropped; the tail must count it, or the
-        # truncated E4 fails its own transformation law.
-        argv = ["check", "--form", str(e4_file), "--samples", "100", "--tmax", "4.9999999999"]
-        assert main(argv) == 0
+    def test_tmax_just_below_a_level(self, e4_file, tmp_path):
+        # The term at level 5 is dropped on load; the tail must count it, or
+        # the truncated E4 fails its own transformation law.
+        path = _edited(e4_file, tmp_path, T_max=4.9999999999)
+        assert main(["check", "--form", str(path), "--samples", "100"]) == 0
 
     def test_empty_gamma_set_is_input_error(self, e4_file, tmp_path, capsys):
         # With no gamma there is no transformation law to check, so no pass.

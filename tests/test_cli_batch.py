@@ -5,8 +5,9 @@ kernel once over it.  These tests check that the batched commands report
 what point-by-point library calls report, that each point's Y is
 decomposed once, that mixed-degree input is rejected, that each
 subcommand takes only the flags it reads, and that nothing is computed
-twice: ``eval`` sums the series once, ``reduce`` forms each reduced point
-once, and ``--tmax`` re-truncates without validating the terms again.
+twice: ``eval`` sums the series once and ``reduce`` forms each reduced
+point once.  A form's truncation is read from its file alone: no command
+takes ``--tmax``.
 """
 
 import csv
@@ -20,19 +21,17 @@ import pytest
 
 import nhsiegel.linalg
 from nhsiegel.cli import main
-from nhsiegel.errors import FormDataError
 from nhsiegel.formio import save_form_package
 from nhsiegel.forms import (
     FLOAT_FLOOR,
-    FourierExpansion,
     check_invariance,
     evaluate,
     phi,
     slash,
     tail_bound,
 )
-from nhsiegel.linalg import MultiIndex, eigenvalues_sym, in_V_delta, inv_stack
-from nhsiegel.reps import make_rep, norms, rep_matrix
+from nhsiegel.linalg import eigenvalues_sym, in_V_delta, inv_stack
+from nhsiegel.reps import norms, rep_matrix
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
 from nhsiegel.sampling import CHECK_BOX, random_siegel_points
 from nhsiegel.symplectic import (
@@ -307,11 +306,13 @@ class TestFlags:
             ["bound", "--form", "f.json", "--tmax", "5"],
             ["moderate", "--form", "f.json", "--tmax", "5"],
             ["sample", "--name", "e4", "--tmax", "3"],
+            ["eval", "--form", "f.json", "--z", "0;1", "--tmax", "3"],
+            ["check", "--form", "f.json", "--tmax", "50"],
         ],
-        ids=["bound", "moderate", "sample"],
+        ids=["bound", "moderate", "sample", "eval", "check"],
     )
     def test_sweeps_and_sample_take_no_tmax(self, capsys, tmp_path, argv):
-        # Sweeps certify the truncation their form file stores.
+        # Every command reads the truncation its form file stores.
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out.json")])
         assert exc.value.code == 2
@@ -417,18 +418,17 @@ class TestFlags:
         assert captured.out == ""
         assert "w0 must be non-zero" in captured.err
 
-    def test_tmax_above_the_stored_levels_rejected(self, forms, capsys):
-        # e4.json stores the levels up to T_max = 20: a bound of 50 would
-        # start the tail at level 51 and skip the unstored levels 21-50.
-        argv = ["check", "--form", str(forms["e4"]), "--samples", "20"]
-        assert main(argv + ["--tmax", "50"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "T_max" in captured.err
-        # A bound that keeps the same levels is accepted, with the same report.
-        assert main(argv + ["--tmax", "20"]) == 0
+    def test_t_max_keeping_the_same_levels_gives_the_same_check(self, forms, tmp_path, capsys):
+        # e4.json stores T_max = 20; a copy with T_max = 20.5 keeps the same
+        # levels, so its tail starts at the same level 21.
+        data = json.loads(forms["e4"].read_text(encoding="utf-8"))
+        assert data["T_max"] == 20
+        data["T_max"] = 20.5
+        wider = tmp_path / "e4_t20_5.json"
+        wider.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", "--form", str(forms["e4"]), "--samples", "20"]) == 0
         kept = capsys.readouterr().out
-        assert main(argv + ["--tmax", "20.5"]) == 0
+        assert main(["check", "--form", str(wider), "--samples", "20"]) == 0
         assert capsys.readouterr().out == kept
 
     @pytest.mark.parametrize("flag, value", [("--delta", "1"), ("--tol", "1e-9")], ids=["--delta", "--tol"])
@@ -543,52 +543,3 @@ class TestNothingComputedTwice:
         argv = ["eval", "--form", str(forms[name]), "--points", path, "--format", fmt]
         assert main(argv + ["--out", str(tmp_path / f"e.{fmt}")]) == 0
         assert len(calls) == 1
-
-
-def _retruncated_by_from_terms(expansion, t_max):
-    # Every stored term sent through from_terms again.
-    terms = [
-        (beta, np.array(skey, dtype=float), vec)
-        for (beta, skey), vec in expansion.coefficients.items()
-    ]
-    return FourierExpansion.from_terms(
-        expansion.n, expansion.p, expansion.level, expansion.rep, t_max, terms
-    )
-
-
-def _level_three_expansion():
-    # Traces such as 1/3 + 1/3 test the Tr(S) cut at level N > 1.
-    rep = make_rep(2, 0, 2)
-    beta = MultiIndex.from_dict(2, {})
-    keys = [
-        [[1, 0], [0, 1]], [[1, 1], [1, 1]], [[2, 1], [1, 2]], [[4, 2], [2, 5]], [[0, 0], [0, 3]]
-    ]
-    terms = [(beta, key, [complex(i + 1)]) for i, key in enumerate(keys)]
-    return FourierExpansion.from_terms(2, 0, 3, rep, 10.0, terms)
-
-
-class TestWithTMax:
-    @pytest.mark.parametrize("name", ["e4", "e2star", "sym2"])
-    def test_runs_no_eigensolve(self, name, monkeypatch):
-        expansion = build_sample(name).expansion
-        calls = []
-        eigh = nhsiegel.linalg._eigh
-        monkeypatch.setattr(nhsiegel.linalg, "_eigh", lambda a: calls.append(a) or eigh(a))
-        assert len(expansion.with_t_max(3.0).coefficients) > 0
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "expansion",
-        [build_sample("e4").expansion, build_sample("sym2").expansion, _level_three_expansion()],
-        ids=["e4", "sym2", "level3"],
-    )
-    def test_keeps_what_from_terms_keeps(self, expansion):
-        traces = sorted({float(np.trace(s)) for _, s, _ in expansion.terms()})
-        for t_max in [0.0, *traces, *(t + 1e-9 for t in traces)]:
-            got = expansion.with_t_max(t_max)
-            want = _retruncated_by_from_terms(expansion, t_max)
-            assert got == want
-            assert list(got.coefficients) == list(want.coefficients)
-        for t_max in [-1.0, expansion.t_max + 1.0]:
-            with pytest.raises(FormDataError):
-                expansion.with_t_max(t_max)

@@ -339,3 +339,9 @@ class TestLoadPoints:
         path.write_text(json.dumps({"X": [[0.0]], "Y": [[1.0]]}))
         with pytest.raises(FormDataError, match="JSON list"):
             load_points(path)
+
+    def test_empty_list_names_the_file(self, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text("[]")
+        with pytest.raises(FormDataError, match="points.json: the points file holds no points"):
+            load_points(path)

@@ -161,20 +161,27 @@ class TestConstructionGates:
         traces = sorted(int(s[0][0]) for _, s, _ in exp_.terms())
         assert traces == [0, 1, 2]
 
-    def test_retruncation(self, e4_package):
-        smaller = e4_package.expansion.with_t_max(5.0)
+    def test_retruncation(self):
+        smaller = eisenstein4(t_max=5.0).expansion
         assert len(smaller.coefficients) == 6
         assert smaller.t_max == 5.0
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan])
-    def test_rejects_non_finite_truncation_bound(self, e4_package, t_max):
+    def test_rejects_non_finite_truncation_bound(self, t_max):
         # No level is the last one below such a bound, and no tail follows it.
         with pytest.raises(FormDataError, match="truncation bound must be finite"):
-            e4_package.expansion.with_t_max(t_max)
+            eisenstein4(t_max=t_max)
 
-    def test_retruncation_just_below_a_level(self, e4_package):
+    def test_rejects_truncation_bound_overflowing_at_its_level(self):
+        # 1e308 is finite, but level 2 times it is not.
+        rep = make_rep(1, 0, 4)
+        b0 = MultiIndex.from_dict(1, {})
+        with pytest.raises(FormDataError, match="truncation bound 1e\\+308 overflows at level 2"):
+            FourierExpansion.from_terms(1, 0, 2, rep, 1e308, [(b0, [[0]], [1.0])])
+
+    def test_retruncation_just_below_a_level(self):
         # Guard: a bound just below level 5 keeps the levels up to 4.
-        kept = e4_package.expansion.with_t_max(4.9999999999)
+        kept = eisenstein4(t_max=4.9999999999).expansion
         assert sorted(int(s[0, 0]) for _, s, _ in kept.terms()) == [0, 1, 2, 3, 4]
 
     def test_raw_constructor_enforces_invariants(self):

@@ -9,6 +9,7 @@ import pytest
 
 import nhsiegel.linalg
 from nhsiegel.forms import evaluate, phi, tail_bound
+from nhsiegel.samples import eisenstein4
 from nhsiegel.sampling import random_siegel_point, random_siegel_points
 from nhsiegel.symplectic import PointBatch, act, inversion, reduce_batch, reduce_to_fundamental
 
@@ -75,7 +76,7 @@ class TestHeldValues:
 
     def test_other_expansion_is_summed_afresh(self, e4_package, work):
         points = _points(1, 6)
-        short = e4_package.expansion.with_t_max(3.0)
+        short = eisenstein4(t_max=3.0).expansion
         full = evaluate(e4_package.expansion, points)
         work.clear()
         got = evaluate(short, points)
@@ -88,7 +89,7 @@ class TestHeldValues:
     def test_equal_expansion_object_is_summed_afresh(self, e4_package, work):
         # The slot checks identity, not equality.
         points = _points(1, 4)
-        twin = e4_package.expansion.with_t_max(e4_package.expansion.t_max)
+        twin = eisenstein4().expansion
         assert twin == e4_package.expansion and twin is not e4_package.expansion
         evaluate(e4_package.expansion, points)
         work.clear()
