@@ -24,18 +24,17 @@ import numpy as np
 
 from .errors import FormDataError, NhsiegelError
 from .formio import load_form_package, load_points, save_form_package
-from .forms import FormPackage, InvarianceReport, check_invariance, evaluate, phi
+from .forms import FormPackage, check_invariance, evaluate, phi
 from .growth import (
     GrowthReport,
     SweepConfig,
-    _seeded_blocks,
+    check_blocks,
     estimate_constant,
     verify_growth_bound,
     verify_moderate_growth,
 )
 from .reps import basis_vector, vector
 from .samples import SAMPLE_BUILDERS, build_sample
-from .sampling import CHECK_BOX, random_siegel_points
 from .symplectic import PointBatch, SiegelPoint, delta_for_degree, reduce_batch
 
 EXIT_OK = 0
@@ -153,7 +152,7 @@ def cmd_reduce(args) -> int:
     points = _load_points(args)
     gamma, reduced = reduce_batch(points)
     delta = delta_for_degree(points.n)
-    # The rule of linalg.in_V_delta, read off the reduced batch's eigenvalues.
+    # linalg.in_V_delta with tol = REDUCE_TOL, read off the reduced batch's eigenvalues.
     least = reduced.eigvals[:, -1]
     records = [
         {"gamma": g, "z_red": {"X": x, "Y": y}, "min_im_eigenvalue": low,
@@ -174,18 +173,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_check(args) -> int:
     package = load_form_package(args.form)
-    # The samples of one generator seeded with --seed, checked in the
-    # sweeps' blocks, so memory does not grow with --samples.
-    draw = lambda n, rng, size: random_siegel_points(n, rng, size, *CHECK_BOX)
-    config = SweepConfig(samples=args.samples, seed=args.seed)
-    parts = [check_invariance(package, block) for block in _seeded_blocks(draw, package.n, config)]
-    report = InvarianceReport(
-        gammas=parts[0].gammas,
-        samples=sum(part.samples for part in parts),
-        max_deviation=float(np.max([part.max_deviation for part in parts])),
-        threshold=float(np.max([part.threshold for part in parts])),
-        violations=sum(part.violations for part in parts),
-    )
+    report = check_invariance(package, check_blocks(package.n, _sweep_config(args)))
     _emit(asdict(report), args)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 

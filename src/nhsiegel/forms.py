@@ -454,7 +454,7 @@ def _tail_series(package: FormPackage, delta: float) -> float:
                         return bound
                     raise OverflowError
     except OverflowError:
-        raise TailDivergenceError(f"tail estimate overflows a float at level {m}") from None
+        raise TailDivergenceError(f"tail estimate overflows a float at level {m:.6g}") from None
     raise TailDivergenceError(
         "tail estimate did not stabilise within the iteration budget "
         f"(min eigenvalue of Y is {delta:.3e}; effectively too small)"
@@ -478,35 +478,38 @@ class InvarianceReport:
 
 def check_invariance(
     package: FormPackage,
-    samples: PointBatch | Sequence[SiegelPoint],
+    samples: PointBatch | Sequence[SiegelPoint] | Iterable[PointBatch],
 ) -> InvarianceReport:
-    """Measure the relative deviation of F|gamma from F on the samples, a
-    PointBatch or a sequence of points.
+    """Measure the relative deviation of F|gamma from F on the samples: one
+    block (a PointBatch or a sequence of points) or an iterable of
+    PointBatch blocks, reported as one batch holding every sample.
 
     Samples must satisfy Im(Z) >= identity/2, which keeps the truncation
     tail estimable; the per-sample threshold is the tail bound at Z and at
     gamma Z (scaled through the automorphy factor) plus a fixed
-    floating-point allowance.  FormDataError if gamma_test_set is empty.
-    """
+    floating-point allowance.  A NaN deviation or threshold is the maximum
+    and no violation.  No sample is a ValueError, no gamma a FormDataError."""
     if not package.gamma_test_set:
         raise FormDataError("gamma_test_set is empty: no transformation law to check")
-    points = samples if isinstance(samples, PointBatch) else PointBatch.from_points(samples)
-    if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
-        raise ValueError("invariance samples must have Im(Z) >= identity/2")
-    rep = package.rep
-    base = evaluate(package.expansion, points)
-    base_tail = tail_bound(package, points)
-    devs, thrs = [], []
-    for g in package.gamma_test_set:
-        j_inv, moved, slashed = _slash_parts(package.expansion, g.mat, points)
-        devs.append(norms(rep, slashed - base) / (1.0 + norms(rep, base)))
-        amp = np.sqrt(np.sum(np.abs(j_inv) ** 2, axis=(1, 2)))
-        thrs.append(base_tail + amp * tail_bound(package, moved) + FLOAT_FLOOR)
-    devs, thrs = np.array(devs), np.array(thrs)
+    if isinstance(samples, Sequence) and samples and isinstance(samples[0], SiegelPoint):
+        samples = PointBatch.from_points(samples)
+    rep, count, violations, deviation, threshold = package.rep, 0, 0, 0.0, 0.0
+    for points in [samples] if isinstance(samples, PointBatch) else samples:
+        if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
+            raise ValueError("invariance samples must have Im(Z) >= identity/2")
+        base = evaluate(package.expansion, points)
+        base_tail = tail_bound(package, points)
+        for g in package.gamma_test_set:
+            j_inv, moved, slashed = _slash_parts(package.expansion, g.mat, points)
+            devs = norms(rep, slashed - base) / (1.0 + norms(rep, base))
+            amp = np.sqrt(np.sum(np.abs(j_inv) ** 2, axis=(1, 2)))
+            thrs = base_tail + amp * tail_bound(package, moved) + FLOAT_FLOOR
+            deviation, threshold = devs.max(initial=deviation), thrs.max(initial=threshold)
+            violations += int(np.sum(devs > thrs))
+        count += len(points)
+    if not count:
+        raise ValueError("an invariance check needs at least one sample")
     return InvarianceReport(
-        gammas=len(package.gamma_test_set),
-        samples=len(points),
-        max_deviation=float(devs.max(initial=0.0)),
-        threshold=float(thrs.max(initial=0.0)),
-        violations=int(np.sum(devs > thrs)),
+        gammas=len(package.gamma_test_set), samples=count, violations=violations,
+        max_deviation=float(deviation), threshold=float(threshold),
     )

@@ -34,7 +34,7 @@ import numpy as np
 
 from .forms import FormPackage, FourierExpansion, phi, slash_values
 from .reps import RepVector, _as_int, norm
-from .sampling import EIG_HIGH, EIG_LOW, X_SCALE, random_group_samples, random_siegel_points
+from .sampling import CHECK_BOX, EIG_HIGH, EIG_LOW, X_SCALE, random_group_samples, random_siegel_points
 from .symplectic import (
     FUNDAMENTAL_DOMAIN_DELTA,
     PointBatch,
@@ -138,10 +138,10 @@ def _seeded_blocks(draw, n: int, config: SweepConfig) -> Iterator:
         yield draw(n, rng, size)
 
 
-# The configured adversarial points as PointBatches, and the configured
-# samples g = from_point(Z) k (adversarial Z, random compact k) as
-# (N, 2n, 2n) stacks.
+# The configured adversarial and CHECK_BOX points as PointBatches, and the
+# configured group samples from_point(Z) k as (N, 2n, 2n) stacks.
 adversarial_blocks = partial(_seeded_blocks, random_siegel_points)
+check_blocks = partial(_seeded_blocks, lambda n, rng, k: random_siegel_points(n, rng, k, *CHECK_BOX))
 group_blocks = partial(_seeded_blocks, random_group_samples)
 
 

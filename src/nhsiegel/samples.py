@@ -138,8 +138,7 @@ SAMPLE_BUILDERS = {
 }
 
 
-def build_sample(name: str, t_max: float | None = None) -> FormPackage:
+def build_sample(name: str) -> FormPackage:
     if name not in SAMPLE_BUILDERS:
         raise ValueError(f"unknown sample {name!r}; choose from {sorted(SAMPLE_BUILDERS)}")
-    builder = SAMPLE_BUILDERS[name]
-    return builder() if t_max is None else builder(t_max=t_max)
+    return SAMPLE_BUILDERS[name]()

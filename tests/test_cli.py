@@ -587,6 +587,20 @@ class TestConfigValidation:
         assert main(["check", "--form", str(path), "--samples", "10"]) == 1
         assert capsys.readouterr().err.startswith("numerical failure: tail estimate overflows")
 
+    def test_overflowing_tail_names_its_level_briefly(self, e4_file, tmp_path, capsys):
+        # T_max = 1e308 at level 1 loads, and the tail series starts at level
+        # 1e308, where a float overflows.  The message writes that level as
+        # a float, not as its 309 digits.
+        path = _edited(e4_file, tmp_path, T_max=1e308)
+        assert main(["eval", "--form", str(path), "--z", "0;1"]) == 0
+        assert main(["bound", "--form", str(path), "--samples", "20"]) == 0
+        capsys.readouterr()
+        assert main(["check", "--form", str(path), "--samples", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: tail estimate overflows a float at level 1e+308\n"
+        assert len(err.encode()) < 120
+
     def test_computed_point_is_numerical_failure(self, e4_file, tmp_path, capsys):
         # gamma = (1 0; 10^7 1) sends the samples to points whose Y is under
         # the positive-definite floor.  The library computed those points, so

@@ -453,11 +453,6 @@ def test_moderate_reports_the_certified_exponent(tmp_path, capsys, name):
     assert report["exponent_r"] == package.n * package.lambda1 / 2.0
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLE_BUILDERS))
-def test_build_sample_t_max(name):
-    assert build_sample(name, t_max=3.0).expansion.t_max == 3.0
-
-
 class TestDegreeOneFloor:
     CORNER = SiegelPoint(np.array([[0.5]]), np.array([[0.8660254034957635]]))
 

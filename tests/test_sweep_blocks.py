@@ -10,19 +10,21 @@ written out here.
 
 import csv
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from nhsiegel import forms, symplectic
+from nhsiegel import cli, forms, symplectic
 from nhsiegel.cli import _point_header, main
-from nhsiegel.errors import ReductionBudgetError
+from nhsiegel.errors import FormDataError, ReductionBudgetError
 from nhsiegel.formio import load_form_package, save_form_package
-from nhsiegel.forms import check_invariance
+from nhsiegel.forms import FormPackage, check_invariance
 from nhsiegel.growth import (
     SWEEP_BLOCK,
     SweepConfig,
+    check_blocks,
     estimate_constant,
     group_blocks,
     verify_growth_bound,
@@ -386,3 +388,103 @@ def test_check_runs_in_sweep_blocks(e4_package, tmp_path, monkeypatch):
     assert main(args) == 0
     assert sizes and max(sizes) <= SWEEP_BLOCK
     assert json.loads(out.read_text(encoding="utf-8")) == asdict(whole)
+
+
+# -- check_invariance over blocks ----------------------------------------------
+
+
+def _stacked(blocks):
+    """The blocks' points as one batch, with the eigendecompositions they
+    were validated with."""
+    return PointBatch.from_points(b.point(i) for b in blocks for i in range(len(b)))
+
+
+def _split(points, sizes):
+    """``points`` as consecutive blocks of the given sizes."""
+    ends = np.cumsum([0, *sizes]).tolist()
+    return [
+        PointBatch.from_points(points.point(i) for i in range(a, b))
+        for a, b in zip(ends, ends[1:])
+    ]
+
+
+@pytest.mark.parametrize("name", ["e4", "sym2"])
+class TestCheckBlocks:
+    # check_invariance folds an iterable of blocks into the report of one
+    # batch holding every sample.
+
+    def test_generator_of_blocks(self, name):
+        package = build_sample(name)
+        blocks = list(check_blocks(package.n, SweepConfig(samples=300, seed=2)))
+        assert [len(b) for b in blocks] == [SWEEP_BLOCK, 300 - SWEEP_BLOCK]
+        report = check_invariance(package, (b for b in blocks))
+        assert report == check_invariance(package, _stacked(blocks))
+        assert report.samples == 300
+
+    def test_list_of_blocks(self, name):
+        package = build_sample(name)
+        points = random_siegel_points(package.n, np.random.default_rng(8), 40, *CHECK_BOX)
+        blocks = _split(points, [17, 1, 22])
+        assert check_invariance(package, blocks) == check_invariance(package, points)
+
+    def test_a_full_block_and_one_point(self, name):
+        package = build_sample(name)
+        blocks = list(check_blocks(package.n, SweepConfig(samples=SWEEP_BLOCK + 1, seed=4)))
+        assert [len(b) for b in blocks] == [SWEEP_BLOCK, 1]
+        assert check_invariance(package, blocks) == check_invariance(package, _stacked(blocks))
+
+
+@pytest.mark.parametrize("samples", [[], iter(())], ids=["list", "iterator"])
+def test_check_without_samples_is_rejected(e4_package, samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_invariance(e4_package, samples)
+
+
+def test_empty_gamma_set_draws_no_block(e4_package):
+    # The gamma set is checked once, before the first block is drawn.
+    package = FormPackage(e4_package.expansion, (), growth_a=300.0, growth_kappa=3.0)
+    drawn = []
+
+    def blocks():
+        drawn.append(1)
+        yield random_siegel_points(1, np.random.default_rng(0), 5, *CHECK_BOX)
+
+    with pytest.raises(FormDataError, match="gamma_test_set"):
+        check_invariance(package, blocks())
+    assert drawn == []
+
+
+def test_nan_deviation_survives_later_blocks(e4_package, monkeypatch):
+    # A NaN deviation in the first block stays the maximum after the finite
+    # deviations of the second (Python's max would drop it), and is no
+    # violation.
+    blocks = _split(random_siegel_points(1, np.random.default_rng(6), 14, *CHECK_BOX), [5, 9])
+    norms = forms.norms
+
+    def nan_in_first_block(rep, values):
+        out = norms(rep, values)
+        return np.full_like(out, np.nan) if len(out) == 5 else out
+
+    monkeypatch.setattr(forms, "norms", nan_in_first_block)
+    report = check_invariance(e4_package, blocks)
+    assert math.isnan(report.max_deviation)
+    assert math.isfinite(report.threshold)
+    assert (report.samples, report.violations) == (14, 0)
+
+
+def test_check_is_one_library_call(e4_package, tmp_path, monkeypatch):
+    # `check` hands its whole seeded block stream to one check_invariance.
+    form, out = tmp_path / "e4.json", tmp_path / "check.json"
+    save_form_package(e4_package, form)
+    calls, check = [], cli.check_invariance
+
+    def counted(package, samples):
+        calls.append(1)
+        return check(package, samples)
+
+    monkeypatch.setattr(cli, "check_invariance", counted)
+    args = ["check", "--form", str(form), "--samples", "600", "--seed", "5", "--out", str(out)]
+    assert main(args) == 0
+    assert calls == [1]
+    report = check(e4_package, check_blocks(1, SweepConfig(samples=600, seed=5)))
+    assert json.loads(out.read_text(encoding="utf-8")) == asdict(report)
