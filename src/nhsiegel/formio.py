@@ -8,9 +8,11 @@ Top-level fields of a form package:
     T_max           truncation bound on Tr(S) (number)
     rep             {"j": integer, "k": integer}
     growth          {"A": number, "kappa": number}
-    gamma_test_set  list of 2n x 2n integer matrices
     coefficients    list of records, see below
     coset_reps      rejected: only the expansion at infinity is stored
+    gamma_test_set  rejected: the library chooses the gamma that ``check``
+                    tests (``forms.invariance_gammas``); an old file must
+                    drop the key
 
 Each coefficient record is
 
@@ -37,7 +39,7 @@ from .errors import FormDataError
 from .forms import FormPackage, FourierExpansion, trace_level
 from .linalg import MultiIndex
 from .reps import make_rep
-from .symplectic import SiegelPoint, SymplecticMatrix
+from .symplectic import SiegelPoint
 
 
 def _read(raw, where: str, integer: bool = False, shape: tuple | None = ()) -> np.ndarray:
@@ -82,14 +84,16 @@ def _parse_beta(n: int, raw, where: str) -> MultiIndex:
 
 
 def package_from_dict(data: dict) -> FormPackage:
-    for key in ("n", "p", "level", "T_max", "rep", "growth", "gamma_test_set", "coefficients"):
+    for key in ("n", "p", "level", "T_max", "rep", "growth", "coefficients"):
         if key not in data:
             raise FormDataError(f"missing required field {key!r}")
     if "coset_reps" in data:
         raise FormDataError("coset_reps: per-cusp expansions are not supported")
-    for key in ("coefficients", "gamma_test_set"):
-        if not isinstance(data[key], list):
-            raise FormDataError(f"{key} must be a JSON array, got {json.dumps(data[key])[:40]}")
+    if "gamma_test_set" in data:
+        raise FormDataError("gamma_test_set: the library chooses the gamma to test; drop the key")
+    records = data["coefficients"]
+    if not isinstance(records, list):
+        raise FormDataError(f"coefficients must be a JSON array, got {json.dumps(records)[:40]}")
     n, p, level = (_read(data[key], key, integer=True).item() for key in ("n", "p", "level"))
     rep_raw = data["rep"]
     if not (isinstance(rep_raw, dict) and "j" in rep_raw and "k" in rep_raw):
@@ -105,7 +109,7 @@ def package_from_dict(data: dict) -> FormPackage:
     t_max = _read(data["T_max"], "T_max").item()
 
     terms = []
-    for idx, record in enumerate(data["coefficients"]):
+    for idx, record in enumerate(records):
         where = f"coefficients[{idx}]"
         if not isinstance(record, dict):
             raise FormDataError(f"{where}: records must be objects")
@@ -116,19 +120,8 @@ def package_from_dict(data: dict) -> FormPackage:
         s_int = _read(record["S"], f"{where}: S", integer=True, shape=None)
         pairs = _read(record["value"], f"{where}: value", shape=(rep.dim, 2))
         terms.append((beta, s_int, pairs.view(complex)[:, 0]))  # complex(re, im), bit for bit
-    expansion = FourierExpansion.from_terms(n, p, level, rep, t_max, terms)
-
-    gammas = []
-    for i, raw in enumerate(data["gamma_test_set"]):
-        where = f"gamma_test_set[{i}]"
-        mat = _read(raw, where, integer=True, shape=(2 * n, 2 * n))
-        try:
-            gammas.append(SymplecticMatrix(mat))
-        except ValueError as exc:
-            raise FormDataError(f"{where}: {exc}")
     return FormPackage(
-        expansion,
-        gammas,
+        FourierExpansion.from_terms(n, p, level, rep, t_max, terms),
         growth_a=_read(growth_raw["A"], "growth.A").item(),
         growth_kappa=_read(growth_raw["kappa"], "growth.kappa").item(),
     )
@@ -155,7 +148,6 @@ def package_to_dict(package: FormPackage) -> dict:
         "T_max": exp_.t_max,
         "rep": {"j": exp_.rep.j, "k": exp_.rep.k},
         "growth": {"A": package.growth_a, "kappa": package.growth_kappa},
-        "gamma_test_set": [np.rint(g.mat).astype(int).tolist() for g in package.gamma_test_set],
         "coefficients": records,
     }
 

@@ -35,6 +35,8 @@ from .symplectic import (
     SymplecticMatrix,
     act,
     automorphy_factor,
+    inversion,
+    translation,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -257,28 +259,18 @@ def _series(f: FourierExpansion, points: PointBatch) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FormPackage:
-    """An expansion bundled with its transformation test data and declared
-    coefficient-growth constants.
+    """An expansion bundled with its declared coefficient-growth constants.
 
-    ``gamma_test_set`` holds integral symplectic matrices against which the
-    transformation law is checked.
+    A package carries no group elements: ``check_invariance`` tests the
+    transformation law against ``invariance_gammas(n, level)``, which the
+    library works out from the degree and the level.
     """
 
     expansion: FourierExpansion
-    gamma_test_set: tuple[SymplecticMatrix, ...]
     growth_a: float
     growth_kappa: float
 
     def __post_init__(self):
-        gammas = tuple(self.gamma_test_set)
-        for i, g in enumerate(gammas):
-            if float(np.max(np.abs(g.mat - np.round(g.mat)))) > 1e-9:
-                raise FormDataError("gamma_test_set entries must be integral")
-            if g.n != self.expansion.n:
-                raise FormDataError(
-                    f"gamma_test_set[{i}] has degree {g.n}, the form degree {self.expansion.n}"
-                )
-        object.__setattr__(self, "gamma_test_set", gammas)
         if not (self.growth_a >= 0.0 and math.isfinite(self.growth_a)):
             raise FormDataError("growth constant A must be finite and non-negative")
         if not math.isfinite(self.growth_kappa):
@@ -476,21 +468,42 @@ class InvarianceReport:
         return self.violations == 0
 
 
+def invariance_gammas(n: int, level: int) -> tuple[SymplecticMatrix, ...]:
+    """The gamma that ``check_invariance`` samples for a form of degree n
+    and level N: J (``inversion(n)``) at level 1, and J with the n(n+1)/2
+    unit translations Z -> Z + B (B = E_ij + E_ji, or E_ii) at N > 1.
+
+    J and the integral translations generate Sp_2n(Z) (Hua and Reiner,
+    Trans. AMS 65, 1949).  At level 1 the translations hold exactly, so they
+    are not sampled: every key S is integral, so Tr(S B) is an integer and
+    e(Tr S(Z + B)) = e(Tr SZ), while Y and C Z + D = I do not move.  At
+    level N the keys are N*S, and only translations by N B are exact."""
+    gammas = [inversion(n)]
+    if level > 1:
+        for i, j in zip(*np.triu_indices(n)):
+            b = np.zeros((n, n))
+            b[i, j] = b[j, i] = 1.0
+            gammas.append(translation(b))
+    return tuple(gammas)
+
+
 def check_invariance(
     package: FormPackage,
     samples: PointBatch | Sequence[SiegelPoint] | Iterable[PointBatch],
 ) -> InvarianceReport:
-    """Measure the relative deviation of F|gamma from F on the samples: one
-    block (a PointBatch or a sequence of points) or an iterable of
-    PointBatch blocks, reported as one batch holding every sample.
+    """Measure the relative deviation of F|gamma from F on the samples, for
+    every gamma of ``invariance_gammas(n, N)``: the library, not the form
+    file, chooses them, and the report's ``gammas`` counts them (1 at level
+    1).  The samples are one block (a PointBatch or a sequence of points) or
+    an iterable of PointBatch blocks, reported as one batch holding every
+    sample.
 
     Samples must satisfy Im(Z) >= identity/2, which keeps the truncation
     tail estimable; the per-sample threshold is the tail bound at Z and at
     gamma Z (scaled through the automorphy factor) plus a fixed
     floating-point allowance.  A NaN deviation or threshold is the maximum
-    and no violation.  No sample is a ValueError, no gamma a FormDataError."""
-    if not package.gamma_test_set:
-        raise FormDataError("gamma_test_set is empty: no transformation law to check")
+    and no violation.  No sample is a ValueError."""
+    gammas = invariance_gammas(package.n, package.expansion.level)
     if isinstance(samples, Sequence) and samples and isinstance(samples[0], SiegelPoint):
         samples = PointBatch.from_points(samples)
     rep, count, violations, deviation, threshold = package.rep, 0, 0, 0.0, 0.0
@@ -499,7 +512,7 @@ def check_invariance(
             raise ValueError("invariance samples must have Im(Z) >= identity/2")
         base = evaluate(package.expansion, points)
         base_tail = tail_bound(package, points)
-        for g in package.gamma_test_set:
+        for g in gammas:
             j_inv, moved, slashed = _slash_parts(package.expansion, g.mat, points)
             devs = norms(rep, slashed - base) / (1.0 + norms(rep, base))
             amp = np.sqrt(np.sum(np.abs(j_inv) ** 2, axis=(1, 2)))
@@ -510,6 +523,6 @@ def check_invariance(
     if not count:
         raise ValueError("an invariance check needs at least one sample")
     return InvarianceReport(
-        gammas=len(package.gamma_test_set), samples=count, violations=violations,
+        gammas=len(gammas), samples=count, violations=violations,
         max_deviation=float(deviation), threshold=float(threshold),
     )

@@ -5,19 +5,17 @@ Degree 1: the classical level-one Eisenstein series of weight 4 and 6
 (genuinely nearly holomorphic, degree 1 in 1/y), a constant form, and the
 zero form.  Degree 2: a synthetic Sym^2 x det^2 coefficient set used for
 structural tests of evaluation, slashing, and reduction; it satisfies no
-transformation law.
+transformation law.  A sample carries no group elements to test: ``check``
+takes them from ``forms.invariance_gammas`` (J alone at level 1).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .forms import FormPackage, FourierExpansion, last_level
 from .linalg import MultiIndex
 from .reps import make_rep
-from .symplectic import SymplecticMatrix, inversion, translation
 
 
 def divisor_power_sum(m: int, k: int) -> int:
@@ -34,10 +32,6 @@ def divisor_power_sum(m: int, k: int) -> int:
     return total
 
 
-def _sl2_gamma_set() -> tuple[SymplecticMatrix, ...]:
-    return (translation(np.array([[1.0]])), inversion(1))
-
-
 def _beta0(n: int) -> MultiIndex:
     return MultiIndex.from_dict(n, {})
 
@@ -50,7 +44,7 @@ def _level_one(k, p, c, t_max, growth_a, growth_kappa, extra=()) -> FormPackage:
     for m in range(1, last_level(1, t_max) + 1):
         terms.append((b0, [[m]], [c * divisor_power_sum(m, k - 1) + 0.0j]))
     exp_ = FourierExpansion.from_terms(1, p, 1, make_rep(1, 0, k), t_max, terms)
-    return FormPackage(exp_, _sl2_gamma_set(), growth_a=growth_a, growth_kappa=growth_kappa)
+    return FormPackage(exp_, growth_a=growth_a, growth_kappa=growth_kappa)
 
 
 def eisenstein4(t_max: float = 20.0) -> FormPackage:
@@ -89,19 +83,14 @@ def constant_form(value: complex = 1.0, t_max: float = 20.0) -> FormPackage:
     exp_ = FourierExpansion.from_terms(
         1, 0, 1, rep, t_max, [(_beta0(1), [[0]], [complex(value)])]
     )
-    return FormPackage(
-        exp_,
-        (translation(np.array([[1.0]])),),
-        growth_a=abs(complex(value)),
-        growth_kappa=0.0,
-    )
+    return FormPackage(exp_, growth_a=abs(complex(value)), growth_kappa=0.0)
 
 
 def zero_form(t_max: float = 20.0) -> FormPackage:
     """Degree-1 form with no coefficients at all."""
     rep = make_rep(1, 0, 0)
     exp_ = FourierExpansion.from_terms(1, 0, 1, rep, t_max, [])
-    return FormPackage(exp_, (translation(np.array([[1.0]])),), growth_a=0.0, growth_kappa=0.0)
+    return FormPackage(exp_, growth_a=0.0, growth_kappa=0.0)
 
 
 def synthetic_sym2(t_max: float = 4.0) -> FormPackage:
@@ -122,10 +111,7 @@ def synthetic_sym2(t_max: float = 4.0) -> FormPackage:
         (b12, [[1, 0], [0, 1]], [0.05, -0.15, 0.08]),
     ]
     exp_ = FourierExpansion.from_terms(2, 1, 1, rep, t_max, terms)
-    t11 = np.zeros((2, 2))
-    t11[0, 0] = 1.0
-    gamma_set = (translation(t11), inversion(2))
-    return FormPackage(exp_, gamma_set, growth_a=2.0, growth_kappa=0.0)
+    return FormPackage(exp_, growth_a=2.0, growth_kappa=0.0)
 
 
 SAMPLE_BUILDERS = {

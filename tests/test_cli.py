@@ -9,10 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
+from nhsiegel import forms
 from nhsiegel.cli import entry, main, parse_point
 from nhsiegel.errors import FormDataError
 from nhsiegel.formio import load_form_package, save_form_package
-from nhsiegel.samples import build_sample
+from nhsiegel.samples import build_sample, divisor_power_sum
+from nhsiegel.symplectic import inversion
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +141,6 @@ class TestEval:
             "T_max": 5.0,
             "rep": {"j": 0, "k": 4},
             "growth": {"A": 10.0, "kappa": 1.0},
-            "gamma_test_set": [],
             "coefficients": [{"beta": {}, "S": [[-1]], "value": [[1.0, 0.0]]}],
         }
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -509,16 +510,89 @@ class TestCheck:
         path = _edited(e4_file, tmp_path, T_max=4.9999999999)
         assert main(["check", "--form", str(path), "--samples", "100"]) == 0
 
-    def test_empty_gamma_set_is_input_error(self, e4_file, tmp_path, capsys):
-        # With no gamma there is no transformation law to check, so no pass.
-        data = json.loads(e4_file.read_text(encoding="utf-8"))
-        data["gamma_test_set"] = []
-        path = tmp_path / "no_gammas.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        assert main(["check", "--form", str(path), "--samples", "10"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "gamma_test_set" in err
-        assert main(["eval", "--form", str(path), "--z", "0;1"]) == 0
+    @pytest.mark.parametrize(
+        "value", [[], [[[1, 1], [0, 1]]], "x"], ids=["empty", "translation", "string"]
+    )
+    def test_gamma_test_set_is_input_error(self, e4_file, tmp_path, capsys, value):
+        # The library chooses the gamma that check tests; a file that lists
+        # its own is refused at load, whatever it lists, naming the key.
+        path = _edited(e4_file, tmp_path, gamma_test_set=value)
+        for command, *extra in (["check", "--samples", "10"], ["eval", "--z", "0;1"]):
+            assert main([command, "--form", str(path), *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("input error: gamma_test_set")
+
+    @pytest.mark.parametrize(
+        "name, mutate, verdict",
+        [
+            ("e4", lambda d: d["rep"].update(k=6), 1),
+            ("e2star", lambda d: d.update(coefficients=[r for r in d["coefficients"] if not r["beta"]]), 1),
+            ("e4", lambda d: d["coefficients"][0].update(value=[[-1.0, 0.0]]), 1),
+            ("sym2", None, 1),
+            ("constant", None, 0),
+            ("zero", None, 0),
+        ],
+        ids=["e4-weight-6", "e2star-without-1-over-y", "e4-a0-minus-1", "sym2", "constant", "zero"],
+    )
+    def test_verdict_without_a_listed_gamma_set(self, tmp_path, capsys, name, mutate, verdict):
+        # The library's gamma refute the four non-modular forms whatever a
+        # file might list, and pass the constant and zero forms.
+        path = tmp_path / f"{name}.json"
+        assert main(["sample", "--name", name, "--out", str(path)]) == 0
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert "gamma_test_set" not in data
+        if mutate is not None:
+            mutate(data)
+            path.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["check", "--form", str(path), "--samples", "1000", "--seed", "0"]
+        assert main(argv) == verdict
+        report = json.loads(capsys.readouterr().out)
+        assert (report["gammas"], report["violations"] > 0) == (1, verdict == 1)
+
+
+def _level_two_file(tmp_path, k, coefficient, growth_a):
+    """A degree-1 weight-k file at level 2 with a(m/2) = coefficient(m) at
+    every stored key m <= 20 (T_max = 10)."""
+    records = [{"beta": {}, "S": [[m]], "value": [[float(coefficient(m)), 0.0]]} for m in range(21)]
+    data = {
+        "n": 1, "p": 0, "level": 2, "T_max": 10.0, "rep": {"j": 0, "k": k},
+        "growth": {"A": growth_a, "kappa": 3.0}, "coefficients": records,
+    }
+    path = tmp_path / "level2.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def _r8(m):
+    # Representations of m as a sum of 8 squares: the coefficients of theta^8.
+    if m == 0:
+        return 1
+    return 16 * sum((-1) ** (m + d) * d**3 for d in range(1, m + 1) if m % d == 0)
+
+
+class TestLevelTwo:
+    # At level 2 the keys are 2S, so z -> z + 1 is not exact and is sampled.
+    # theta^8 = sum r_8(m) q^(m/2) has weight 4 under J but not period 1;
+    # |r_8(m)| <= 16 zeta(3) m^3 <= 160 (1 + m/2)^3.
+
+    def test_theta8_fails_the_translation(self, tmp_path, capsys, monkeypatch):
+        path = _level_two_file(tmp_path, 4, _r8, 160.0)
+        argv = ["check", "--form", str(path), "--samples", "1000", "--seed", "0"]
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["gammas"] == 2 and report["violations"] > 0
+        # J alone, the level-1 set, passes it: the level rule is what fails it.
+        monkeypatch.setattr(forms, "invariance_gammas", lambda n, level: (inversion(n),))
+        assert main(argv) == 0
+
+    def test_e4_at_level_two_passes(self, tmp_path, capsys):
+        # E4 with its keys m written as 2m: the unit translation holds.
+        def e4(m):
+            return 0 if m % 2 else (1 if m == 0 else 240 * divisor_power_sum(m // 2, 3))
+
+        path = _level_two_file(tmp_path, 4, e4, 300.0)
+        assert main(["check", "--form", str(path), "--samples", "1000", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["gammas"] == 2
 
 
 class TestConfigValidation:
@@ -559,9 +633,8 @@ class TestConfigValidation:
         [
             (("growth", "kappa", 1e308), "kappa"),
             (("coefficients", None, 5), "coefficients"),
-            (("gamma_test_set", None, 7), "gamma_test_set"),
         ],
-        ids=["kappa-1e308", "coefficients-5", "gamma_test_set-7"],
+        ids=["kappa-1e308", "coefficients-5"],
     )
     def test_unusable_form_file_is_input_error(self, e4_file, tmp_path, capsys, command, edit, named):
         # Malformed input, so exit 2 with the field named, and no traceback.
@@ -600,21 +673,6 @@ class TestConfigValidation:
         assert out == ""
         assert err == "numerical failure: tail estimate overflows a float at level 1e+308\n"
         assert len(err.encode()) < 120
-
-    def test_computed_point_is_numerical_failure(self, e4_file, tmp_path, capsys):
-        # gamma = (1 0; 10^7 1) sends the samples to points whose Y is under
-        # the positive-definite floor.  The library computed those points, so
-        # this is a numerical failure, not bad input.
-        data = json.loads(e4_file.read_text(encoding="utf-8"))
-        data["gamma_test_set"] = [[[1, 0], [10000000, 1]]]
-        path = tmp_path / "far.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        assert main(["check", "--form", str(path), "--samples", "20"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(
-            "numerical failure: computed point's imaginary part is not positive definite"
-        )
 
     def test_bad_format_rejected_by_argparse(self, e4_file):
         with pytest.raises(SystemExit):

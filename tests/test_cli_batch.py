@@ -26,6 +26,7 @@ from nhsiegel.forms import (
     FLOAT_FLOOR,
     check_invariance,
     evaluate,
+    invariance_gammas,
     phi,
     slash,
     tail_bound,
@@ -148,11 +149,12 @@ class TestEigensolveCounts:
         assert 0 < eigh_matrices[0] <= 3 * k
 
     def test_check_decomposes_each_y_once(self, forms, tmp_path, eigh_matrices):
-        # 6 terms on load, the 50 samples, and the 50 moved points per gamma.
+        # 6 terms on load, the 50 samples, and the 50 moved points per gamma
+        # (J alone at level 1).
         eigh_matrices[0] = 0
         argv = ["check", "--form", str(forms["sym2"]), "--samples", "50"]
         assert main(argv + ["--out", str(tmp_path / "c.json")]) == 1
-        assert 0 < eigh_matrices[0] <= 156
+        assert 0 < eigh_matrices[0] <= 106
 
     def test_from_points_reuses_the_decompositions(self, eigh_matrices):
         batch = _adversarial(2, 20)
@@ -225,7 +227,7 @@ def _reference_check(package, points):
     base = evaluate(package.expansion, points)
     base_tail = np.array([tail_bound(package, y) for y in points.Y])
     devs, thrs = [], []
-    for g in package.gamma_test_set:
+    for g in invariance_gammas(package.n, package.expansion.level):
         slashed = slash(package, g).func(points)
         devs.append(norms(rep, slashed - base) / (1.0 + norms(rep, base)))
         jinv = rep_matrix(rep, inv_stack(automorphy_factor(g.mat, points)))

@@ -1,7 +1,5 @@
 import json
 import math
-import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from nhsiegel.formio import (
 )
 from nhsiegel.linalg import MultiIndex
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
-from nhsiegel.symplectic import SymplecticMatrix
 
 
 def minimal_dict():
@@ -27,7 +24,6 @@ def minimal_dict():
         "T_max": 10.0,
         "rep": {"j": 0, "k": 4},
         "growth": {"A": 10.0, "kappa": 1.0},
-        "gamma_test_set": [[[1, 1], [0, 1]]],
         "coefficients": [
             {"beta": {}, "S": [[0]], "value": [[1.0, 0.0]]},
             {"beta": {}, "S": [[1]], "value": [[2.5, -1.0]]},
@@ -45,9 +41,6 @@ class TestRoundTrip:
         assert loaded.expansion == package.expansion
         assert loaded.growth_a == package.growth_a
         assert loaded.growth_kappa == package.growth_kappa
-        assert len(loaded.gamma_test_set) == len(package.gamma_test_set)
-        for a, b in zip(loaded.gamma_test_set, package.gamma_test_set):
-            np.testing.assert_array_equal(a.mat, b.mat)
 
     def test_serialisation_is_deterministic(self, tmp_path):
         package = build_sample("e4")
@@ -60,19 +53,6 @@ class TestRoundTrip:
         package = build_sample("sym2")
         again = package_from_dict(package_to_dict(package))
         assert again.expansion == package.expansion
-
-    @pytest.mark.parametrize("entry", [1.0 - 1e-10, -1.0 + 1e-10])
-    def test_near_integral_gamma_is_rounded_not_truncated(self, entry):
-        # FormPackage accepts entries within 1e-9 of an integer; the writer
-        # must keep the integer they stand for.
-        package = package_from_dict(minimal_dict())
-        gamma = SymplecticMatrix(np.array([[1.0, entry], [0.0, 1.0]]))
-        package = replace(package, gamma_test_set=(gamma,))
-        data = package_to_dict(package)
-        want = [[1, round(entry)], [0, 1]]
-        assert data["gamma_test_set"] == [want]
-        again = package_from_dict(data)
-        np.testing.assert_array_equal(again.gamma_test_set[0].mat, want)
 
 
 class TestValidation:
@@ -109,34 +89,6 @@ class TestValidation:
         data = minimal_dict()
         data["coefficients"][0]["value"] = [[1.0, 0.0], [2.0, 0.0]]
         with pytest.raises(FormDataError, match="value"):
-            package_from_dict(data)
-
-    def test_gamma_not_integral(self):
-        data = minimal_dict()
-        data["gamma_test_set"] = [[[1.0, 0.5], [0.0, 1.0]]]
-        with pytest.raises(FormDataError, match=r"gamma_test_set\[0\]"):
-            package_from_dict(data)
-
-    def test_gamma_not_symplectic(self):
-        data = minimal_dict()
-        data["gamma_test_set"] = [[[2, 0], [0, 2]]]
-        with pytest.raises(FormDataError, match=r"gamma_test_set\[0\]"):
-            package_from_dict(data)
-
-    @pytest.mark.parametrize(
-        "gamma, message",
-        [
-            ("x", "gamma_test_set[0] must be an integer, got 'x'"),
-            ([[1.5, 0], [0, 1]], "gamma_test_set[0] must be integers, got 1.5"),
-            ([[1, 0, 0], [0, 1, 0]], "gamma_test_set[0]: expected shape (2, 2), got (2, 3)"),
-            ([[2, 0], [0, 2]], "gamma_test_set[0]: matrix does not satisfy the symplectic relations"),
-        ],
-        ids=["string", "not-integer", "shape", "not-symplectic"],
-    )
-    def test_gamma_message_names_entry_once(self, gamma, message):
-        data = minimal_dict()
-        data["gamma_test_set"] = [gamma]
-        with pytest.raises(FormDataError, match=f"^{re.escape(message)}$"):
             package_from_dict(data)
 
     def test_not_json(self, tmp_path):
@@ -226,7 +178,6 @@ class TestJsonNumbers:
             (("growth", "A"), "10", r"growth\.A"),
             (("growth", "kappa"), "1", r"growth\.kappa"),
             (("coefficients", 1, "value"), [["2.5", "-1"]], r"coefficients\[1\]: value"),
-            (("gamma_test_set", 0), [["1", "1"], ["0", "1"]], r"gamma_test_set\[0\]"),
             (("n",), True, "n must be"),
             (("p",), True, "p must be"),
             (("level",), True, "level must be"),
@@ -240,7 +191,7 @@ class TestJsonNumbers:
             (("coefficients", 1, "S"), [[10**30]], r"coefficients\[1\]: S.*int64"),
         ],
         ids=[
-            "string-T_max", "string-A", "string-kappa", "string-value", "string-gamma",
+            "string-T_max", "string-A", "string-kappa", "string-value",
             "true-n", "true-p", "true-level", "true-rep.k", "true-beta", "true-S", "true-value",
             "10^400-value", "10^400-T_max", "10^400-A", "10^30-S",
         ],
@@ -257,12 +208,11 @@ class TestJsonNumbers:
             (("coefficients", 0, "value"), [[1.0, 0.0], [2.0]], r"coefficients\[0\]: value.*rectangular"),
             (("coefficients", 0, "value"), [1.0, 0.0], r"coefficients\[0\]: value.*shape"),
             (("coefficients", 0, "beta"), [], r"coefficients\[0\]: beta must be an object"),
-            (("gamma_test_set", 0), [[1, 0, 0], [0, 1, 0]], r"gamma_test_set\[0\].*shape"),
             (("rep", "j"), -1, "rep:"),
             (("n",), 0, "rep:"),
             (("level",), 0, "level"),
         ],
-        ids=["ragged-value", "flat-value", "list-beta", "gamma-shape", "negative-j", "n-0", "level-0"],
+        ids=["ragged-value", "flat-value", "list-beta", "negative-j", "n-0", "level-0"],
     )
     def test_other_malformed_input_is_form_data_error(self, path, value, named):
         data = minimal_dict()
@@ -275,10 +225,8 @@ class TestJsonNumbers:
         [
             ("coefficients", 5),
             ("coefficients", {"a": 1}),
-            ("gamma_test_set", 7),
-            ("gamma_test_set", "x"),
         ],
-        ids=["coefficients-5", "coefficients-object", "gamma_test_set-7", "gamma_test_set-string"],
+        ids=["coefficients-5", "coefficients-object"],
     )
     def test_list_fields_must_be_arrays(self, key, value):
         data = minimal_dict()

@@ -16,9 +16,9 @@ from nhsiegel.forms import (
     tail_bound,
 )
 from nhsiegel.linalg import MultiIndex, inverse, monomial
-from nhsiegel.reps import RepVector, make_rep, norm, rep_matrix
-from nhsiegel.samples import divisor_power_sum, eisenstein4
-from nhsiegel.sampling import random_siegel_point
+from nhsiegel.reps import RepVector, make_rep, norm, norms, rep_matrix
+from nhsiegel.samples import SAMPLE_BUILDERS, build_sample, divisor_power_sum, eisenstein4
+from nhsiegel.sampling import CHECK_BOX, random_siegel_point, random_siegel_points
 from nhsiegel.symplectic import (
     PointBatch,
     SiegelPoint,
@@ -239,32 +239,11 @@ class TestConstructionGates:
         b0 = MultiIndex.from_dict(1, {})
         exp_ = FourierExpansion.from_terms(1, 0, 1, rep, 10.0, [(b0, [[1]], [100.0])])
         with pytest.raises(FormDataError, match="exceeds declared growth bound"):
-            FormPackage(exp_, (translation(np.array([[1.0]])),), growth_a=1.0, growth_kappa=0.0)
+            FormPackage(exp_, growth_a=1.0, growth_kappa=0.0)
 
     def test_overflowing_growth_bound_names_kappa(self, e4_package):
         with pytest.raises(FormDataError, match=r"kappa=1e\+308 overflows the growth bound"):
-            FormPackage(e4_package.expansion, (), growth_a=300.0, growth_kappa=1e308)
-
-    def test_gamma_must_be_integral(self, e4_package):
-        from nhsiegel.symplectic import from_point
-
-        g = from_point(point1(0.0, 2.0))
-        with pytest.raises(FormDataError, match="integral"):
-            FormPackage(e4_package.expansion, (g,), growth_a=300.0, growth_kappa=3.0)
-
-    @pytest.mark.parametrize(
-        "form, gammas, message",
-        [
-            ("e4_package", (1, 2), r"gamma_test_set\[1\] has degree 2, the form degree 1"),
-            ("sym2_package", (1,), r"gamma_test_set\[0\] has degree 1, the form degree 2"),
-        ],
-        ids=["e4-with-degree-2", "sym2-with-degree-1"],
-    )
-    def test_gamma_must_have_the_form_degree(self, request, form, gammas, message):
-        # Caught at construction, not later by the transformation check.
-        pkg = request.getfixturevalue(form)
-        with pytest.raises(FormDataError, match=message):
-            FormPackage(pkg.expansion, [inversion(n) for n in gammas], pkg.growth_a, pkg.growth_kappa)
+            FormPackage(e4_package.expansion, growth_a=300.0, growth_kappa=1e308)
 
 
 class TestSlash:
@@ -314,23 +293,19 @@ class TestSlash:
 
 
 class TestInvariance:
-    def test_constant_translations_exact(self, constant_package, rng):
-        samples = [random_siegel_point(1, rng, eig_low=0.8, eig_high=5.0) for _ in range(20)]
-        report = check_invariance(constant_package, samples)
-        assert report.max_deviation == 0.0
-        assert report.violations == 0
-
-    def test_e4_translation_exact(self, e4_package, rng):
-        package = FormPackage(
-            e4_package.expansion,
-            (translation(np.array([[1.0]])),),
-            growth_a=300.0,
-            growth_kappa=3.0,
-        )
-        samples = [random_siegel_point(1, rng, eig_low=0.8, eig_high=5.0) for _ in range(20)]
-        report = check_invariance(package, samples)
-        assert report.max_deviation <= 1e-12
-        assert report.violations == 0
+    @pytest.mark.parametrize("name", sorted(SAMPLE_BUILDERS))
+    def test_unit_translations_exact_at_level_one(self, name):
+        # Why invariance_gammas samples no translation at level 1: the keys
+        # are integral, so F(Z + B) = F(Z) to rounding for every unit B.
+        package = build_sample(name)
+        n, rep = package.n, package.rep
+        points = random_siegel_points(n, np.random.default_rng(0), 1000, *CHECK_BOX)
+        base = evaluate(package.expansion, points)
+        for i, j in zip(*np.triu_indices(n)):
+            b = np.zeros((n, n))
+            b[i, j] = b[j, i] = 1.0
+            devs = norms(rep, slash_values(package, translation(b).mat, points) - base)
+            assert np.all(devs <= 1e-14 * (1.0 + norms(rep, base)))
 
     def test_e4_inversion_on_arc(self, e4_package, rng):
         # Points on the unit circle arc with y >= sqrt(3)/2.
@@ -340,11 +315,6 @@ class TestInvariance:
         report = check_invariance(e4_package, samples)
         assert report.max_deviation <= 1e-6
         assert report.violations == 0
-
-    def test_empty_gamma_set_rejected(self, e4_package):
-        package = FormPackage(e4_package.expansion, (), growth_a=300.0, growth_kappa=3.0)
-        with pytest.raises(FormDataError, match="gamma_test_set"):
-            check_invariance(package, [point1(0.0, 1.0)])
 
     def test_low_samples_rejected(self, e4_package):
         with pytest.raises(ValueError, match="identity/2"):
@@ -399,7 +369,7 @@ class TestTailBound:
     def test_overflowing_term_is_divergence(self, e4_package, a_const, kappa, y):
         # A raised power that overflows, a product that becomes inf, and
         # one that becomes inf * exp(-c m) = inf * 0 = NaN.
-        package = FormPackage(e4_package.expansion, (), growth_a=a_const, growth_kappa=kappa)
+        package = FormPackage(e4_package.expansion, growth_a=a_const, growth_kappa=kappa)
         with pytest.raises(TailDivergenceError, match="overflows a float"):
             tail_bound(package, np.array([[y]]))
 

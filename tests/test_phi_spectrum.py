@@ -125,21 +125,21 @@ def degree2_scalar_expansion():
 def negative_kappa_package():
     terms = [(_beta0(1), [[m]], [0.5 / (1 + m)]) for m in range(6)]
     exp_ = FourierExpansion.from_terms(1, 0, 1, make_rep(1, 0, 2), 5.0, terms)
-    return FormPackage(exp_, (), growth_a=1.0, growth_kappa=-1.0)
+    return FormPackage(exp_, growth_a=1.0, growth_kappa=-1.0)
 
 
 def p2_package():
     b2 = MultiIndex.from_dict(1, {(1, 1): 2})
     terms = [(_beta0(1), [[m]], [1.0]) for m in range(5)] + [(b2, [[0]], [0.25])]
     exp_ = FourierExpansion.from_terms(1, 2, 1, make_rep(1, 0, 2), 4.0, terms)
-    return FormPackage(exp_, (), growth_a=2.0, growth_kappa=1.0)
+    return FormPackage(exp_, growth_a=2.0, growth_kappa=1.0)
 
 
 def level3_package():
     # Level 3: N*S = [[m]], so Tr(S) = m/3 and the kept levels run to 3 * t_max.
     terms = [(_beta0(1), [[m]], [divisor_power_sum(m, 3) if m else 1.0]) for m in range(10)]
     exp_ = FourierExpansion.from_terms(1, 0, 3, make_rep(1, 0, 4), 3.0, terms)
-    return FormPackage(exp_, (), growth_a=300.0, growth_kappa=3.0)
+    return FormPackage(exp_, growth_a=300.0, growth_kappa=3.0)
 
 
 ONE_DIM = ["e4_package", "e6_package", "e2star_package", "constant_package", "degree2_det3"]

@@ -18,9 +18,9 @@ import pytest
 
 from nhsiegel import cli, forms, symplectic
 from nhsiegel.cli import _point_header, main
-from nhsiegel.errors import FormDataError, ReductionBudgetError
+from nhsiegel.errors import ReductionBudgetError
 from nhsiegel.formio import load_form_package, save_form_package
-from nhsiegel.forms import FormPackage, check_invariance
+from nhsiegel.forms import check_invariance
 from nhsiegel.growth import (
     SWEEP_BLOCK,
     SweepConfig,
@@ -438,20 +438,6 @@ class TestCheckBlocks:
 def test_check_without_samples_is_rejected(e4_package, samples):
     with pytest.raises(ValueError, match="at least one sample"):
         check_invariance(e4_package, samples)
-
-
-def test_empty_gamma_set_draws_no_block(e4_package):
-    # The gamma set is checked once, before the first block is drawn.
-    package = FormPackage(e4_package.expansion, (), growth_a=300.0, growth_kappa=3.0)
-    drawn = []
-
-    def blocks():
-        drawn.append(1)
-        yield random_siegel_points(1, np.random.default_rng(0), 5, *CHECK_BOX)
-
-    with pytest.raises(FormDataError, match="gamma_test_set"):
-        check_invariance(package, blocks())
-    assert drawn == []
 
 
 def test_nan_deviation_survives_later_blocks(e4_package, monkeypatch):
