@@ -14,7 +14,7 @@ from nhsiegel.cli import entry, main, parse_point
 from nhsiegel.errors import FormDataError
 from nhsiegel.formio import load_form_package, save_form_package
 from nhsiegel.samples import build_sample, divisor_power_sum
-from nhsiegel.symplectic import inversion
+from nhsiegel.symplectic import SymplecticMatrix, inversion
 
 
 @pytest.fixture(scope="module")
@@ -633,8 +633,9 @@ class TestConfigValidation:
         [
             (("growth", "kappa", 1e308), "kappa"),
             (("coefficients", None, 5), "coefficients"),
+            (("gamma_test_set", None, 7), "gamma_test_set"),
         ],
-        ids=["kappa-1e308", "coefficients-5"],
+        ids=["kappa-1e308", "coefficients-5", "gamma_test_set-7"],
     )
     def test_unusable_form_file_is_input_error(self, e4_file, tmp_path, capsys, command, edit, named):
         # Malformed input, so exit 2 with the field named, and no traceback.
@@ -673,6 +674,19 @@ class TestConfigValidation:
         assert out == ""
         assert err == "numerical failure: tail estimate overflows a float at level 1e+308\n"
         assert len(err.encode()) < 120
+
+    def test_computed_point_is_numerical_failure(self, e4_file, capsys, monkeypatch):
+        # gamma = (1 0; 10^7 1) sends the samples to points whose Y is under
+        # the positive-definite floor.  The library computed those points, so
+        # this is a numerical failure, not bad input.
+        far = SymplecticMatrix(np.array([[1, 0], [10000000, 1]]))
+        monkeypatch.setattr(forms, "invariance_gammas", lambda n, level: (far,))
+        assert main(["check", "--form", str(e4_file), "--samples", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "numerical failure: computed point's imaginary part is not positive definite"
+        )
 
     def test_bad_format_rejected_by_argparse(self, e4_file):
         with pytest.raises(SystemExit):

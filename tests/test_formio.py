@@ -221,17 +221,20 @@ class TestJsonNumbers:
             package_from_dict(data)
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, message",
         [
-            ("coefficients", 5),
-            ("coefficients", {"a": 1}),
+            ("coefficients", 5, "coefficients must be a JSON array"),
+            ("coefficients", {"a": 1}, "coefficients must be a JSON array"),
+            # No longer a field: any value of the key is refused, naming it.
+            ("gamma_test_set", 7, "gamma_test_set: the library chooses the gamma"),
+            ("gamma_test_set", "x", "gamma_test_set: the library chooses the gamma"),
         ],
-        ids=["coefficients-5", "coefficients-object"],
+        ids=["coefficients-5", "coefficients-object", "gamma_test_set-7", "gamma_test_set-string"],
     )
-    def test_list_fields_must_be_arrays(self, key, value):
+    def test_list_fields_must_be_arrays(self, key, value, message):
         data = minimal_dict()
         data[key] = value
-        with pytest.raises(FormDataError, match=f"^{key} must be a JSON array"):
+        with pytest.raises(FormDataError, match=f"^{message}"):
             package_from_dict(data)
 
     def test_value_pairs_kept_bit_for_bit(self):
