@@ -185,24 +185,6 @@ class FourierExpansion:
             s = np.array(skey, dtype=float) / float(self.level)
             yield beta, s, vec.copy()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FourierExpansion):
-            return NotImplemented
-        if (self.n, self.p, self.level, self.rep, self.t_max) != (
-            other.n,
-            other.p,
-            other.level,
-            other.rep,
-            other.t_max,
-        ):
-            return False
-        if set(self.coefficients) != set(other.coefficients):
-            return False
-        return all(
-            np.array_equal(vec, other.coefficients[key])
-            for key, vec in self.coefficients.items()
-        )
-
     @cached_property
     def _stacks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         # Per beta: the flat indices into Y^{-1} and the powers of its monomial (empty
@@ -487,16 +469,12 @@ def invariance_gammas(n: int, level: int) -> tuple[SymplecticMatrix, ...]:
     return tuple(gammas)
 
 
-def check_invariance(
-    package: FormPackage,
-    samples: PointBatch | Sequence[SiegelPoint] | Iterable[PointBatch],
-) -> InvarianceReport:
+def check_invariance(package: FormPackage, samples: Iterable[PointBatch]) -> InvarianceReport:
     """Measure the relative deviation of F|gamma from F on the samples, for
     every gamma of ``invariance_gammas(n, N)``: the library, not the form
     file, chooses them, and the report's ``gammas`` counts them (1 at level
-    1).  The samples are one block (a PointBatch or a sequence of points) or
-    an iterable of PointBatch blocks, reported as one batch holding every
-    sample.
+    1).  The samples are an iterable of PointBatch blocks, reported as one
+    batch holding every sample.
 
     Samples must satisfy Im(Z) >= identity/2, which keeps the truncation
     tail estimable; the per-sample threshold is the tail bound at Z and at
@@ -504,10 +482,8 @@ def check_invariance(
     floating-point allowance.  A NaN deviation or threshold is the maximum
     and no violation.  No sample is a ValueError."""
     gammas = invariance_gammas(package.n, package.expansion.level)
-    if isinstance(samples, Sequence) and samples and isinstance(samples[0], SiegelPoint):
-        samples = PointBatch.from_points(samples)
     rep, count, violations, deviation, threshold = package.rep, 0, 0, 0.0, 0.0
-    for points in [samples] if isinstance(samples, PointBatch) else samples:
+    for points in samples:
         if np.any(points.eigvals[:, -1] < 0.5 - 1e-9):
             raise ValueError("invariance samples must have Im(Z) >= identity/2")
         base = evaluate(package.expansion, points)

@@ -105,15 +105,20 @@ class GrowthReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
 
-def _one_point(y) -> PointBatch:
+def _points(y) -> PointBatch:
+    """The batch of a PointBatch or a SiegelPoint; a matrix Y as one point
+    with X = 0."""
+    if isinstance(y, (SiegelPoint, PointBatch)):
+        return y.batch if isinstance(y, SiegelPoint) else y
     y = np.asarray(y, dtype=float)
     return PointBatch(np.zeros((1,) + y.shape), y[None])
 
 
 def sturm_rhs(y, lambda1: int):
     """prod_i (mu_i^{lambda1/2} + mu_i^{-lambda1/2}) over the eigenvalues of
-    a matrix Y, as a float; at every point of a PointBatch, as an array."""
-    points = y if isinstance(y, PointBatch) else _one_point(y)
+    Y at a matrix Y or a SiegelPoint, as a float; at every point of a
+    PointBatch, as an array."""
+    points = _points(y)
     half = lambda1 / 2.0
     mu = points.eigvals
     out = np.prod(mu**half + mu ** (-half), axis=-1)
@@ -121,9 +126,9 @@ def sturm_rhs(y, lambda1: int):
 
 
 def corollary_rhs(y, lambda1: int):
-    """(1 + Tr Y)^{n lambda1} (det Y)^{-lambda1/2} at a matrix Y, as a float;
-    at every point of a PointBatch, as an array."""
-    points = y if isinstance(y, PointBatch) else _one_point(y)
+    """(1 + Tr Y)^{n lambda1} (det Y)^{-lambda1/2} at a matrix Y or a
+    SiegelPoint, as a float; at every point of a PointBatch, as an array."""
+    points = _points(y)
     trace, det_y = np.trace(points.Y, axis1=1, axis2=2), np.prod(points.eigvals, axis=-1)
     out = (1.0 + trace) ** (points.n * lambda1) * det_y ** (-lambda1 / 2.0)
     return out if points is y else float(out[0])

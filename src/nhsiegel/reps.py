@@ -148,18 +148,9 @@ class RepVector:
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
-    def __add__(self, other: "RepVector") -> "RepVector":
-        _check_same_rep(self, other)
-        return RepVector(self.rep, self.coords + other.coords)
-
     def __sub__(self, other: "RepVector") -> "RepVector":
         _check_same_rep(self, other)
         return RepVector(self.rep, self.coords - other.coords)
-
-    def __mul__(self, scalar) -> "RepVector":
-        return RepVector(self.rep, self.coords * scalar)
-
-    __rmul__ = __mul__
 
 
 def make_rep(n: int, j: int, k: int) -> Rep:

@@ -56,17 +56,17 @@ def eisenstein4(t_max: float = 20.0) -> FormPackage:
     return _level_one(4, 0, 240.0, t_max, 300.0, 3.0)
 
 
-def eisenstein6(t_max: float = 20.0) -> FormPackage:
-    """Weight-6 level-one Eisenstein series, truncated at Tr(S) <= t_max.
+def eisenstein6() -> FormPackage:
+    """Weight-6 level-one Eisenstein series, truncated at Tr(S) <= 20.
 
     Coefficients: a(0) = 1, a(m) = -504 sigma_5(m).  Declared growth
     A = 550, kappa = 5 (504 zeta(5) < 523).
     """
-    return _level_one(6, 0, -504.0, t_max, 550.0, 5.0)
+    return _level_one(6, 0, -504.0, 20.0, 550.0, 5.0)
 
 
-def e2_star(t_max: float = 20.0) -> FormPackage:
-    """The weight-2 series 1 - 3/(pi y) - 24 sum sigma_1(m) q^m.
+def e2_star() -> FormPackage:
+    """The weight-2 series 1 - 3/(pi y) - 24 sum sigma_1(m) q^m, to Tr(S) <= 20.
 
     The 1/y term is stored with multi-index {b_11 = 1} at S = 0, making this
     the canonical genuinely nearly holomorphic sample (degree 1 in 1/y).
@@ -74,30 +74,28 @@ def e2_star(t_max: float = 20.0) -> FormPackage:
     coefficient has magnitude 3/pi < 1).
     """
     b11 = MultiIndex.from_dict(1, {(1, 1): 1})
-    return _level_one(2, 1, -24.0, t_max, 30.0, 2.0, [(b11, [[0]], [-3.0 / math.pi + 0.0j])])
+    return _level_one(2, 1, -24.0, 20.0, 30.0, 2.0, [(b11, [[0]], [-3.0 / math.pi + 0.0j])])
 
 
-def constant_form(value: complex = 1.0, t_max: float = 20.0) -> FormPackage:
-    """Degree-1 constant form with trivial weight: F(Z) = value."""
+def constant_form(value: complex = 1.0) -> FormPackage:
+    """Degree-1 constant form with trivial weight: F(Z) = value (T_max 20)."""
     rep = make_rep(1, 0, 0)
-    exp_ = FourierExpansion.from_terms(
-        1, 0, 1, rep, t_max, [(_beta0(1), [[0]], [complex(value)])]
-    )
+    exp_ = FourierExpansion.from_terms(1, 0, 1, rep, 20.0, [(_beta0(1), [[0]], [complex(value)])])
     return FormPackage(exp_, growth_a=abs(complex(value)), growth_kappa=0.0)
 
 
-def zero_form(t_max: float = 20.0) -> FormPackage:
-    """Degree-1 form with no coefficients at all."""
+def zero_form() -> FormPackage:
+    """Degree-1 form with no coefficients at all (T_max 20)."""
     rep = make_rep(1, 0, 0)
-    exp_ = FourierExpansion.from_terms(1, 0, 1, rep, t_max, [])
+    exp_ = FourierExpansion.from_terms(1, 0, 1, rep, 20.0, [])
     return FormPackage(exp_, growth_a=0.0, growth_kappa=0.0)
 
 
-def synthetic_sym2(t_max: float = 4.0) -> FormPackage:
+def synthetic_sym2() -> FormPackage:
     """Synthetic degree-2 coefficient set in Sym^2 x det^2, near-holomorphy
-    degree 1.  Exercises vector-valued evaluation, slashing, and tail
-    machinery; it is not modular, so it is unsuitable for invariance or
-    growth certification.
+    degree 1, truncated at Tr(S) <= 4.  Exercises vector-valued evaluation,
+    slashing, and tail machinery; it is not modular, so it is unsuitable for
+    invariance or growth certification.
     """
     rep = make_rep(2, 2, 2)
     b0 = _beta0(2)
@@ -110,7 +108,7 @@ def synthetic_sym2(t_max: float = 4.0) -> FormPackage:
         (b0, [[2, 1], [1, 1]], [-0.4, 0.6, 1.0j]),
         (b12, [[1, 0], [0, 1]], [0.05, -0.15, 0.08]),
     ]
-    exp_ = FourierExpansion.from_terms(2, 1, 1, rep, t_max, terms)
+    exp_ = FourierExpansion.from_terms(2, 1, 1, rep, 4.0, terms)
     return FormPackage(exp_, growth_a=2.0, growth_kappa=0.0)
 
 

@@ -247,10 +247,6 @@ class SymplecticMatrix:
         m.mat.flags.writeable = False
         return m
 
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0] // 2
-
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         return SymplecticMatrix(self.mat @ other.mat)
 

@@ -44,6 +44,7 @@ from nhsiegel.sampling import (
     random_unitary,
 )
 from nhsiegel.symplectic import (
+    PointBatch,
     SiegelPoint,
     SymplecticMatrix,
     act,
@@ -283,7 +284,7 @@ def test_criterion_08_invariance(e4_package):
         x = float(rng.uniform(-0.5, 0.5))
         y = math.sqrt(3) / 2 + float(rng.uniform(0.0, 4.0))
         samples.append(SiegelPoint(np.array([[x]]), np.array([[y]])))
-    rep = check_invariance(e4_package, samples)
+    rep = check_invariance(e4_package, [PointBatch.from_points(samples)])
     report(
         8,
         "weight-4 series invariance on 100 points (translation and inversion) <= 1e-6",

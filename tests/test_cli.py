@@ -12,7 +12,7 @@ import pytest
 from nhsiegel import forms
 from nhsiegel.cli import entry, main, parse_point
 from nhsiegel.errors import FormDataError
-from nhsiegel.formio import load_form_package, save_form_package
+from nhsiegel.formio import load_form_package, package_to_dict, save_form_package
 from nhsiegel.samples import build_sample, divisor_power_sum
 from nhsiegel.symplectic import SymplecticMatrix, inversion
 
@@ -83,6 +83,18 @@ class TestParsePoint:
             " (min eigenvalue -1.000e+00)\n"
         )
 
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ("a;1", "point 'a;1' has non-numeric entries"),
+            ("0,0;1", "point '0,0;1': X and Y must have the same entry count"),
+        ],
+        ids=["non-numeric-entries", "entry-count-mismatch"],
+    )
+    def test_rejected_point_is_named(self, e4_file, capsys, z, message):
+        assert main(["eval", "--form", str(e4_file), "--z", z]) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
     def test_bad_y_in_points_file_message(self, e4_file, tmp_path, capsys):
         pts = tmp_path / "bad_y.json"
         pts.write_text(json.dumps([{"X": [[0.0]], "Y": [[-1.0]]}]), encoding="utf-8")
@@ -97,8 +109,7 @@ class TestSample:
     def test_writes_round_trippable_file(self, tmp_path):
         out = tmp_path / "e6.json"
         assert main(["sample", "--name", "e6", "--out", str(out)]) == 0
-        package = load_form_package(out)
-        assert package.expansion == build_sample("e6").expansion
+        assert package_to_dict(load_form_package(out)) == package_to_dict(build_sample("e6"))
 
     def test_requires_out(self):
         assert main(["sample", "--name", "e6"]) == 2
@@ -650,6 +661,44 @@ class TestConfigValidation:
         assert main([command[0], "--form", str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and named in err
+
+    @pytest.mark.parametrize(
+        "statement, named",
+        [
+            ("d = [d]", "top level must be a JSON object"),
+            ("d['rep'] = 3", "rep must be an object with fields j and k"),
+            ("d['growth'] = [300.0, 3.0]", "growth must be an object with fields A and kappa"),
+            ("d['coefficients'][0] = 5", "coefficients[0]: records must be objects"),
+            ("del d['coefficients'][0]['beta']", "coefficients[0]: missing field 'beta'"),
+            ("del d['coefficients'][0]['S']", "coefficients[0]: missing field 'S'"),
+            ("del d['coefficients'][0]['value']", "coefficients[0]: missing field 'value'"),
+            (
+                "d['coefficients'][1]['beta'] = {'1,1': -1}",
+                "coefficients[1]: power for (1,1) must be a positive integer, got -1",
+            ),
+            ("d['coefficients'][1]['S'] = [[1, 0], [0, 1]]", "coefficients[1]: S must be 1x1"),
+            ("d['p'] = -1", "near-holomorphy degree must be non-negative"),
+            ("d['growth']['A'] = -1", "growth constant A must be finite and non-negative"),
+            ("d['growth']['kappa'] = math.inf", "growth exponent kappa must be finite"),
+        ],
+        ids=[
+            "top-level-not-an-object", "rep-not-an-object", "growth-not-an-object",
+            "record-not-an-object", "record-without-beta", "record-without-S",
+            "record-without-value", "beta-negative-power", "S-wrong-shape", "p-negative",
+            "growth-A-negative", "growth-kappa-infinite",
+        ],
+    )
+    def test_rejected_form_field_is_named(self, e4_file, tmp_path, capsys, statement, named):
+        # An edited copy of `sample`'s e4 file, as CI's `edit` makes one
+        # (kappa = inf is written as the JSON extension Infinity): exit 2,
+        # and the message names the field.
+        scope = {"d": json.loads(e4_file.read_text(encoding="utf-8")), "math": math}
+        exec(statement, scope)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scope["d"]), encoding="utf-8")
+        assert main(["eval", "--form", str(path), "--z", "0;1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and named in err
 
     def test_overflowing_tail_is_numerical_failure(self, e4_file, tmp_path, capsys):
         # The package holds (1 + Tr S)^200 up to T_max; the tail series

@@ -242,12 +242,12 @@ def _reference_check(package, points):
 def test_check_invariance_matches_point_by_point_reference(name):
     package = build_sample(name)
     points = random_siegel_points(package.n, np.random.default_rng(3), 60, *CHECK_BOX)
-    report = check_invariance(package, points)
+    report = check_invariance(package, [points])
     assert (report.max_deviation, report.threshold, report.violations) == _reference_check(
         package, points
     )
-    as_list = check_invariance(package, [points.point(i) for i in range(len(points))])
-    assert as_list == report
+    restacked = PointBatch.from_points(points.point(i) for i in range(len(points)))
+    assert check_invariance(package, [restacked]) == report
 
 
 class TestFlags:

@@ -312,13 +312,13 @@ class TestInvariance:
         samples = []
         for theta in np.linspace(1.1, math.pi - 1.1, 25):
             samples.append(point1(math.cos(theta), math.sin(theta)))
-        report = check_invariance(e4_package, samples)
+        report = check_invariance(e4_package, [PointBatch.from_points(samples)])
         assert report.max_deviation <= 1e-6
         assert report.violations == 0
 
     def test_low_samples_rejected(self, e4_package):
         with pytest.raises(ValueError, match="identity/2"):
-            check_invariance(e4_package, [point1(0.0, 0.3)])
+            check_invariance(e4_package, [point1(0.0, 0.3).batch])
 
     def test_non_modular_data_flagged(self, sym2_package, rng):
         # Negative control: the synthetic degree-2 set satisfies no
@@ -327,7 +327,7 @@ class TestInvariance:
             random_siegel_point(2, rng, eig_low=0.8, eig_high=3.0, x_scale=1.0)
             for _ in range(10)
         ]
-        report = check_invariance(sym2_package, samples)
+        report = check_invariance(sym2_package, [PointBatch.from_points(samples)])
         assert report.violations > 0
         assert report.max_deviation > report.threshold
 

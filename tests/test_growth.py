@@ -28,11 +28,13 @@ from nhsiegel.sampling import (
     random_unitary,
 )
 from nhsiegel.symplectic import (
+    PointBatch,
     SiegelPoint,
     SymplecticMatrix,
     automorphy_factor,
     compact_from_unitary,
     from_point,
+    reduce_batch,
 )
 
 
@@ -81,6 +83,20 @@ class TestCorollaryRhs:
                 factor = max(1.0, 2.0 ** (1 - lam)) ** n
                 assert factor * corollary_rhs(y, lam) >= sturm_rhs(y, lam) * (1.0 - 1e-12)
         assert corollary_rhs(np.eye(2), 0) == 1.0 and sturm_rhs(np.eye(2), 0) == 4.0
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [([[0.3]], [[1.7]]), ([[0.1, -0.2], [-0.2, 0.4]], [[2.0, 0.3], [0.3, 0.6]])],
+    ids=["degree-1", "degree-2"],
+)
+@pytest.mark.parametrize("rhs", [sturm_rhs, corollary_rhs], ids=["sturm", "corollary"])
+def test_rhs_of_a_point_is_that_of_its_y(rhs, x, y):
+    # One point gives one float, the value at its imaginary part.
+    z = SiegelPoint(np.array(x), np.array(y))
+    for lam in (0, 2, 4):
+        value = rhs(z, lam)
+        assert type(value) is float and value == rhs(z.Y, lam)
 
 
 class TestElementaryInequality:
@@ -184,6 +200,17 @@ class TestVerifyGrowthBound:
     def test_unknown_kind(self, e4_package):
         with pytest.raises(ValueError):
             verify_growth_bound(e4_package, 1.0, "sharpest")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_values_are_phi_at_the_reduced_point(self, e4_package):
+        # The sweep certifies phi over the fundamental domain, so every
+        # recorded value is phi at the reduced point.  Today it is phi of the
+        # truncated series at the raw point: 67 of these 200 values differ
+        # from it by more than 1e-6, by up to 187 times.
+        report = verify_growth_bound(e4_package, 1.0, config=SweepConfig(samples=200, seed=1))
+        where = report.records.where
+        reduced = reduce_batch(PointBatch(where.real, where.imag))[1]
+        np.testing.assert_allclose(report.records.value, phi(e4_package, reduced), rtol=1e-9)
 
     def test_report_dict_fields(self, zero_package):
         report = verify_growth_bound(

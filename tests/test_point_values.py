@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nhsiegel.linalg
+from nhsiegel.formio import package_to_dict
 from nhsiegel.forms import evaluate, phi, tail_bound
 from nhsiegel.samples import eisenstein4
 from nhsiegel.sampling import random_siegel_point, random_siegel_points
@@ -89,8 +90,10 @@ class TestHeldValues:
     def test_equal_expansion_object_is_summed_afresh(self, e4_package, work):
         # The slot checks identity, not equality.
         points = _points(1, 4)
-        twin = eisenstein4().expansion
-        assert twin == e4_package.expansion and twin is not e4_package.expansion
+        twin_package = eisenstein4()
+        assert package_to_dict(twin_package) == package_to_dict(e4_package)
+        twin = twin_package.expansion
+        assert twin is not e4_package.expansion
         evaluate(e4_package.expansion, points)
         work.clear()
         evaluate(twin, points)

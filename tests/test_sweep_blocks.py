@@ -375,7 +375,7 @@ def test_check_runs_in_sweep_blocks(e4_package, tmp_path, monkeypatch):
     form, out = tmp_path / "e4.json", tmp_path / "check.json"
     save_form_package(e4_package, form)
     whole = check_invariance(
-        e4_package, random_siegel_points(1, np.random.default_rng(5), 600, *CHECK_BOX)
+        e4_package, [random_siegel_points(1, np.random.default_rng(5), 600, *CHECK_BOX)]
     )
     sizes, evaluate = [], forms.evaluate
 
@@ -418,20 +418,20 @@ class TestCheckBlocks:
         blocks = list(check_blocks(package.n, SweepConfig(samples=300, seed=2)))
         assert [len(b) for b in blocks] == [SWEEP_BLOCK, 300 - SWEEP_BLOCK]
         report = check_invariance(package, (b for b in blocks))
-        assert report == check_invariance(package, _stacked(blocks))
+        assert report == check_invariance(package, [_stacked(blocks)])
         assert report.samples == 300
 
     def test_list_of_blocks(self, name):
         package = build_sample(name)
         points = random_siegel_points(package.n, np.random.default_rng(8), 40, *CHECK_BOX)
         blocks = _split(points, [17, 1, 22])
-        assert check_invariance(package, blocks) == check_invariance(package, points)
+        assert check_invariance(package, blocks) == check_invariance(package, [points])
 
     def test_a_full_block_and_one_point(self, name):
         package = build_sample(name)
         blocks = list(check_blocks(package.n, SweepConfig(samples=SWEEP_BLOCK + 1, seed=4)))
         assert [len(b) for b in blocks] == [SWEEP_BLOCK, 1]
-        assert check_invariance(package, blocks) == check_invariance(package, _stacked(blocks))
+        assert check_invariance(package, blocks) == check_invariance(package, [_stacked(blocks)])
 
 
 @pytest.mark.parametrize("samples", [[], iter(())], ids=["list", "iterator"])

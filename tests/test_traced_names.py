@@ -59,7 +59,7 @@ def test_sweeps_and_check_run_the_traced_kernels(form, request):
             verify_growth_bound(package, 1.0, kind, config)
         w0 = basis_vector(package.rep, 0)
         verify_moderate_growth(package, w0, 1.0, config=config)
-        check_invariance(package, samples)
+        check_invariance(package, [samples])
     finally:
         uninstall()
     calls = Counter(span[0] for span in spans.spans)
