@@ -40,7 +40,6 @@ from .linalg import (
     MultiIndex,
     eigenvalues_sym,
     eigh_sym,
-    in_V_delta,
     inverse,
     monomial,
     sqrt_posdef,

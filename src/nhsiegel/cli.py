@@ -33,7 +33,6 @@ from .growth import (
     verify_growth_bound,
     verify_moderate_growth,
 )
-from .reps import basis_vector, vector
 from .samples import SAMPLE_BUILDERS, build_sample
 from .symplectic import PointBatch, SiegelPoint, delta_for_degree, reduce_batch
 
@@ -152,7 +151,7 @@ def cmd_reduce(args) -> int:
     points = _load_points(args)
     gamma, reduced = reduce_batch(points)
     delta = delta_for_degree(points.n)
-    # linalg.in_V_delta with tol = REDUCE_TOL, read off the reduced batch's eigenvalues.
+    # Whether Y >= delta I up to REDUCE_TOL, read off the reduced batch's eigenvalues.
     least = reduced.eigvals[:, -1]
     records = [
         {"gamma": g, "z_red": {"X": x, "Y": y}, "min_im_eigenvalue": low,
@@ -200,21 +199,8 @@ def cmd_bound(args) -> int:
 
 def cmd_moderate(args) -> int:
     package = load_form_package(args.form)
-    rep = package.rep
-    if args.w0 is not None:
-        try:
-            coords = [float(v) for v in args.w0.split(",")]
-        except ValueError:
-            raise FormDataError("--w0 must be comma-separated reals")
-        if len(coords) != rep.dim:
-            raise FormDataError(f"--w0 needs {rep.dim} coordinates")
-        if not all(map(math.isfinite, coords)):
-            raise FormDataError(f"--w0 coordinates must be finite, got {args.w0}")
-        w0 = vector(rep, coords)
-    else:
-        w0 = basis_vector(rep, 0)
     report = verify_moderate_growth(
-        package, w0, _constant(args, package), config=_sweep_config(args, seed_offset=1)
+        package, _constant(args, package), config=_sweep_config(args, seed_offset=1)
     )
     m = 2 * package.n
     header = [f"g_{i+1}{j+1}" for i in range(m) for j in range(m)]
@@ -272,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
         "kind": dict(choices=("theorem", "corollary"), default="theorem"),
         "constant": dict(type=float, default=None, help="force the constant instead of estimating it"),
-        "w0": dict(default=None, help="comma-separated real coordinates"),
         "name": dict(choices=sorted(SAMPLE_BUILDERS), required=True),
     }
     # Each subcommand takes the flags it reads.
@@ -282,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("reduce", cmd_reduce, "reduce points to the fundamental domain", "z points out format"),
         ("check", cmd_check, "check the transformation law on samples", "form samples seed out"),
         ("bound", cmd_bound, "sweep the growth bound", sweep + " kind constant"),
-        ("moderate", cmd_moderate, "sweep the moderate-growth inequality", sweep + " w0 constant"),
+        ("moderate", cmd_moderate, "sweep the moderate-growth inequality", sweep + " constant"),
         ("sample", cmd_sample, "write a bundled sample form file", "name out"),
     ):
         p = sub.add_parser(name, help=help_)

@@ -7,13 +7,13 @@ Two right-hand sides are certified against samples:
 
 where l is the largest entry of the highest weight and mu_i are the
 eigenvalues of Y = Im(Z), together with the moderate-growth inequality
-|Phi(g)| <= C (Tr(g^T g))^r for the function lifted to the group.
+||Phi(g)|| <= C (Tr(g^T g))^r for the function lifted to the group.
 
 The eigenvalue-bound constant C is estimated empirically: the invariant
 magnitude phi is swept over reduced (fundamental-domain) points, and its
 worst ratio against the eigenvalue bound is inflated by a safety factor.
 The other constants follow from C by proof (see the README): C times
-max(1, 2^{1-l})^n for the trace/determinant bound, and ||w0|| C times
+max(1, 2^{1-l})^n for the trace/determinant bound, and C times
 max(1, 2^{1-l/2})^n n^{-nl/2} for moderate growth at every r >= nl/2.
 Each constant is then validated on fresh adversarial sweeps.
 
@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .forms import FormPackage, FourierExpansion, phi, slash_values
-from .reps import RepVector, _as_int, norm
+from .reps import RepVector, _as_int, norms
 from .sampling import CHECK_BOX, EIG_HIGH, EIG_LOW, X_SCALE, random_group_samples, random_siegel_points
 from .symplectic import (
     FUNDAMENTAL_DOMAIN_DELTA,
@@ -72,7 +72,7 @@ class SweepConfig:
 class SampleRecords(NamedTuple):
     """The per-sample stream of one sweep, in sample order: ``where`` holds
     the points Z (complex) or group elements g, ``value`` phi or
-    |<lift, w0>|, then the scaled right-hand side and the ratio."""
+    ||lift||, then the scaled right-hand side and the ratio."""
 
     where: np.ndarray
     value: np.ndarray
@@ -86,7 +86,7 @@ class GrowthReport:
     per-sample stream behind the summary; it is not part of ``to_dict``."""
 
     kind: str
-    constant: float  # the multiplier of the rhs: theorem_constant * factor (* ||w0||)
+    constant: float  # the multiplier of the rhs: theorem_constant * factor
     theorem_constant: float
     factor: float
     exponent_r: float
@@ -205,35 +205,23 @@ def lift(f: FourierExpansion | FormPackage, g: SymplecticMatrix | np.ndarray):
 
 def verify_moderate_growth(
     package: FormPackage,
-    w0: RepVector,
     constant: float,
     elements: Iterable[SymplecticMatrix] | None = None,
     config: SweepConfig | None = None,
 ) -> GrowthReport:
-    """Check |<lift(F, g), w0>| <= C (Tr(g^T g))^r over group samples.
+    """Check ||lift(F, g)|| <= C_mod (Tr(g^T g))^r over group samples.
 
     ``constant`` is the certified eigenvalue-bound constant C; the moderate
-    growth constant is ||w0|| C max(1, 2^{1-s})^n n^{-ns}, with s = lambda1/2,
-    for a finite, non-zero w0.  r is ns: as Tr(g^T g) >= 2n > 1, the sweep
+    growth constant C_mod is C max(1, 2^{1-s})^n n^{-ns}, with s = lambda1/2.
+    By Cauchy-Schwarz the sweep also bounds |<lift(F, g), w0>| by ||w0|| C_mod
+    (Tr(g^T g))^r for every w0.  r is ns: as Tr(g^T g) >= 2n > 1, the sweep
     at ns implies every larger r.  Given ``elements`` are swept as one
     block in place of the configured draws, and the report's config then
     keeps only the fields that applied to them.
     """
-    if w0.rep != package.rep:
-        raise ValueError(f"w0 is in {w0.rep}, the form in {package.rep}")
     lam1, n = package.lambda1, package.n
     r = n * lam1 / 2.0
-    if not np.all(np.isfinite(w0.coords)):
-        raise ValueError(f"w0 coordinates must be finite, got {w0.coords.tolist()}")
-    if not w0.coords.any():
-        raise ValueError("w0 must be non-zero: for w0 = 0 both sides vanish and nothing is checked")
     config = config or SweepConfig()
-    # The sweep runs on the unit w0 / s, with s the largest |entry|, whose
-    # squared entries neither underflow nor overflow; its ratios are those
-    # of w0, whatever the scale of w0.  Dividing the real view by s forms
-    # no reciprocal 1 / s, which could overflow.
-    s = float(np.abs(w0.coords).max())
-    unit = RepVector(w0.rep, (w0.coords.view(float) / s).view(complex))
     factor = max(1.0, 2.0 ** (1 - lam1 / 2.0)) ** n * float(n) ** -r
     settings = _config_dict(config, package)
     if elements is None:
@@ -242,27 +230,22 @@ def verify_moderate_growth(
         mats = [g.mat for g in elements]
         blocks = [np.stack(mats)] if mats else []
         settings = {k: settings[k] for k in ("ratio_tol", "delta", "t_max")}
-    weights = np.conj(unit.coords) * package.rep.basis_sq_norms
 
     def score(gs):
-        value = np.abs(np.sum(lift(package, gs) * weights, axis=-1))
+        value = norms(package.rep, lift(package, gs))
         with np.errstate(over="ignore"):
             return gs, value, np.sum(gs * gs, axis=(1, 2)) ** r
 
-    return _sweep("moderate-growth", constant, factor, r, blocks, score, settings, norm(unit), s)
+    return _sweep("moderate-growth", constant, factor, r, blocks, score, settings)
 
 
-def _sweep(
-    kind, theorem_constant, factor, exponent_r, blocks, score, settings, w0_norm=1.0, scale=1.0
-):
+def _sweep(kind, theorem_constant, factor, exponent_r, blocks, score, settings):
     """The report of ``score``, which maps a block to its (where, value,
-    rhs / constant) arrays, over ``blocks``, with config dict ``settings``.
-    The ratios are those of constant ``w0_norm * theorem_constant * factor``;
-    the reported constant, values and right-hand sides are ``scale`` times
-    theirs.  A ratio reads 0/0 as 0, and x/0 and a quotient that overflows
-    as inf; a right-hand side that overflows is inf."""
-    unit_constant = w0_norm * theorem_constant * factor
-    constant = scale * unit_constant
+    rhs / constant) arrays, over ``blocks``, with config dict ``settings``
+    and constant ``theorem_constant * factor``.  A ratio reads 0/0 as 0, and
+    x/0 and a quotient that overflows as inf; a right-hand side that
+    overflows is inf."""
+    constant = theorem_constant * factor
     if not (math.isfinite(constant) and constant >= 0):
         raise ValueError(f"bound constant must be finite and non-negative, got {constant}")
     parts = [score(block) for block in blocks]
@@ -270,9 +253,9 @@ def _sweep(
         raise ValueError("a sweep needs at least one sample")
     where, value, rhs = map(np.concatenate, zip(*parts))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rhs = unit_constant * rhs
+        rhs = constant * rhs
         ratio = np.where(rhs == 0.0, np.where(value == 0.0, 0.0, math.inf), value / rhs)
-        records = SampleRecords(where, scale * value, scale * rhs, ratio)
+    records = SampleRecords(where, value, rhs, ratio)
     # The first largest ratio is the witness; NaN ratios never are.
     ratio = np.where(np.isnan(ratio), 0.0, ratio)
     worst = int(np.argmax(ratio))

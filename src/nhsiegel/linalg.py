@@ -111,16 +111,6 @@ def sqrt_posdef(y) -> np.ndarray:
     return spectral(w, q, np.sqrt(w))
 
 
-def in_V_delta(y, delta: float, tol: float = 1e-12) -> bool:
-    """Whether y >= delta * identity, i.e. min eigenvalue >= delta (up to tol)."""
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and positive, got {delta}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    w = eigenvalues_sym(y)
-    return float(w[-1]) >= delta - tol
-
-
 def solve_gauss(a, b) -> np.ndarray:
     """Solve a @ x = b (LU with partial pivoting, numpy.linalg.solve).
 

@@ -4,7 +4,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from nhsiegel.linalg import MultiIndex, _as_square, det, inverse
+from nhsiegel.linalg import MultiIndex, _as_square, det, eigenvalues_sym, inverse
 from nhsiegel.samples import (
     constant_form,
     e2_star,
@@ -91,6 +91,11 @@ def random_symplectic(
         else:
             g = g @ inversion(n)
     return g
+
+
+def in_V_delta(y, delta: float, tol: float = 1e-12) -> bool:
+    """Whether y >= delta * identity, i.e. min eigenvalue >= delta (up to tol)."""
+    return float(eigenvalues_sym(y)[-1]) >= delta - tol
 
 
 def multi_indices(n: int, p: int) -> Iterator[MultiIndex]:

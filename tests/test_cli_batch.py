@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import in_V_delta
 import nhsiegel.linalg
 from nhsiegel.cli import main
 from nhsiegel.formio import save_form_package
@@ -31,7 +32,7 @@ from nhsiegel.forms import (
     slash,
     tail_bound,
 )
-from nhsiegel.linalg import eigenvalues_sym, in_V_delta, inv_stack
+from nhsiegel.linalg import eigenvalues_sym, inv_stack
 from nhsiegel.reps import norms, rep_matrix
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
 from nhsiegel.sampling import CHECK_BOX, random_siegel_points
@@ -338,13 +339,6 @@ class TestFlags:
         # An empty path names no form file either.
         assert main([*argv, "--form", ""]) == 2
 
-    def test_subnormal_w0_accepted(self, forms, capsys):
-        argv = ["moderate", "--form", str(forms["e4"]), "--samples", "20"]
-        assert main(argv + ["--w0", "1e-310"]) == 0
-        tiny = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--w0", "1"]) == 0
-        assert tiny["worst_ratio"] == json.loads(capsys.readouterr().out)["worst_ratio"]
-
     @pytest.mark.parametrize(
         "form, extra",
         [
@@ -398,27 +392,20 @@ class TestFlags:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--w0=-inf"],
+            ["--constant=-inf"],
             # A decimal past the float range reads as inf.
-            ["--w0", "1e400"],
-            # Checked also where no constant is estimated.
-            ["--constant", "1e-6", "--w0", "nan"],
-            ["--w0", "nan"],
-            ["--w0", "inf"],
+            ["--constant", "1e400"],
+            ["--constant=-1e400"],
+            ["--constant", "nan"],
+            ["--constant", "inf"],
         ],
     )
     def test_non_finite_moderate_arguments_rejected(self, forms, capsys, extra):
         argv = ["moderate", "--form", str(forms["e4"]), "--samples", "20", *extra]
         assert main(argv) == 2
-        assert "must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("w0", ["0", "-0.0"])
-    def test_zero_w0_rejected(self, forms, capsys, w0):
-        argv = ["moderate", "--form", str(forms["e4"]), "--samples", "20", "--w0", w0]
-        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "w0 must be non-zero" in captured.err
+        assert "must be finite" in captured.err
 
     def test_t_max_keeping_the_same_levels_gives_the_same_check(self, forms, tmp_path, capsys):
         # e4.json stores T_max = 20; a copy with T_max = 20.5 keeps the same

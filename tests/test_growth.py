@@ -5,7 +5,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from nhsiegel import growth
 from nhsiegel.forms import phi
 from nhsiegel.growth import (
     SweepConfig,
@@ -18,7 +17,7 @@ from nhsiegel.growth import (
     verify_moderate_growth,
 )
 from nhsiegel.linalg import inverse
-from nhsiegel.reps import basis_vector, inner, make_rep, norm, vector
+from nhsiegel.reps import RepVector, inner, norm, vector
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
 from nhsiegel.sampling import (
     random_compact,
@@ -31,6 +30,7 @@ from nhsiegel.symplectic import (
     PointBatch,
     SiegelPoint,
     SymplecticMatrix,
+    act,
     automorphy_factor,
     compact_from_unitary,
     from_point,
@@ -284,61 +284,51 @@ class TestLift:
 
 class TestModerateGrowth:
     def test_zero_form(self, zero_package):
-        w0 = basis_vector(zero_package.rep, 0)
-        report = verify_moderate_growth(
-            zero_package, w0, 1.0, config=SweepConfig(samples=50, seed=41)
-        )
+        report = verify_moderate_growth(zero_package, 1.0, config=SweepConfig(samples=50, seed=41))
         assert report.violations == 0
 
     def test_e4_sweep(self, e4_package):
         c = estimate_constant(e4_package, SweepConfig(samples=500, seed=42))
-        w0 = basis_vector(e4_package.rep, 0)
-        report = verify_moderate_growth(
-            e4_package, w0, c, config=SweepConfig(samples=500, seed=43)
-        )
+        report = verify_moderate_growth(e4_package, c, config=SweepConfig(samples=500, seed=43))
         assert report.passed
         assert report.kind == "moderate-growth"
         assert report.exponent_r == 2.0
 
     def test_ray_sweep(self, e4_package):
         c = estimate_constant(e4_package, SweepConfig(samples=500, seed=44))
-        w0 = basis_vector(e4_package.rep, 0)
         rays = [
             SymplecticMatrix(np.diag([float(t), 1.0 / t])) for t in (2, 4, 8, 16, 32, 64)
         ]
-        report = verify_moderate_growth(e4_package, w0, c, elements=rays)
+        report = verify_moderate_growth(e4_package, c, elements=rays)
         assert report.violations == 0
         assert report.samples == 6
 
     def test_given_elements_config(self, e4_package):
         # Nothing is drawn and the constant is not scaled by safety, so the
         # config keeps only the fields that applied.
-        w0 = basis_vector(e4_package.rep, 0)
         rays = [SymplecticMatrix(np.diag([float(t), 1.0 / t])) for t in (2, 4, 8, 16, 32)]
-        report = verify_moderate_growth(e4_package, w0, 1.0, elements=rays)
+        report = verify_moderate_growth(e4_package, 1.0, elements=rays)
         assert report.samples == 5
         assert set(report.config) == {"ratio_tol", "delta", "t_max"}
 
     def test_no_elements(self, e4_package):
         # Guard: an empty element list is not a sweep.
-        w0 = basis_vector(e4_package.rep, 0)
         with pytest.raises(ValueError, match="a sweep needs at least one sample"):
-            verify_moderate_growth(e4_package, w0, 1.0, elements=[])
+            verify_moderate_growth(e4_package, 1.0, elements=[])
 
     @pytest.mark.parametrize(
         "name, factor",
         [("constant_package", 2.0), ("e4_package", 1.0), ("sym2_package", 2.0 ** -4)],
     )
     def test_constant_by_proof(self, request, name, factor):
-        # ||w0|| C max(1, 2^(1-s))^n n^(-ns), s = lambda1 / 2, with no safety
+        # C max(1, 2^(1-s))^n n^(-ns), s = lambda1 / 2, with no safety
         # factor: lambda1 = 0 and n = 1 give 2, sym2 (n = 2, lambda1 = 4)
         # gives 2^-4.
         package = request.getfixturevalue(name)
         c = estimate_constant(package, SweepConfig(samples=300, seed=46))
-        w0 = basis_vector(package.rep, 0)
-        report = verify_moderate_growth(package, w0, c, config=SweepConfig(samples=300, seed=47))
+        report = verify_moderate_growth(package, c, config=SweepConfig(samples=300, seed=47))
         assert (report.theorem_constant, report.factor) == (c, factor)
-        assert report.constant == pytest.approx(norm(w0) * c * factor, rel=1e-15)
+        assert report.constant == pytest.approx(c * factor, rel=1e-15)
         assert report.passed
 
     def test_exponent_floor(self):
@@ -348,15 +338,14 @@ class TestModerateGrowth:
         assert "r" not in inspect.signature(verify_moderate_growth).parameters
         for name in SAMPLE_BUILDERS:
             package = build_sample(name)
-            w0 = basis_vector(package.rep, 0)
             r = package.n * package.lambda1 / 2.0
             config = SweepConfig(samples=20, seed=3)
-            report = verify_moderate_growth(package, w0, 1.0, config=config)
+            report = verify_moderate_growth(package, 1.0, config=config)
             assert report.exponent_r == r
             traces = np.sum(report.records.where**2, axis=(1, 2))
             np.testing.assert_allclose(report.records.rhs, report.constant * traces**r, rtol=1e-14)
             with pytest.raises(TypeError):
-                verify_moderate_growth(package, w0, 1.0, r=r)
+                verify_moderate_growth(package, 1.0, r=r)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_trace_is_at_least_2n(self, n):
@@ -377,71 +366,29 @@ class TestModerateGrowth:
             v = lift(sym2_package, g)
             assert abs(inner(v, w0)) <= norm(w0) * norm(v) * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("name", ["e4_package", "sym2_package"])
+    def test_values_are_the_norm_of_the_lift(self, request, name):
+        # Each value is ||lift(F, g)|| = phi(F, g . iI), which bounds the
+        # pairing of lift(F, g) with every w by Cauchy-Schwarz.
+        package = request.getfixturevalue(name)
+        report = verify_moderate_growth(package, 1.0, config=SweepConfig(samples=1000, seed=1))
+        gs, values = report.records.where, report.records.value
+        expected = phi(package, act(gs, SiegelPoint.base_point(package.n).batch))
+        np.testing.assert_allclose(values, expected, rtol=1e-11, atol=0.0)
+        lifts = [RepVector(package.rep, row) for row in lift(package, gs)]
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            dim = package.rep.dim
+            w = vector(package.rep, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            pairings = np.array([abs(inner(v, w)) for v in lifts])
+            assert np.all(pairings <= norm(w) * values * (1.0 + 1e-12))
+
     def test_group_samples_are_symplectic(self):
         from nhsiegel.symplectic import is_symplectic
 
         for block in group_blocks(2, SweepConfig(samples=10, seed=45)):
             for g in block:
                 assert is_symplectic(g)
-
-    @pytest.mark.parametrize(
-        "name, coords",
-        [
-            ("e4_package", [1.0]),
-            ("sym2_package", [1.0, 0.0, 0.0]),
-            ("sym2_package", [0.5, 1.0, -0.25]),
-        ],
-    )
-    def test_tiny_w0_scales_the_report(self, request, name, coords):
-        # ||w0|| is formed from w0 over its largest entry, so a w0 whose
-        # squared norm underflows still gives the report of the unscaled w0,
-        # with the constant scaled along.
-        package = request.getfixturevalue(name)
-        c = estimate_constant(package, SweepConfig(samples=200, seed=47))
-        config = SweepConfig(samples=100, seed=48)
-        unit, tiny = (
-            verify_moderate_growth(package, vector(package.rep, w0), c, config=config)
-            for w0 in (coords, np.multiply(1e-200, coords))
-        )
-        assert unit.passed
-        assert tiny.constant == pytest.approx(unit.constant * 1e-200, rel=1e-15)
-        assert tiny.worst_ratio == pytest.approx(unit.worst_ratio, rel=1e-12)
-        np.testing.assert_array_equal(tiny.records.where, unit.records.where)
-        np.testing.assert_allclose(tiny.records.ratio, unit.records.ratio, rtol=1e-12)
-        for key in ("kind", "exponent_r", "samples", "violations", "worst_point", "config"):
-            assert getattr(tiny, key) == getattr(unit, key)
-
-    @pytest.mark.parametrize("c", [1e-310, 1e-200, 0.5, 3.0, 1e300, 1e307, 1e308])
-    def test_ratios_do_not_depend_on_the_scale_of_w0(self, e4_package, c):
-        # The sweep runs on w0 over its largest |entry|: a w0 whose norm or
-        # products underflow or overflow gives the ratios of w0 = 1, with
-        # the constant scaled along.
-        one, scaled = (
-            verify_moderate_growth(e4_package, vector(e4_package.rep, [w]), 1.25)
-            for w in (1.0, c)
-        )
-        assert scaled.worst_ratio == one.worst_ratio > 0.0
-        assert scaled.violations == one.violations
-        assert scaled.constant == c * one.constant
-        np.testing.assert_array_equal(scaled.records.ratio, one.records.ratio)
-
-    def test_w0_of_another_rep_rejected_before_any_draw(self, sym2_package, monkeypatch):
-        # A dimension-1 w0 would broadcast against the form's 3 coordinates.
-        def no_draws(*args):
-            raise AssertionError("drew samples")
-
-        monkeypatch.setattr(growth, "group_blocks", no_draws)
-        w0 = basis_vector(make_rep(2, 0, 2), 0)
-        with pytest.raises(ValueError, match="w0 is in"):
-            verify_moderate_growth(sym2_package, w0, 1.0, config=SweepConfig(samples=20))
-
-    @pytest.mark.parametrize("name", ["e4_package", "sym2_package"])
-    def test_zero_w0_rejected(self, request, name):
-        # For w0 = 0 both sides of the inequality vanish: nothing is checked.
-        package = request.getfixturevalue(name)
-        w0 = vector(package.rep, [0.0] * package.rep.dim)
-        with pytest.raises(ValueError, match="w0 must be non-zero"):
-            verify_moderate_growth(package, w0, 1.0, config=SweepConfig(samples=5))
 
 
 class TestSweepConfig:
@@ -489,18 +436,11 @@ class TestNonFiniteArguments:
 
     @pytest.mark.parametrize("constant", [math.nan, math.inf, -1.0])
     def test_moderate_constant(self, e4_package, constant):
-        w0 = basis_vector(e4_package.rep, 0)
         with pytest.raises(ValueError, match="constant must be finite"):
-            verify_moderate_growth(e4_package, w0, constant, config=SweepConfig(samples=5))
+            verify_moderate_growth(e4_package, constant, config=SweepConfig(samples=5))
 
-    def test_moderate_constant_that_overflows(self, e4_package):
-        # The check reads the constant the sweep uses, ||w0|| C = inf here.
-        w0 = vector(e4_package.rep, [1e300])
+    def test_moderate_constant_that_overflows(self, constant_package):
+        # The check reads the constant the sweep uses, C times the factor 2
+        # of lambda1 = 0 at n = 1, which is inf here.
         with pytest.raises(ValueError, match="constant must be finite"):
-            verify_moderate_growth(e4_package, w0, 1e300, config=SweepConfig(samples=5))
-
-    @pytest.mark.parametrize("coord", [math.nan, math.inf])
-    def test_moderate_w0(self, e4_package, coord):
-        w0 = vector(e4_package.rep, [coord])
-        with pytest.raises(ValueError, match="w0 coordinates must be finite"):
-            verify_moderate_growth(e4_package, w0, 1.0, config=SweepConfig(samples=5))
+            verify_moderate_growth(constant_package, 1e308, config=SweepConfig(samples=5))

@@ -15,7 +15,7 @@ import pytest
 import nhsiegel
 from nhsiegel.errors import FormDataError, NhsiegelError, SingularMatrixError
 from nhsiegel.forms import FourierExpansion, tail_bound
-from nhsiegel.growth import corollary_rhs, sturm_rhs, verify_moderate_growth
+from nhsiegel.growth import corollary_rhs, sturm_rhs
 from nhsiegel.linalg import MultiIndex, sqrt_posdef
 from nhsiegel.reps import Rep, RepVector, apply, basis_vector, inner, make_rep, rep_matrix
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample, divisor_power_sum
@@ -44,10 +44,6 @@ NOT_POSDEF_Y = "imaginary part is not positive definite (min eigenvalue -1.000e+
         ),
         (lambda pkg: inner(basis_vector(E4_REP, 0), basis_vector(OTHER_REP, 0)), MISMATCH),
         (lambda pkg: basis_vector(E4_REP, 0) - basis_vector(OTHER_REP, 0), MISMATCH),
-        (
-            lambda pkg: verify_moderate_growth(pkg, basis_vector(OTHER_REP, 0), 1.0),
-            f"w0 is in {OTHER_REP}, the form in {E4_REP}",
-        ),
         (lambda pkg: SiegelPoint(np.zeros((2, 2)), INDEFINITE), NOT_POSDEF_Y),
         (lambda pkg: SiegelPoint(np.zeros((1, 1)), np.array([[math.nan]])), "Y has non-finite entries"),
         (
@@ -63,7 +59,7 @@ NOT_POSDEF_Y = "imaginary part is not positive definite (min eigenvalue -1.000e+
         (lambda pkg: tail_bound(pkg, [[math.nan]]), "Y has non-finite entries"),
     ],
     ids=[
-        "rep-weight", "apply", "inner", "sub", "moderate-w0",
+        "rep-weight", "apply", "inner", "sub",
         "point-indefinite-Y", "point-nan-Y", "sqrt-posdef", "sturm-rhs", "corollary-rhs",
         "tail-bound", "tail-bound-nan-Y",
     ],

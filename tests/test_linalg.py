@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import multi_indices
+from conftest import in_V_delta, multi_indices
 import nhsiegel.linalg
 from nhsiegel.errors import EigenIterationError, SingularMatrixError
 from nhsiegel.linalg import (
@@ -13,7 +13,6 @@ from nhsiegel.linalg import (
     det,
     eigenvalues_sym,
     eigh_sym,
-    in_V_delta,
     inverse,
     monomial,
     multi_index_count,
@@ -221,32 +220,6 @@ class TestMultiIndex:
             assert len(found) == multi_index_count(n, p)
             assert len(set(found)) == len(found)
             assert all(b.degree <= p for b in found)
-
-
-class TestVDelta:
-    def test_inside(self):
-        assert in_V_delta(2.0 * np.eye(2), 1.0)
-
-    def test_outside(self):
-        assert not in_V_delta(np.diag([3.0, 0.5]), 1.0)
-
-    def test_boundary(self):
-        for n in (1, 2, 3):
-            assert in_V_delta(0.7 * np.eye(n), 0.7)
-
-    def test_delta_positive(self):
-        with pytest.raises(ValueError):
-            in_V_delta(np.eye(2), 0.0)
-
-    @pytest.mark.parametrize("delta", [np.nan, np.inf])
-    def test_delta_not_finite(self, delta):
-        with pytest.raises(ValueError, match="delta must be finite and positive"):
-            in_V_delta(np.eye(2), delta)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
-    def test_tol_not_finite_and_non_negative(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
-            in_V_delta(np.eye(2), 1.0, tol=tol)
 
 
 class TestInverseBound:

@@ -31,7 +31,6 @@ from nhsiegel.growth import (
     verify_moderate_growth,
 )
 from nhsiegel.linalg import _t, det_stack
-from nhsiegel.reps import basis_vector
 from nhsiegel.samples import build_sample
 from nhsiegel.sampling import (
     CHECK_BOX,
@@ -354,10 +353,7 @@ def test_moderate_csv_cells_are_reprs_of_the_records(e4_package, tmp_path):
           "--format", "csv", "--out", str(out)])
     package = load_form_package(form)
     constant = estimate_constant(package, SweepConfig(samples=300, seed=6))
-    report = verify_moderate_growth(
-        package, basis_vector(package.rep, 0), constant,
-        config=SweepConfig(samples=300, seed=7),
-    )
+    report = verify_moderate_growth(package, constant, config=SweepConfig(samples=300, seed=7))
     header, rows = _csv(out)
     assert header == ["g_11", "g_12", "g_21", "g_22", "phi", "rhs", "ratio"]
     where, value, rhs, ratio = report.records

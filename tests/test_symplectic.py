@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import gl_embedding, random_symplectic
+from conftest import gl_embedding, in_V_delta, random_symplectic
 from nhsiegel import symplectic
 from nhsiegel.errors import ReductionBudgetError
-from nhsiegel.linalg import eigenvalues_sym, in_V_delta
+from nhsiegel.linalg import eigenvalues_sym
 from nhsiegel.sampling import (
     random_compact,
     random_siegel_point,

@@ -16,7 +16,6 @@ import pytest
 
 from nhsiegel.forms import check_invariance
 from nhsiegel.growth import SweepConfig, verify_growth_bound, verify_moderate_growth
-from nhsiegel.reps import basis_vector
 from nhsiegel.sampling import CHECK_BOX, random_siegel_points
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -57,8 +56,7 @@ def test_sweeps_and_check_run_the_traced_kernels(form, request):
     try:
         for kind in ("theorem", "corollary"):
             verify_growth_bound(package, 1.0, kind, config)
-        w0 = basis_vector(package.rep, 0)
-        verify_moderate_growth(package, w0, 1.0, config=config)
+        verify_moderate_growth(package, 1.0, config=config)
         check_invariance(package, [samples])
     finally:
         uninstall()
