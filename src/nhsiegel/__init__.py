@@ -48,13 +48,10 @@ from .reps import (
     Rep,
     RepVector,
     apply,
-    basis_vector,
     highest_weight,
     inner,
-    make_rep,
     norm,
     rep_matrix,
-    vector,
 )
 from .samples import SAMPLE_BUILDERS, build_sample
 from .symplectic import (

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import FormDataError
 from .forms import FormPackage, FourierExpansion, trace_level
 from .linalg import MultiIndex
-from .reps import make_rep
+from .reps import Rep
 from .symplectic import SiegelPoint
 
 
@@ -100,7 +100,7 @@ def package_from_dict(data: dict) -> FormPackage:
         raise FormDataError("rep must be an object with fields j and k")
     j, k = _read([rep_raw["j"], rep_raw["k"]], "rep.j and rep.k", integer=True, shape=(2,)).tolist()
     try:
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
     except ValueError as exc:
         raise FormDataError(f"rep: {exc}")
     growth_raw = data["growth"]

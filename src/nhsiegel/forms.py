@@ -27,7 +27,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import EigenIterationError, FormDataError, TailDivergenceError
-from .linalg import MultiIndex, _posdef_floor, eigenvalues_sym, inv_stack, multi_index_count
+from .linalg import (
+    MultiIndex, _posdef_floor, eigenvalues_sym, inv_stack, monomial, multi_index_count
+)
 from .reps import Rep, RepVector, highest_weight, norms, rep_matrix
 from .symplectic import (
     PointBatch,
@@ -186,10 +188,10 @@ class FourierExpansion:
             yield beta, s, vec.copy()
 
     @cached_property
-    def _stacks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        # Per beta: the flat indices into Y^{-1} and the powers of its monomial (empty
-        # at degree 0), the S matrices flattened and transposed to a complex (n*n, K)
-        # array, cast once here rather than by every product, the (K, dim) values.
+    def _stacks(self) -> list[tuple[MultiIndex, np.ndarray, np.ndarray]]:
+        # Per beta: beta, the S matrices flattened and transposed to a complex
+        # (n*n, K) array, cast once here rather than by every product, and the
+        # (K, dim) values.
         by_beta: dict[MultiIndex, list] = {}
         for (beta, skey), vec in self.coefficients.items():
             by_beta.setdefault(beta, []).append((skey, vec))
@@ -198,10 +200,8 @@ class FourierExpansion:
             items.sort(key=lambda kv: kv[0])
             s_stack = np.array([k for k, _ in items], dtype=float) / float(self.level)
             v_stack = np.array([v for _, v in items], dtype=complex)
-            pairs = [((i - 1) * self.n + j - 1, b) for i, j, b in beta.powers]
-            flat, powers = np.array(pairs, dtype=int).reshape(-1, 2).T
             s_t = np.ascontiguousarray(s_stack.reshape(len(items), -1).T, dtype=complex)
-            out.append((flat, powers, s_t, v_stack))
+            out.append((beta, s_t, v_stack))
         return out
 
 
@@ -227,11 +227,11 @@ def _series(f: FourierExpansion, points: PointBatch) -> np.ndarray:
     """The sum at every point, read-only.  Y^{-1} is formed only when a
     stored beta has positive degree, and then once."""
     zc, y_inv, total = points.mat.reshape(len(points), -1), None, None
-    for flat, powers, s_t, v_stack in f._stacks:
+    for beta, s_t, v_stack in f._stacks:
         part = np.exp(2j * math.pi * (zc @ s_t)) @ v_stack  # sum a exp(2 pi i Tr(S Z))
-        if flat.size:
-            y_inv = points.y_inv.reshape(len(points), -1) if y_inv is None else y_inv
-            part *= np.multiply.reduce(y_inv.take(flat, axis=1) ** powers, axis=1)[:, None]
+        if beta.powers:
+            y_inv = points.y_inv if y_inv is None else y_inv
+            part *= monomial(y_inv, beta)[:, None]
         total = part if total is None else total + part
     if total is None:
         total = np.zeros((len(points), f.rep.dim), dtype=complex)

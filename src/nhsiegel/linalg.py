@@ -11,6 +11,7 @@ N = 1 case of the same call.  The eigensolve is the LAPACK kernel inside
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -213,9 +214,9 @@ def monomial(v, beta: MultiIndex):
     v = _as_square(v, "matrix", stacked=np.ndim(v) == 3)
     if v.shape[-1] != beta.n:
         raise ValueError(f"matrix dimension {v.shape[-1]} != multi-index dimension {beta.n}")
-    out = np.ones(v.shape[:-2])
-    for i, j, b in beta.powers:
-        out = out * v[..., i - 1, j - 1] ** b
+    # Starting from the first factor, not from ones, saves a product: 1 * x is x.
+    factors = [v[..., i - 1, j - 1] ** b for i, j, b in beta.powers]
+    out = functools.reduce(np.multiply, factors) if factors else np.ones(v.shape[:-2])
     return float(out) if out.ndim == 0 else out
 
 

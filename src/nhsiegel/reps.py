@@ -148,33 +148,9 @@ class RepVector:
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
-    def __sub__(self, other: "RepVector") -> "RepVector":
-        _check_same_rep(self, other)
-        return RepVector(self.rep, self.coords - other.coords)
-
-
-def make_rep(n: int, j: int, k: int) -> Rep:
-    """Sym^j tensor det^k for rank n; highest weight (j + k, k, ..., k)."""
-    return Rep(n, j, k)
-
 
 def highest_weight(rep: Rep) -> tuple[int, ...]:
     return (rep.j + rep.k,) + (rep.k,) * (rep.n - 1)
-
-
-def vector(rep: Rep, coords) -> RepVector:
-    return RepVector(rep, np.asarray(coords, dtype=complex))
-
-
-def basis_vector(rep: Rep, idx: int) -> RepVector:
-    coords = np.zeros(rep.dim, dtype=complex)
-    coords[idx] = 1.0
-    return RepVector(rep, coords)
-
-
-def _check_same_rep(v: RepVector, w: RepVector) -> None:
-    if v.rep != w.rep:
-        raise ValueError(f"vectors from different representations: {v.rep} vs {w.rep}")
 
 
 def rep_matrix(rep: Rep, m) -> np.ndarray:
@@ -207,7 +183,8 @@ def apply(rep: Rep, m, v: RepVector) -> RepVector:
 
 def inner(v: RepVector, w: RepVector) -> complex:
     """The invariant Hermitian pairing, linear in the first slot."""
-    _check_same_rep(v, w)
+    if v.rep != w.rep:
+        raise ValueError(f"vectors from different representations: {v.rep} vs {w.rep}")
     return complex(np.sum(v.coords * np.conj(w.coords) * v.rep.basis_sq_norms))
 
 

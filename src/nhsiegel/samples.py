@@ -15,7 +15,7 @@ import math
 
 from .forms import FormPackage, FourierExpansion, last_level
 from .linalg import MultiIndex
-from .reps import make_rep
+from .reps import Rep
 
 
 def divisor_power_sum(m: int, k: int) -> int:
@@ -43,7 +43,7 @@ def _level_one(k, p, c, t_max, growth_a, growth_kappa, extra=()) -> FormPackage:
     terms = [(b0, [[0]], [1.0 + 0.0j]), *extra]
     for m in range(1, last_level(1, t_max) + 1):
         terms.append((b0, [[m]], [c * divisor_power_sum(m, k - 1) + 0.0j]))
-    exp_ = FourierExpansion.from_terms(1, p, 1, make_rep(1, 0, k), t_max, terms)
+    exp_ = FourierExpansion.from_terms(1, p, 1, Rep(1, 0, k), t_max, terms)
     return FormPackage(exp_, growth_a=growth_a, growth_kappa=growth_kappa)
 
 
@@ -79,14 +79,14 @@ def e2_star() -> FormPackage:
 
 def constant_form(value: complex = 1.0) -> FormPackage:
     """Degree-1 constant form with trivial weight: F(Z) = value (T_max 20)."""
-    rep = make_rep(1, 0, 0)
+    rep = Rep(1, 0, 0)
     exp_ = FourierExpansion.from_terms(1, 0, 1, rep, 20.0, [(_beta0(1), [[0]], [complex(value)])])
     return FormPackage(exp_, growth_a=abs(complex(value)), growth_kappa=0.0)
 
 
 def zero_form() -> FormPackage:
     """Degree-1 form with no coefficients at all (T_max 20)."""
-    rep = make_rep(1, 0, 0)
+    rep = Rep(1, 0, 0)
     exp_ = FourierExpansion.from_terms(1, 0, 1, rep, 20.0, [])
     return FormPackage(exp_, growth_a=0.0, growth_kappa=0.0)
 
@@ -97,7 +97,7 @@ def synthetic_sym2() -> FormPackage:
     slashing, and tail machinery; it is not modular, so it is unsuitable for
     invariance or growth certification.
     """
-    rep = make_rep(2, 2, 2)
+    rep = Rep(2, 2, 2)
     b0 = _beta0(2)
     b12 = MultiIndex.from_dict(2, {(1, 2): 1})
     terms = [

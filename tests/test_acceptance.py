@@ -28,12 +28,12 @@ from nhsiegel.linalg import (
     sqrt_posdef,
 )
 from nhsiegel.reps import (
+    Rep,
+    RepVector,
     apply,
     highest_weight,
     inner,
-    make_rep,
     norm,
-    vector,
 )
 from nhsiegel.samples import divisor_power_sum
 from nhsiegel.sampling import (
@@ -62,7 +62,7 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
 
 
 def _random_vector(rep, rng):
-    return vector(rep, rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim))
+    return RepVector(rep, rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim))
 
 
 def _random_invertible(n, rng):
@@ -128,7 +128,7 @@ def test_criterion_03_representation_suite():
     rng = np.random.default_rng(103)
     failures = 0
     for n, j, k in REP_PARAMS:
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         for _ in range(1000):
             m1 = _random_invertible(n, rng)
             m2 = _random_invertible(n, rng)
@@ -138,7 +138,7 @@ def test_criterion_03_representation_suite():
 
             lhs = apply(rep, m1 @ m2, v)
             rhs = apply(rep, m1, apply(rep, m2, v))
-            if norm(lhs - rhs) > 1e-9 * (1.0 + norm(lhs)):
+            if norm(RepVector(rep, lhs.coords - rhs.coords)) > 1e-9 * (1.0 + norm(lhs)):
                 failures += 1
 
             if abs(norm(apply(rep, u, v)) - norm(v)) > 1e-9 * (1.0 + norm(v)):
@@ -160,7 +160,7 @@ def test_criterion_04_weight_inequality_suite():
     rng = np.random.default_rng(104)
     failures = 0
     for n, j, k in REP_PARAMS:
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         lam = highest_weight(rep)
         for _ in range(1000):
             a = rng.uniform(-2, 2, size=(n, n))

@@ -17,7 +17,7 @@ from nhsiegel.growth import (
     verify_moderate_growth,
 )
 from nhsiegel.linalg import inverse
-from nhsiegel.reps import RepVector, inner, norm, vector
+from nhsiegel.reps import RepVector, inner, norm
 from nhsiegel.samples import SAMPLE_BUILDERS, build_sample
 from nhsiegel.sampling import (
     random_compact,
@@ -359,7 +359,7 @@ class TestModerateGrowth:
         for _ in range(50):
             z = random_siegel_point(2, rng, eig_low=0.2, eig_high=5.0)
             g = from_point(z) @ random_compact(2, rng)
-            w0 = vector(
+            w0 = RepVector(
                 sym2_package.rep,
                 rng.standard_normal(3) + 1j * rng.standard_normal(3),
             )
@@ -379,7 +379,7 @@ class TestModerateGrowth:
         rng = np.random.default_rng(1)
         for _ in range(20):
             dim = package.rep.dim
-            w = vector(package.rep, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            w = RepVector(package.rep, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
             pairings = np.array([abs(inner(v, w)) for v in lifts])
             assert np.all(pairings <= norm(w) * values * (1.0 + 1e-12))
 

@@ -10,7 +10,7 @@ import nhsiegel.forms as forms
 from nhsiegel.errors import TailDivergenceError
 from nhsiegel.forms import FormPackage, FourierExpansion, _tail_series, evaluate, magnitudes, phi
 from nhsiegel.linalg import MultiIndex, monomial, multi_index_count
-from nhsiegel.reps import make_rep, norms, rep_matrix
+from nhsiegel.reps import Rep, norms, rep_matrix
 from nhsiegel.samples import _beta0, divisor_power_sum
 from nhsiegel.sampling import random_siegel_point, random_siegel_points
 from nhsiegel.symplectic import PointBatch, SiegelPoint
@@ -53,11 +53,14 @@ def evaluate_zeros_plus_add(f, points):
 
 def series_float_stacks(f, points):
     """``forms._series`` as written before its S stacks were stored complex:
-    the float (K, n*n) stack of each beta, cast by the product on each call."""
+    the float (K, n*n) stack of each beta, cast by the product on each call,
+    and the Y^{-1} monomial gathered from the flat entries of Y^{-1}."""
     zc, y_inv, total = points.mat.reshape(len(points), -1), None, None
-    for flat, powers, s_t, v_stack in f._stacks:
+    for beta, s_t, v_stack in f._stacks:
         s_flat = np.ascontiguousarray(s_t.real.T)
         part = np.exp(2j * math.pi * (zc @ s_flat.T)) @ v_stack
+        pairs = [((i - 1) * f.n + j - 1, b) for i, j, b in beta.powers]
+        flat, powers = np.array(pairs, dtype=int).reshape(-1, 2).T
         if flat.size:
             y_inv = points.y_inv.reshape(len(points), -1) if y_inv is None else y_inv
             part *= np.multiply.reduce(y_inv.take(flat, axis=1) ** powers, axis=1)[:, None]
@@ -119,26 +122,26 @@ def degree2_scalar_expansion():
         (_beta0(2), [[1, 0], [0, 1]], [0.5 - 0.25j]),
         (_beta0(2), [[2, 1], [1, 1]], [-0.125]),
     ]
-    return FourierExpansion.from_terms(2, 0, 1, make_rep(2, 0, 3), 4.0, terms)
+    return FourierExpansion.from_terms(2, 0, 1, Rep(2, 0, 3), 4.0, terms)
 
 
 def negative_kappa_package():
     terms = [(_beta0(1), [[m]], [0.5 / (1 + m)]) for m in range(6)]
-    exp_ = FourierExpansion.from_terms(1, 0, 1, make_rep(1, 0, 2), 5.0, terms)
+    exp_ = FourierExpansion.from_terms(1, 0, 1, Rep(1, 0, 2), 5.0, terms)
     return FormPackage(exp_, growth_a=1.0, growth_kappa=-1.0)
 
 
 def p2_package():
     b2 = MultiIndex.from_dict(1, {(1, 1): 2})
     terms = [(_beta0(1), [[m]], [1.0]) for m in range(5)] + [(b2, [[0]], [0.25])]
-    exp_ = FourierExpansion.from_terms(1, 2, 1, make_rep(1, 0, 2), 4.0, terms)
+    exp_ = FourierExpansion.from_terms(1, 2, 1, Rep(1, 0, 2), 4.0, terms)
     return FormPackage(exp_, growth_a=2.0, growth_kappa=1.0)
 
 
 def level3_package():
     # Level 3: N*S = [[m]], so Tr(S) = m/3 and the kept levels run to 3 * t_max.
     terms = [(_beta0(1), [[m]], [divisor_power_sum(m, 3) if m else 1.0]) for m in range(10)]
-    exp_ = FourierExpansion.from_terms(1, 0, 3, make_rep(1, 0, 4), 3.0, terms)
+    exp_ = FourierExpansion.from_terms(1, 0, 3, Rep(1, 0, 4), 3.0, terms)
     return FormPackage(exp_, growth_a=300.0, growth_kappa=3.0)
 
 
@@ -198,7 +201,7 @@ class TestSpectralMagnitudes:
         worst = 0.0
         for j in range(4):
             for k in range(4):
-                rep = make_rep(n, j, k)
+                rep = Rep(n, j, k)
                 batches = [random_siegel_points(n, rng, 500, *eig_range)]
                 batches += [random_siegel_point(n, rng, *eig_range).batch for _ in range(5)]
                 for points in batches:
@@ -211,7 +214,7 @@ class TestSpectralMagnitudes:
 
     @pytest.mark.parametrize("n,j,k", [(1, 0, 4), (2, 0, 3), (2, 2, 2), (1, 0, 0)])
     def test_rejects_points_of_another_degree(self, n, j, k, rng):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         points = random_siegel_points(3 - n, rng, 4)
         with pytest.raises(ValueError, match="does not match representation rank"):
             magnitudes(rep, points, np.ones((4, rep.dim), dtype=complex))
@@ -240,7 +243,7 @@ class TestEvaluateAccumulation:
     @pytest.mark.parametrize("count", [1, 1000])
     def test_complex_stacks_bit_identical_to_float_stacks(self, name, count, request, rng):
         expansion = request.getfixturevalue(name).expansion
-        for _, _, s_t, _ in expansion._stacks:
+        for _, s_t, _ in expansion._stacks:
             assert s_t.dtype == complex and s_t.flags.c_contiguous
         points = random_siegel_points(expansion.n, rng, count, 0.05, 5.0)
         got = forms._series(expansion, points)

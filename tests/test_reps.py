@@ -12,16 +12,14 @@ from nhsiegel.errors import SingularMatrixError
 from nhsiegel.linalg import det_stack, eigenvalues_sym
 from nhsiegel.reps import (
     Rep,
+    RepVector,
     _compositions,
     apply,
-    basis_vector,
     highest_weight,
     inner,
-    make_rep,
     norm,
     norms,
     rep_matrix,
-    vector,
 )
 from nhsiegel.sampling import random_unitary
 
@@ -29,7 +27,7 @@ REP_PARAMS = [(1, 0, 4), (2, 2, 0), (2, 2, 1), (2, 0, 10)]
 
 
 def random_vector(rep, rng):
-    return vector(rep, rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim))
+    return RepVector(rep, rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim))
 
 
 def random_invertible(n, rng):
@@ -41,39 +39,40 @@ def random_invertible(n, rng):
 
 class TestMakeRep:
     def test_det_power(self):
-        rep = make_rep(2, 0, 10)
+        rep = Rep(2, 0, 10)
         assert rep.dim == 1
         assert highest_weight(rep) == (10, 10)
 
     def test_sym2_twist(self):
-        rep = make_rep(2, 2, 1)
+        rep = Rep(2, 2, 1)
         assert rep.dim == 3
         assert highest_weight(rep) == (3, 1)
 
     def test_scalar_weight4(self):
-        rep = make_rep(1, 0, 4)
+        rep = Rep(1, 0, 4)
         assert rep.dim == 1
         assert highest_weight(rep) == (4,)
 
     def test_trivial(self):
-        assert highest_weight(make_rep(2, 0, 0)) == (0, 0)
+        assert highest_weight(Rep(2, 0, 0)) == (0, 0)
 
     def test_dimension_formula(self):
         for n, j in [(2, 0), (2, 5), (3, 2), (4, 3)]:
-            assert make_rep(n, j, 0).dim == math.comb(n + j - 1, j)
+            assert Rep(n, j, 0).dim == math.comb(n + j - 1, j)
 
     def test_unsupported(self):
         with pytest.raises(ValueError):
-            make_rep(2, -1, 0)
+            Rep(2, -1, 0)
         with pytest.raises(ValueError):
-            make_rep(2, 0, -3)
+            Rep(2, 0, -3)
 
     @pytest.mark.parametrize("j, k", [(2.7, 0), (0, 0.5), (math.nan, 0), (0, math.inf), ("2", 0), (None, 0)])
     def test_non_integral_weight_rejected(self, j, k):
         with pytest.raises(ValueError):
-            make_rep(1, j, k)
+            Rep(1, j, k)
 
-    @pytest.mark.parametrize("build", [make_rep, Rep])
+    # Rep is the one builder; the parameter keeps the case ids [<n>-Rep].
+    @pytest.mark.parametrize("build", [Rep])
     @pytest.mark.parametrize("n", [1.5, math.nan, "1", 0, 9])
     def test_bad_degree_rejected(self, build, n):
         with pytest.raises(ValueError, match="degree"):
@@ -81,12 +80,12 @@ class TestMakeRep:
 
     def test_integral_values_stored_as_plain_ints(self):
         rep = Rep(np.int64(2), 2.0, np.int32(1))
-        assert rep == make_rep(2, 2, 1)
+        assert rep == Rep(2, 2, 1)
         assert [type(x) for x in (rep.n, rep.j, rep.k)] == [int, int, int]
         assert json.dumps({"j": rep.j, "k": rep.k}) == '{"j": 2, "k": 1}'
 
     def test_weights_metadata(self):
-        rep = make_rep(2, 2, 1)
+        rep = Rep(2, 2, 1)
         assert rep.exponents == ((2, 0), (1, 1), (0, 2))
         assert rep.weights == ((3, 1), (2, 2), (1, 3))
         np.testing.assert_allclose(rep.basis_sq_norms, [1.0, 0.5, 1.0])
@@ -94,45 +93,45 @@ class TestMakeRep:
 
 class TestApply:
     def test_det_cube_scalar(self):
-        rep = make_rep(2, 0, 3)
-        v = vector(rep, [1.5])
+        rep = Rep(2, 0, 3)
+        v = RepVector(rep, [1.5])
         out = apply(rep, 2.0 * np.eye(2), v)
         np.testing.assert_allclose(out.coords, [1.5 * 64.0])
 
     def test_sym2_diagonal(self):
-        rep = make_rep(2, 2, 0)
+        rep = Rep(2, 2, 0)
         a, b = 2.0, 3.0
         m = rep_matrix(rep, np.diag([a, b]))
         np.testing.assert_allclose(m, np.diag([a * a, a * b, b * b]))
 
     def test_identity_action(self, rng):
         for n, j, k in REP_PARAMS:
-            rep = make_rep(n, j, k)
+            rep = Rep(n, j, k)
             v = random_vector(rep, rng)
             out = apply(rep, np.eye(n), v)
             np.testing.assert_allclose(out.coords, v.coords, atol=1e-14)
 
     def test_n1_power(self, rng):
-        rep = make_rep(1, 0, 4)
-        v = vector(rep, [1.0 + 2.0j])
+        rep = Rep(1, 0, 4)
+        v = RepVector(rep, [1.0 + 2.0j])
         z = 0.7 - 0.3j
         out = apply(rep, [[z]], v)
         np.testing.assert_allclose(out.coords, [v.coords[0] * z**4])
 
     def test_singular_det_twist(self):
-        rep = make_rep(2, 0, 2)
+        rep = Rep(2, 0, 2)
         with pytest.raises(SingularMatrixError):
             rep_matrix(rep, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_singular_allowed_without_twist(self):
-        rep = make_rep(2, 2, 0)
+        rep = Rep(2, 2, 0)
         m = rep_matrix(rep, [[1.0, 1.0], [1.0, 1.0]])
         assert np.all(np.isfinite(m))
 
     def test_rep_mismatch(self, rng):
-        v = random_vector(make_rep(2, 2, 0), rng)
+        v = random_vector(Rep(2, 2, 0), rng)
         with pytest.raises(ValueError):
-            apply(make_rep(2, 2, 1), np.eye(2), v)
+            apply(Rep(2, 2, 1), np.eye(2), v)
 
 
 def _frozen_compositions(total, parts):
@@ -168,7 +167,7 @@ class TestRepMatrixReference:
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n,j,k", list(itertools.product((1, 2), range(5), range(4))))
     def test_agrees_with_power_table(self, n, j, k, complex_input, rng):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         stack = rng.uniform(-2, 2, size=(64, n, n))
         if complex_input:
             stack = stack + 1j * rng.uniform(-2, 2, size=(64, n, n))
@@ -187,8 +186,8 @@ class TestRepMatrixReference:
         stack = rng.uniform(-2, 2, size=(5, n, n))
         stack[3] = 0.0 if n == 1 else [[1.0, 2.0], [0.5, 1.0]]
         with pytest.raises(SingularMatrixError):
-            rep_matrix(make_rep(n, j, k), stack)
-        assert np.isfinite(rep_matrix(make_rep(n, j, 0), stack)).all()
+            rep_matrix(Rep(n, j, k), stack)
+        assert np.isfinite(rep_matrix(Rep(n, j, 0), stack)).all()
 
 
 class TestInner:
@@ -209,51 +208,51 @@ class TestInner:
         oracle = float(np.vdot(t, t).real)
         assert oracle == pytest.approx(0.5)
 
-        rep = make_rep(2, 2, 0)
-        e1e2 = basis_vector(rep, rep.exponents.index((1, 1)))
+        rep = Rep(2, 2, 0)
+        e1e2 = RepVector(rep, np.eye(rep.dim)[rep.exponents.index((1, 1))])
         assert inner(e1e2, e1e2) == pytest.approx(oracle)
 
     def test_all_sym3_norms_against_oracle(self):
         # Same oracle across the full monomial basis of Sym^3 in rank 2.
-        rep = make_rep(2, 3, 0)
+        rep = Rep(2, 3, 0)
         words = {(3, 0): (0, 0, 0), (2, 1): (0, 0, 1), (1, 2): (0, 1, 1), (0, 3): (1, 1, 1)}
         for a, word in words.items():
             t = self._symmetrized_tensor(word, 2)
             oracle = float(np.vdot(t, t).real)
-            v = basis_vector(rep, rep.exponents.index(a))
+            v = RepVector(rep, np.eye(rep.dim)[rep.exponents.index(a)])
             assert inner(v, v) == pytest.approx(oracle)
 
     def test_highest_weight_norm_one(self):
         for n, j, k in REP_PARAMS:
-            rep = make_rep(n, j, k)
-            assert norm(basis_vector(rep, 0)) == pytest.approx(1.0)
+            rep = Rep(n, j, k)
+            assert norm(RepVector(rep, np.eye(rep.dim)[0])) == pytest.approx(1.0)
 
     def test_orthogonality(self):
-        rep = make_rep(2, 2, 0)
-        e11 = basis_vector(rep, 0)
-        e12 = basis_vector(rep, 1)
+        rep = Rep(2, 2, 0)
+        e11 = RepVector(rep, np.eye(rep.dim)[0])
+        e12 = RepVector(rep, np.eye(rep.dim)[1])
         assert inner(e11, e12) == 0.0
 
     def test_mismatch(self, rng):
-        v = random_vector(make_rep(2, 2, 0), rng)
-        w = random_vector(make_rep(2, 0, 10), rng)
+        v = random_vector(Rep(2, 2, 0), rng)
+        w = random_vector(Rep(2, 0, 10), rng)
         with pytest.raises(ValueError):
             inner(v, w)
 
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 2.0**1000])
     def test_norm_whose_square_overflows(self, rng, scale):
         # The squares overflow, the norm does not: it scales with the vector.
-        rep = make_rep(2, 3, 0)
+        rep = Rep(2, 3, 0)
         coords = rng.standard_normal((5, rep.dim)) + 1j * rng.standard_normal((5, rep.dim))
         coords /= np.abs(coords).max(axis=-1, keepdims=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = norms(rep, scale * coords)
-            assert norm(vector(rep, scale * coords[0])) == got[0]
+            assert norm(RepVector(rep, scale * coords[0])) == got[0]
         np.testing.assert_allclose(got, scale * norms(rep, coords), rtol=1e-15)
 
     def test_norm_keeps_its_bits_where_the_sum_is_finite(self, rng):
-        rep = make_rep(2, 3, 0)
+        rep = Rep(2, 3, 0)
         coords = rng.standard_normal((50, rep.dim)) + 1j * rng.standard_normal((50, rep.dim))
         coords *= 10.0 ** rng.uniform(-300.0, 150.0, (50, 1))
         coords[0] = [1e300, 0.0, 0.0, 0.0]  # takes the careful path for all rows
@@ -272,18 +271,18 @@ class TestInner:
 class TestProperties:
     @pytest.mark.parametrize("n,j,k", REP_PARAMS)
     def test_homomorphism(self, rng, n, j, k):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         for _ in range(100):
             m1 = random_invertible(n, rng)
             m2 = random_invertible(n, rng)
             v = random_vector(rep, rng)
             lhs = apply(rep, m1 @ m2, v)
             rhs = apply(rep, m1, apply(rep, m2, v))
-            assert norm(lhs - rhs) <= 1e-9 * (1.0 + norm(lhs))
+            assert norm(RepVector(rep, lhs.coords - rhs.coords)) <= 1e-9 * (1.0 + norm(lhs))
 
     @pytest.mark.parametrize("n,j,k", REP_PARAMS)
     def test_unitary_invariance(self, rng, n, j, k):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         for _ in range(100):
             u = random_unitary(n, rng)
             v = random_vector(rep, rng)
@@ -291,7 +290,7 @@ class TestProperties:
 
     @pytest.mark.parametrize("n,j,k", REP_PARAMS)
     def test_adjoint_identity(self, rng, n, j, k):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         for _ in range(100):
             m = random_invertible(n, rng)
             v = random_vector(rep, rng)
@@ -307,7 +306,7 @@ class TestWeightInequality:
 
     @pytest.mark.parametrize("n,j,k", REP_PARAMS)
     def test_bounds(self, rng, n, j, k):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         lam = highest_weight(rep)
         for _ in range(200):
             a = rng.uniform(-2, 2, size=(n, n))
@@ -322,7 +321,7 @@ class TestWeightInequality:
 
     @pytest.mark.parametrize("n,j,k", REP_PARAMS)
     def test_scalar_matrix_equality(self, rng, n, j, k):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         lam = highest_weight(rep)
         c = 1.7
         v = random_vector(rep, rng)
@@ -331,7 +330,7 @@ class TestWeightInequality:
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_degree_one_exact_power(self, rng):
-        rep = make_rep(1, 0, 4)
+        rep = Rep(1, 0, 4)
         v = random_vector(rep, rng)
         y = 2.3
         out = apply(rep, [[y]], v)
@@ -355,12 +354,12 @@ class TestOrthogonalInvariance:
         coords=st.lists(st.integers(-1000, 1000), min_size=20, max_size=20),
     )
     def test_norm_preserved(self, n, j, k, entries, reflect, coords):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         q, _ = np.linalg.qr(np.array(entries[: n * n]).reshape(n, n))
         if (np.linalg.det(q) < 0.0) != reflect:
             q[:, 0] = -q[:, 0]
         c = np.array(coords, dtype=float) / 100.0
-        v = vector(rep, c[: rep.dim] + 1j * c[10 : 10 + rep.dim])
+        v = RepVector(rep, c[: rep.dim] + 1j * c[10 : 10 + rep.dim])
         assert abs(norm(apply(rep, q, v)) - norm(v)) <= 1e-12 * norm(v)
 
 
@@ -397,7 +396,7 @@ class TestMonomialEnumeration:
 
     @pytest.mark.parametrize("n,j,k", TABLE_REPS)
     def test_table_keeps_its_bits(self, n, j, k):
-        rep = make_rep(n, j, k)
+        rep = Rep(n, j, k)
         exponents, factors, weights = _frozen_table(n, j)
         assert rep.exponents == exponents
         got_factors, got_weights = rep._table
@@ -445,6 +444,6 @@ class TestTableCap:
     def test_table_sizes(self):
         # The closed form of the cap against the tables it sizes.
         for n, j in [(1, 5), (2, 4), (3, 3), (4, 3)]:
-            factors, weights = make_rep(n, j, 0)._table
+            factors, weights = Rep(n, j, 0)._table
             assert weights.shape == (math.comb(n * n + j - 1, j), math.comb(n + j - 1, j) ** 2)
-        assert make_rep(4, 3, 0)._table[1].size == 326_400
+        assert Rep(4, 3, 0)._table[1].size == 326_400
